@@ -142,7 +142,7 @@ mod tests {
     fn parallel_traversals_equal_apriori() {
         let problem = Arc::new(ItemsetMiningProblem::new(db(), 2));
         let want = apriori(problem.db(), 2);
-        let pled = parallel_edt(Arc::clone(&problem), 3);
+        let pled = parallel_edt(Arc::clone(&problem), &ParallelConfig::load_balanced(3));
         assert_eq!(problem.report(&pled), want);
         let plet = parallel_ett(Arc::clone(&problem), &ParallelConfig::load_balanced(3));
         assert_eq!(problem.report(&plet), want);

@@ -44,6 +44,6 @@ pub mod rules;
 pub use apriori::{apriori, apriori_gen, apriori_with, CountingMethod, FrequentItemsets, HashTree};
 pub use db::{is_subset, Item, Itemset, TransactionDb};
 pub use edag::ItemsetMiningProblem;
-pub use parallel::{parallel_apriori, parallel_apriori_metered};
+pub use parallel::parallel_apriori;
 pub use partition::partition_mine;
 pub use rules::{generate_rules, AssociationRule};

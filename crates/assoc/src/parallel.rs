@@ -15,47 +15,29 @@
 
 use crate::apriori::{apriori_gen, FrequentItemsets};
 use crate::db::{Item, Itemset, TransactionDb};
-use plinda::{FarmConfig, TaskFarm};
+use fpdm_core::ParallelConfig;
+use plinda::{Dispatch, TaskFarm};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Parallel Apriori with count distribution over `workers` PLinda worker
-/// processes. Produces exactly [`crate::apriori::apriori`]'s result.
+/// Parallel Apriori with count distribution over the workers of
+/// `config`. Produces exactly [`crate::apriori::apriori`]'s result.
 pub fn parallel_apriori(
     db: Arc<TransactionDb>,
     min_support: usize,
-    workers: usize,
+    config: &ParallelConfig,
 ) -> FrequentItemsets {
-    parallel_apriori_metered(db, min_support, workers, None, None)
-}
-
-/// [`parallel_apriori`] with an optional metrics registry installed on
-/// the farm's tuple space; the farm folds per-worker accounting into it
-/// at teardown — snapshot after this returns for the run's ledger.
-/// `space` selects the backend: `None` runs in-process, `Some` runs the
-/// identical farm over a pre-connected (e.g. broker) tuple space.
-pub fn parallel_apriori_metered(
-    db: Arc<TransactionDb>,
-    min_support: usize,
-    workers: usize,
-    metrics: Option<plinda::MetricsRegistry>,
-    space: Option<Arc<plinda::TupleSpace>>,
-) -> FrequentItemsets {
-    assert!(workers >= 1);
-    let n = db.len();
+    let (n, workers) = (db.len(), config.workers);
 
     // Workers: count local supports for broadcast candidate sets. Each
-    // worker's horizontal partition is derived from its farm index.
+    // worker's horizontal partition is derived from its farm index, so
+    // every candidate broadcast is addressed to each worker.
     let w_db = Arc::clone(&db);
-    let mut cfg = FarmConfig::per_worker(workers);
-    if let Some(reg) = metrics {
-        cfg = cfg.with_metrics(reg);
-    }
-    if let Some(space) = space {
-        cfg = cfg.with_space(space);
-    }
+    let mut cfg = config.farm_config();
+    cfg.dispatch = Dispatch::PerWorker;
+    let name = config.farm_name("pear");
     let farm = TaskFarm::<Vec<Itemset>, (i64, i64, Vec<u32>)>::start(
-        "pear",
+        &name,
         cfg,
         move |scope, level, cands| {
             let w = scope.index();
@@ -104,12 +86,7 @@ pub fn parallel_apriori_metered(
         level += 1;
     }
 
-    let report = farm.finish();
-    assert!(
-        report.leaked.is_empty(),
-        "pear farm leaked tuples: {:?}",
-        report.leaked
-    );
+    config.finish_farm(&name, farm);
     result
 }
 
@@ -144,8 +121,9 @@ mod tests {
         let base = db();
         for workers in [1, 2, 4] {
             for min_support in [2, 3] {
+                let config = ParallelConfig::load_balanced(workers);
                 assert_eq!(
-                    parallel_apriori(Arc::new(base.clone()), min_support, workers),
+                    parallel_apriori(Arc::new(base.clone()), min_support, &config),
                     apriori(&base, min_support),
                     "workers={workers} min_support={min_support}"
                 );
@@ -157,8 +135,30 @@ mod tests {
     fn more_workers_than_transactions() {
         let base = TransactionDb::new(vec![vec![1, 2], vec![1, 2]]);
         assert_eq!(
-            parallel_apriori(Arc::new(base.clone()), 2, 8),
+            parallel_apriori(Arc::new(base.clone()), 2, &ParallelConfig::load_balanced(8)),
             apriori(&base, 2)
         );
+    }
+
+    #[test]
+    fn parallel_survives_worker_kills() {
+        // Enough counting work that the run outlasts the kill's delivery.
+        let base = TransactionDb::new(
+            (0..3000u32)
+                .map(|t| (0..6).map(|j| (t * 7 + j * 13) % 17).collect())
+                .collect(),
+        );
+        let reg = plinda::MetricsRegistry::new();
+        let config = ParallelConfig::load_balanced(3)
+            .kill_after(std::time::Duration::ZERO, 1)
+            .with_metrics(reg.clone());
+        assert_eq!(
+            parallel_apriori(Arc::new(base.clone()), 300, &config),
+            apriori(&base, 300)
+        );
+        let respawns = reg
+            .snapshot()
+            .sum_counters(|k| k.starts_with("farm.pear.worker.") && k.ends_with(".respawns"));
+        assert!(respawns >= 1, "the kill landed");
     }
 }

@@ -15,10 +15,18 @@
 //!
 //! | Traversal | Module / function | Pruning | Coordination |
 //! |---|---|---|---|
-//! | EDT   | [`edag::sequential_edt`]  | full (all subpatterns) | — |
-//! | ETT   | [`etree::sequential_ett`] | parent only            | — |
-//! | PEDT  | [`parallel::parallel_edt`] | full                  | level barrier on PLinda |
-//! | PETT  | [`parallel::parallel_ett`] | parent only           | none (counting termination) |
+//! | EDT    | [`edag::sequential_edt`]      | full (all subpatterns) | — |
+//! | ETT    | [`etree::sequential_ett`]     | parent only            | — |
+//! | PLED   | [`parallel::parallel_edt`]    | full                   | level barrier on PLinda |
+//! | wave   | [`parallel::parallel_wave`]   | parent only            | level barrier on PLinda |
+//! | PLET   | [`parallel::parallel_ett`]    | parent only            | none (counting termination, or optimistic subtrees) |
+//! | hybrid | [`parallel::parallel_hybrid`] | full, then parent only | level barrier, then counting termination |
+//!
+//! The parallel drivers share three master loops — a level-synchronous
+//! loop with a pruning rule and an optional level cap, a
+//! counter-terminated load-balanced tail, and the optimistic subtree
+//! loop — and each takes its run parameters (workers, kill schedule,
+//! metrics, backend space, job tag) as one [`ParallelConfig`].
 //!
 //! Theorems 1–4 of the dissertation state that all of these produce the
 //! same good patterns, with the EDT forms testing the minimal pattern set;

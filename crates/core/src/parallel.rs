@@ -1,34 +1,44 @@
 //! Parallel E-dag / E-tree traversals on the PLinda tuple space.
 //!
-//! These are the PLED and PLET programs of §3.2.2 and §3.3.3, and the
-//! optimistic / load-balanced worker variants of §4.2.2, expressed over
-//! the [`plinda::TaskFarm`] harness (which owns the master/worker
-//! skeleton — task/result channels, poison-pill shutdown, fault
-//! injection — leaving only the traversal logic here):
+//! These are the PLED and PLET programs of §3.2.2 and §3.3.3, the
+//! optimistic / load-balanced worker variants of §4.2.2 and the hybrid of
+//! §3.3.4, expressed over the [`plinda::TaskFarm`] harness (which owns the
+//! master/worker skeleton — task/result channels, poison-pill shutdown,
+//! fault injection). Ch. 3 defines the E-tree as a relaxation of the
+//! E-dag, so the drivers differ only in their pruning rule and in where
+//! the level barrier stops; they share three master loops:
 //!
-//! * [`parallel_edt`] — PLED (Figs. 3.4/3.5): the master enforces the
-//!   E-dag visiting rule (a pattern is dispatched only after *all* its
-//!   immediate subpatterns are known good), level-synchronised exactly as
-//!   in Definition 2; workers are stateless goodness evaluators.
-//! * [`parallel_ett`] — PLET (Figs. 3.9/3.10, 4.4–4.7): no barrier.
-//!   - With [`WorkerStrategy::LoadBalanced`], workers generate child work
-//!     tuples themselves, so any idle worker can help on any branch.
-//!   - With [`WorkerStrategy::Optimistic`], a worker takes one initial
-//!     task and traverses that whole subtree locally (minimal
-//!     communication, no balancing).
+//! * a **level-synchronous loop** over a grade-only worker: dispatch one
+//!   level as one deferred burst, collect its reports in bulk, expand the
+//!   good patterns in dispatch order. [`parallel_wave`] runs it with
+//!   parent-only pruning; [`parallel_edt`] (PLED, Figs. 3.4/3.5) with the
+//!   E-dag rule of Definition 2 — a pattern is dispatched only once *all*
+//!   its immediate subpatterns are known good; [`parallel_hybrid`] with
+//!   the E-dag rule down to its switch level.
+//! * a **counter-terminated load-balanced tail** (Figs. 4.6/4.7): workers
+//!   expand good patterns into new work tuples themselves, so any idle
+//!   worker can help on any branch, and the master waits for the shared
+//!   outstanding-work counter to reach zero. It is PLET-LB
+//!   ([`parallel_ett`] with [`WorkerStrategy::LoadBalanced`]) and the
+//!   hybrid's second phase.
+//! * the **optimistic subtree loop** (Figs. 4.4/4.5, [`parallel_ett`] with
+//!   [`WorkerStrategy::Optimistic`]): a worker takes one task and
+//!   traverses that whole subtree locally (minimal communication, no
+//!   balancing).
 //!
-//!   The *adaptive master* (§4.3.2) is `initial_task_level`: the master
-//!   itself traverses the first `initial_task_level - 1` levels and emits
-//!   tasks at `initial_task_level`, producing more (smaller) initial tasks
-//!   when many workers are available.
+//! [`parallel_ett`]'s *adaptive master* (§4.3.2) is `initial_task_level`:
+//! the master itself traverses the first `initial_task_level - 1` levels
+//! and emits tasks at `initial_task_level`, producing more (smaller)
+//! initial tasks when many workers are available.
 //!
-//! All variants produce identical good-pattern sets (Theorems 2–4); the
+//! Every driver takes its run parameters as one [`ParallelConfig`], and
+//! all of them produce identical good-pattern sets (Theorems 2–4); the
 //! tests and `tests/integration_parallel_mining.rs` check this, including
 //! under injected worker failures.
 
 use crate::problem::{MiningOutcome, MiningProblem, PatternCodec};
-use plinda::{FarmConfig, TaskFarm, Value};
-use std::collections::HashMap;
+use plinda::{FarmConfig, Payload, TaskFarm, Value};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// Worker style for [`parallel_ett`].
@@ -40,7 +50,8 @@ pub enum WorkerStrategy {
     Optimistic,
 }
 
-/// Configuration of a parallel E-tree traversal.
+/// Configuration of a parallel run: the one run argument of every
+/// parallel driver in the workspace.
 #[derive(Debug, Clone)]
 pub struct ParallelConfig {
     /// Number of worker processes.
@@ -103,15 +114,8 @@ impl ParallelConfig {
     /// Plain optimistic configuration.
     pub fn optimistic(workers: usize) -> Self {
         ParallelConfig {
-            workers,
             strategy: WorkerStrategy::Optimistic,
-            initial_task_level: 1,
-            kill_schedule: Vec::new(),
-            recorder: None,
-            metrics: None,
-            space: None,
-            prefetch: None,
-            job_tag: None,
+            ..Self::load_balanced(workers)
         }
     }
 
@@ -173,164 +177,231 @@ impl ParallelConfig {
             None => base.to_owned(),
         }
     }
-}
 
-/// Ordinary evaluate-and-expand task (PLET) / evaluate task (PLED).
-const NORMAL: i64 = 0;
-/// Evaluate-only task of the hybrid's PLED phase (answers with a result
-/// tuple instead of expanding in place).
-const EVAL: i64 = 2;
-
-/// Translate a [`ParallelConfig`] into farm configuration, ignoring
-/// out-of-range worker indices in the kill schedule as the previous
-/// implementation did.
-fn bag_config(config: &ParallelConfig) -> FarmConfig {
-    let mut cfg = FarmConfig::bag(config.workers);
-    for &(delay, index) in &config.kill_schedule {
-        if index < config.workers {
-            cfg = cfg.kill_after(delay, index);
+    /// The bag-of-tasks farm configuration of this run. Kills of
+    /// out-of-range worker indices are dropped. Programs with addressed
+    /// tasks switch the dispatch to [`plinda::Dispatch::PerWorker`]
+    /// themselves.
+    pub fn farm_config(&self) -> FarmConfig {
+        assert!(self.workers >= 1, "need at least one worker");
+        FarmConfig {
+            kill_schedule: self
+                .kill_schedule
+                .iter()
+                .copied()
+                .filter(|&(_, index)| index < self.workers)
+                .collect(),
+            recorder: self.recorder.clone(),
+            metrics: self.metrics.clone(),
+            space: self.space.clone(),
+            prefetch: self.prefetch.map(|n| n.max(1)),
+            ..FarmConfig::bag(self.workers)
         }
     }
-    if let Some(rec) = &config.recorder {
-        cfg = cfg.with_recorder(rec.clone());
+
+    /// Shut down `farm`, started as `name`, and assert that it drained its
+    /// channels: anything left in the space at quiescence is a protocol
+    /// leak. A tagged run metering into a registry it does not own — a
+    /// service job on the service's shared space — also drops its
+    /// `chan.<name>.*` keys from that registry, so a resident service's
+    /// ledger does not grow by one set of channel keys per job.
+    pub fn finish_farm<T: Payload + 'static, R: Payload + 'static>(
+        &self,
+        name: &str,
+        farm: TaskFarm<T, R>,
+    ) {
+        let space = Arc::clone(farm.space());
+        let report = farm.finish();
+        assert!(
+            report.leaked.is_empty(),
+            "{name} farm leaked tuples: {:?}",
+            report.leaked
+        );
+        if let (Some(_), None, Some(reg)) = (&self.job_tag, &self.metrics, space.metrics()) {
+            reg.remove_prefix(&format!("chan.{name}."));
+        }
     }
-    if let Some(reg) = &config.metrics {
-        cfg = cfg.with_metrics(reg.clone());
-    }
-    if let Some(space) = &config.space {
-        cfg = cfg.with_space(Arc::clone(space));
-    }
-    if let Some(n) = config.prefetch {
-        cfg = cfg.with_prefetch(n);
-    }
-    cfg
 }
 
-/// Every farm in this module must drain its channels: anything left in
-/// the space at quiescence is a protocol leak.
-fn assert_drained(name: &str, report: &plinda::FarmReport) {
-    assert!(
-        report.leaked.is_empty(),
-        "{name} farm leaked tuples: {:?}",
-        report.leaked
-    );
+/// Task flag of every traversal task (the farm reserves only the poison
+/// pill's).
+const NORMAL: i64 = 0;
+
+/// Which patterns of a level a level-synchronous traversal tests.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Pruning {
+    /// E-tree: every child of a good pattern.
+    Parent,
+    /// E-dag (Definition 2): only patterns whose immediate subpatterns are
+    /// all good.
+    Subpatterns,
 }
 
-// ---------------------------------------------------------------------
-// PLED: parallel E-dag traversal (level-synchronised).
-// ---------------------------------------------------------------------
+impl Pruning {
+    /// Does this rule test `p`, given every good pattern found so far?
+    /// Immediate subpatterns sit one level up (or are the root, which is
+    /// always good), so `good` holding earlier levels too changes nothing.
+    pub(crate) fn admits<P: MiningProblem>(
+        self,
+        problem: &P,
+        p: &P::Pattern,
+        good: &BTreeMap<P::Pattern, f64>,
+    ) -> bool {
+        self == Pruning::Parent
+            || problem
+                .immediate_subpatterns(p)
+                .iter()
+                .all(|s| problem.pattern_len(s) == 0 || good.contains_key(s))
+    }
+}
 
-/// Run a parallel E-dag traversal with `workers` worker processes.
+/// The level-synchronous master: per level, drop the patterns `pruning`
+/// rejects, emit the rest as one task wave (`send_all`, one deferred
+/// burst), collect the wave's `(encoding, goodness)` reports in bulk
+/// (`recv_upto`), and expand the good patterns' children into the next
+/// level **in dispatch order** — report arrival order never leaks into
+/// the next level, so schedules replay deterministically. Stops after
+/// `max_levels` levels and returns the outcome with the untested
+/// frontier below them (empty when the lattice ran out first).
 ///
-/// Equivalent (Theorem 2) to [`crate::edag::sequential_edt`]: same good
-/// patterns, same tested-pattern set.
-pub fn parallel_edt<P>(problem: Arc<P>, workers: usize) -> MiningOutcome<P::Pattern>
+/// There is no shared outstanding-work counter: the wave size is the
+/// termination count, so workers never retire against a counter and the
+/// master blocks only on its own wave's reports.
+fn level_sync<P>(
+    name: &str,
+    problem: &Arc<P>,
+    config: &ParallelConfig,
+    pruning: Pruning,
+    max_levels: usize,
+) -> (MiningOutcome<P::Pattern>, Vec<P::Pattern>)
 where
     P: MiningProblem + PatternCodec + Send + Sync + 'static,
 {
-    parallel_edt_cfg(problem, &ParallelConfig::load_balanced(workers))
-}
-
-/// [`parallel_edt`] with full [`ParallelConfig`] control (kill schedule,
-/// trace recorder, metrics registry; the strategy and task-level fields
-/// are ignored — PLED is inherently level-synchronised).
-pub fn parallel_edt_cfg<P>(problem: Arc<P>, config: &ParallelConfig) -> MiningOutcome<P::Pattern>
-where
-    P: MiningProblem + PatternCodec + Send + Sync + 'static,
-{
-    assert!(config.workers >= 1, "need at least one worker");
-
-    // PLED worker (Fig. 3.5): evaluate goodness of task patterns.
-    let name = config.farm_name("pled");
-    let wp = Arc::clone(&problem);
+    // Worker (Fig. 3.5): grade one candidate.
+    let wp = Arc::clone(problem);
     let farm = TaskFarm::<Vec<u8>, (Vec<u8>, f64)>::start(
-        &name,
-        bag_config(config),
+        name,
+        config.farm_config(),
         move |scope, _flag, enc| {
-            let p = wp.decode_pattern(&enc);
-            let g = wp.goodness(&p);
+            let g = wp.goodness(&wp.decode_pattern(&enc));
             scope.result(&(enc, g));
             Ok(())
         },
     );
 
-    // PLED master (Fig. 3.4), level-synchronised per Definition 2.
     let mut outcome = MiningOutcome::new();
-    let root = problem.root();
-    let mut prev_good: HashMap<P::Pattern, bool> = HashMap::new();
-    prev_good.insert(root.clone(), true);
-    let mut frontier: Vec<P::Pattern> = problem.children(&root);
-
-    while !frontier.is_empty() {
-        let mut this_good: HashMap<P::Pattern, bool> = HashMap::new();
-        let mut dispatched: HashMap<Vec<u8>, P::Pattern> = HashMap::new();
-
-        for p in frontier {
-            let eligible = problem
-                .immediate_subpatterns(&p)
-                .iter()
-                .all(|s| prev_good.get(s).copied().unwrap_or(false));
-            if eligible {
-                let enc = problem.encode_pattern(&p);
-                dispatched.insert(enc, p);
-            } else {
-                this_good.insert(p, false);
-            }
+    let mut level = problem.children(&problem.root());
+    for _ in 0..max_levels {
+        level.retain(|p| pruning.admits(&**problem, p, &outcome.good));
+        if level.is_empty() {
+            break;
         }
-        // One deferred burst per level instead of a round trip per task.
-        farm.send_all(NORMAL, &dispatched.keys().cloned().collect::<Vec<_>>());
+        let order: Vec<Vec<u8>> = level.iter().map(|p| problem.encode_pattern(p)).collect();
+        farm.send_all(NORMAL, &order);
 
-        let mut next_frontier = Vec::new();
-        let mut pending = dispatched.len();
+        let mut grades: HashMap<Vec<u8>, f64> = HashMap::with_capacity(order.len());
+        let mut pending = order.len();
         while pending > 0 {
-            for (enc, g) in farm.recv_upto(pending) {
-                pending -= 1;
-                outcome.tested += 1;
-                let p = dispatched
-                    .get(&enc)
-                    .expect("result for undisputed task")
-                    .clone();
-                let good = problem.is_good(&p, g);
-                if good {
-                    outcome.good.insert(p.clone(), g);
-                    next_frontier.extend(problem.children(&p));
-                }
-                this_good.insert(p, good);
+            let reports = farm.recv_upto(pending);
+            pending -= reports.len();
+            grades.extend(reports);
+        }
+        outcome.tested += order.len() as u64;
+
+        let mut next = Vec::new();
+        for (p, enc) in level.into_iter().zip(&order) {
+            let g = grades[enc];
+            if problem.is_good(&p, g) {
+                next.extend(problem.children(&p));
+                outcome.good.insert(p, g);
             }
         }
-
-        prev_good = this_good;
-        frontier = next_frontier;
+        level = next;
     }
 
-    assert_drained(&name, &farm.finish());
-    outcome
+    config.finish_farm(name, farm);
+    (outcome, level)
 }
 
-// ---------------------------------------------------------------------
-// Wave: candidate-partitioned level traversal (the farm port of the
-// sequential miners — seqmine, treemine, episodes).
-// ---------------------------------------------------------------------
+/// The counter-terminated load-balanced loop (Figs. 4.6/4.7): traverse
+/// the E-tree below `frontier`, adding to `outcome`.
+fn load_balanced<P>(
+    name: &str,
+    problem: &Arc<P>,
+    config: &ParallelConfig,
+    frontier: &[P::Pattern],
+    outcome: &mut MiningOutcome<P::Pattern>,
+) where
+    P: MiningProblem + PatternCodec + Send + Sync + 'static,
+{
+    // Fig. 4.7 worker: evaluate one node; expand in place if good.
+    // Retiring the task against the shared outstanding-work counter
+    // happens in the same transaction as consuming it and publishing its
+    // children and report, so the counter reads zero exactly when every
+    // report has committed.
+    let wp = Arc::clone(problem);
+    let farm = TaskFarm::<Vec<u8>, (Vec<u8>, f64, i64)>::start(
+        name,
+        config.farm_config(),
+        move |scope, _flag, enc| {
+            let p = wp.decode_pattern(&enc);
+            let g = wp.goodness(&p);
+            let good = wp.is_good(&p, g);
+            let children = if good { wp.children(&p) } else { Vec::new() };
+            for c in &children {
+                scope.emit(NORMAL, &wp.encode_pattern(c));
+            }
+            scope.retire(children.len() as i64)?;
+            scope.result(&(enc, g, i64::from(good)));
+            Ok(())
+        },
+    );
+
+    // Fig. 4.6 master: emit the initial tasks (one deferred burst), seed
+    // the outstanding-work counter, block until the workers drive it to
+    // zero (termination detection), then collect every report in bulk.
+    let encoded: Vec<Vec<u8>> = frontier.iter().map(|p| problem.encode_pattern(p)).collect();
+    farm.send_all(NORMAL, &encoded);
+    farm.seed_counter(encoded.len() as i64);
+    farm.await_quiescent();
+    for (enc, g, good) in farm.drain() {
+        outcome.tested += 1;
+        if good == 1 {
+            outcome.good.insert(problem.decode_pattern(&enc), g);
+        }
+    }
+    config.finish_farm(name, farm);
+}
+
+/// PLED: the parallel E-dag traversal, level-synchronised per
+/// Definition 2 (Figs. 3.4/3.5). The strategy and task-level fields of
+/// `config` do not apply.
+///
+/// Equivalent (Theorem 2) to [`crate::edag::sequential_edt`]: same good
+/// patterns, same tested-pattern set.
+pub fn parallel_edt<P>(problem: Arc<P>, config: &ParallelConfig) -> MiningOutcome<P::Pattern>
+where
+    P: MiningProblem + PatternCodec + Send + Sync + 'static,
+{
+    let name = config.farm_name("pled");
+    level_sync(&name, &problem, config, Pruning::Subpatterns, usize::MAX).0
+}
 
 /// Run a candidate-partitioned wave traversal of the E-tree under the
-/// farm program name `name`.
+/// farm program name `name` (the farm port of the sequential miners —
+/// seqmine, treemine, episodes). The strategy and task-level fields of
+/// `config` do not apply.
 ///
 /// This is the *candidate partitioning* of Gan et al.'s parallel
 /// sequential-pattern-mining taxonomy: the master owns the lattice
-/// frontier and emits each level's candidates as one task wave
-/// (`send_all`, one deferred burst); stateless workers each grade their
-/// share of the candidates against the full database; the master collects
-/// the wave's reports in bulk (`recv_upto`) and expands the children of
-/// the good ones into the next wave. Because every [`MiningProblem`]
-/// generates each pattern exactly once from its unique parent, the tested
-/// set — and therefore the whole [`MiningOutcome`] — is bit-identical to
+/// frontier and emits each level's candidates as one task wave;
+/// stateless workers each grade their share of the candidates against
+/// the full database. Unlike PLED there is no subpattern-eligibility rule
+/// (parent-only pruning, like PLET), and unlike PLET there is no
+/// outstanding-work counter. Because every [`MiningProblem`] generates
+/// each pattern exactly once from its unique parent, the tested set — and
+/// therefore the whole [`MiningOutcome`] — is bit-identical to
 /// [`crate::etree::sequential_ett`]'s.
-///
-/// Unlike PLED there is no subpattern-eligibility rule (parent-only
-/// pruning, like PLET), and unlike PLET there is no shared
-/// outstanding-work counter: the wave size itself is the termination
-/// count, so workers never retire against a counter and the master never
-/// blocks on quiescence — only on its own wave's reports.
 pub fn parallel_wave<P>(
     name: &str,
     problem: Arc<P>,
@@ -339,77 +410,12 @@ pub fn parallel_wave<P>(
 where
     P: MiningProblem + PatternCodec + Send + Sync + 'static,
 {
-    assert!(config.workers >= 1, "need at least one worker");
-
-    // Worker: grade one candidate; report `(encoding, goodness)`.
     let name = config.farm_name(name);
-    let wp = Arc::clone(&problem);
-    let farm = TaskFarm::<Vec<u8>, (Vec<u8>, f64)>::start(
-        &name,
-        bag_config(config),
-        move |scope, _flag, enc| {
-            let p = wp.decode_pattern(&enc);
-            let g = wp.goodness(&p);
-            scope.result(&(enc, g));
-            Ok(())
-        },
-    );
-
-    // Master: one wave per lattice level, starting from the root's
-    // children.
-    let mut outcome = MiningOutcome::new();
-    let root = problem.root();
-    let mut wave: Vec<P::Pattern> = problem.children(&root);
-
-    while !wave.is_empty() {
-        let mut order: Vec<Vec<u8>> = Vec::with_capacity(wave.len());
-        let mut dispatched: HashMap<Vec<u8>, P::Pattern> = HashMap::with_capacity(wave.len());
-        for p in wave {
-            let enc = problem.encode_pattern(&p);
-            order.push(enc.clone());
-            dispatched.insert(enc, p);
-        }
-        debug_assert_eq!(order.len(), dispatched.len(), "unique generation");
-        farm.send_all(NORMAL, &order);
-
-        let mut grades: HashMap<Vec<u8>, f64> = HashMap::with_capacity(order.len());
-        let mut pending = order.len();
-        while pending > 0 {
-            for (enc, g) in farm.recv_upto(pending) {
-                pending -= 1;
-                outcome.tested += 1;
-                grades.insert(enc, g);
-            }
-        }
-
-        // Expand in dispatch order: report arrival order must not leak
-        // into the next wave (schedules replay deterministically).
-        let mut next = Vec::new();
-        for enc in &order {
-            let p = &dispatched[enc];
-            let g = grades[enc];
-            if problem.is_good(p, g) {
-                outcome.good.insert(p.clone(), g);
-                next.extend(problem.children(p));
-            }
-        }
-        wave = next;
-    }
-
-    assert_drained(&name, &farm.finish());
-    outcome
+    level_sync(&name, &problem, config, Pruning::Parent, usize::MAX).0
 }
 
-// ---------------------------------------------------------------------
-// PLET: parallel E-tree traversal.
-// ---------------------------------------------------------------------
-
-/// A load-balanced "done" report: `(encoded pattern, goodness, good?,
-/// children emitted)` — the tuple-space form of the `termination()`
-/// pruned-propagation of Figs. 4.6/3.9.
-type DoneReport = (Vec<u8>, f64, i64, i64);
-
-/// Run a parallel E-tree traversal per `config`.
+/// PLET: the parallel E-tree traversal per `config` — the load-balanced
+/// or optimistic strategy, after the master's adaptive preamble.
 ///
 /// Equivalent (Theorem 3) to [`crate::etree::sequential_ett`] in its good
 /// patterns (the set of *tested* patterns can differ between strategies;
@@ -418,16 +424,13 @@ pub fn parallel_ett<P>(problem: Arc<P>, config: &ParallelConfig) -> MiningOutcom
 where
     P: MiningProblem + PatternCodec + Send + Sync + 'static,
 {
-    assert!(config.workers >= 1, "need at least one worker");
     assert!(config.initial_task_level >= 1);
-    let cfg = bag_config(config);
 
     // Master preamble shared by both strategies: traverse the first
     // `initial_task_level - 1` levels locally (the adaptive master of
     // §4.3.2), leaving the initial task frontier.
     let mut outcome = MiningOutcome::new();
-    let root = problem.root();
-    let mut frontier = problem.children(&root);
+    let mut frontier = problem.children(&problem.root());
     for _ in 1..config.initial_task_level {
         let mut next = Vec::new();
         for p in frontier {
@@ -440,134 +443,71 @@ where
         }
         frontier = next;
     }
-    let initial = frontier.len() as i64;
 
-    match config.strategy {
-        WorkerStrategy::LoadBalanced => {
-            // Fig. 4.7 worker: evaluate one node; expand in place if good.
-            // Retiring the task against the shared outstanding-work
-            // counter happens in the same transaction as consuming it and
-            // publishing its children and report, so the counter reads
-            // zero exactly when every report has committed.
-            let name = config.farm_name("plet-lb");
-            let wp = Arc::clone(&problem);
-            let farm =
-                TaskFarm::<Vec<u8>, DoneReport>::start(&name, cfg, move |scope, _flag, enc| {
-                    let p = wp.decode_pattern(&enc);
-                    let g = wp.goodness(&p);
-                    let good = wp.is_good(&p, g);
-                    let mut n_children = 0i64;
-                    if good {
-                        for c in wp.children(&p) {
-                            scope.emit(NORMAL, &wp.encode_pattern(&c));
-                            n_children += 1;
-                        }
-                    }
-                    scope.retire(n_children)?;
-                    scope.result(&(enc, g, i64::from(good), n_children));
-                    Ok(())
-                });
-
-            // Fig. 4.6 master: emit the initial tasks (one deferred
-            // burst), seed the outstanding-work counter, block until the
-            // workers drive it to zero (termination detection), then
-            // collect every report in bulk.
-            let encoded: Vec<Vec<u8>> =
-                frontier.iter().map(|p| problem.encode_pattern(p)).collect();
-            farm.send_all(NORMAL, &encoded);
-            farm.seed_counter(initial);
-            farm.await_quiescent();
-            for (enc, g, good, _children) in farm.drain() {
-                outcome.tested += 1;
-                if good == 1 {
-                    let p = problem.decode_pattern(&enc);
-                    outcome.good.insert(p, g);
-                }
-            }
-            assert_drained(&name, &farm.finish());
-        }
-        WorkerStrategy::Optimistic => {
-            // Fig. 4.5 worker: take one task, finish the whole subtree.
-            let name = config.farm_name("plet-opt");
-            let wp = Arc::clone(&problem);
-            let farm =
-                TaskFarm::<Vec<u8>, Vec<Value>>::start(&name, cfg, move |scope, _flag, enc| {
-                    let mut results: Vec<Value> = Vec::new();
-                    let mut stack = vec![wp.decode_pattern(&enc)];
-                    while let Some(p) = stack.pop() {
-                        let g = wp.goodness(&p);
-                        let good = wp.is_good(&p, g);
-                        if good {
-                            stack.extend(wp.children(&p));
-                        }
-                        results.push(Value::List(vec![
-                            Value::Bytes(wp.encode_pattern(&p)),
-                            Value::Real(g),
-                            Value::Int(i64::from(good)),
-                        ]));
-                    }
-                    scope.result(&results);
-                    Ok(())
-                });
-
-            // Fig. 4.4 master: one subtree report per initial task.
-            let encoded: Vec<Vec<u8>> =
-                frontier.iter().map(|p| problem.encode_pattern(p)).collect();
-            farm.send_all(NORMAL, &encoded);
-            for _ in 0..initial {
-                for entry in farm.recv() {
-                    let Value::List(fields) = entry else {
-                        unreachable!("sub entries are lists")
-                    };
-                    let (Value::Bytes(enc), Value::Real(g), Value::Int(good)) =
-                        (&fields[0], &fields[1], &fields[2])
-                    else {
-                        unreachable!("sub entry shape")
-                    };
-                    outcome.tested += 1;
-                    if *good == 1 {
-                        let p = problem.decode_pattern(enc);
-                        outcome.good.insert(p, *g);
-                    }
-                }
-            }
-            assert_drained(&name, &farm.finish());
-        }
+    if config.strategy == WorkerStrategy::LoadBalanced {
+        let name = config.farm_name("plet-lb");
+        load_balanced(&name, &problem, config, &frontier, &mut outcome);
+        return outcome;
     }
 
+    // Fig. 4.5 worker: take one task, finish the whole subtree.
+    let name = config.farm_name("plet-opt");
+    let wp = Arc::clone(&problem);
+    let farm = TaskFarm::<Vec<u8>, Vec<Value>>::start(
+        &name,
+        config.farm_config(),
+        move |scope, _flag, enc| {
+            let mut results: Vec<Value> = Vec::new();
+            let mut stack = vec![wp.decode_pattern(&enc)];
+            while let Some(p) = stack.pop() {
+                let g = wp.goodness(&p);
+                let good = wp.is_good(&p, g);
+                if good {
+                    stack.extend(wp.children(&p));
+                }
+                results.push(Value::List(vec![
+                    Value::Bytes(wp.encode_pattern(&p)),
+                    Value::Real(g),
+                    Value::Int(i64::from(good)),
+                ]));
+            }
+            scope.result(&results);
+            Ok(())
+        },
+    );
+
+    // Fig. 4.4 master: one subtree report per initial task.
+    let encoded: Vec<Vec<u8>> = frontier.iter().map(|p| problem.encode_pattern(p)).collect();
+    farm.send_all(NORMAL, &encoded);
+    for _ in 0..encoded.len() {
+        for entry in farm.recv() {
+            let Value::List(fields) = entry else {
+                unreachable!("sub entries are lists")
+            };
+            let (Value::Bytes(enc), Value::Real(g), Value::Int(good)) =
+                (&fields[0], &fields[1], &fields[2])
+            else {
+                unreachable!("sub entry shape")
+            };
+            outcome.tested += 1;
+            if *good == 1 {
+                outcome.good.insert(problem.decode_pattern(enc), *g);
+            }
+        }
+    }
+    config.finish_farm(&name, farm);
     outcome
 }
 
-// ---------------------------------------------------------------------
-// Hybrid: PLED early, PLET late (§3.3.4).
-// ---------------------------------------------------------------------
-
-/// The "optimal PLinda implementation" of §3.3.4: start as a parallel
-/// E-dag traversal — full subpattern pruning while pruning pays the most,
-/// at the shallow levels — and switch to a load-balanced parallel E-tree
-/// traversal below `switch_level`, where synchronisation would cost more
-/// than the extra pruning saves.
+/// The "optimal PLinda implementation" of §3.3.4: PLED — full subpattern
+/// pruning, while pruning pays the most — over levels
+/// `1..=switch_level`, then a load-balanced PLET below them, where
+/// synchronisation would cost more than the extra pruning saves. The two
+/// phases run as two farms (`hybrid-pled`, `hybrid-plet`); the strategy
+/// and task-level fields of `config` do not apply.
 ///
 /// Theorem 4: produces exactly the good patterns of the sequential EDT.
 pub fn parallel_hybrid<P>(
-    problem: Arc<P>,
-    workers: usize,
-    switch_level: usize,
-) -> MiningOutcome<P::Pattern>
-where
-    P: MiningProblem + PatternCodec + Send + Sync + 'static,
-{
-    parallel_hybrid_cfg(
-        problem,
-        &ParallelConfig::load_balanced(workers),
-        switch_level,
-    )
-}
-
-/// [`parallel_hybrid`] with full [`ParallelConfig`] control (kill
-/// schedule, trace recorder, metrics registry; the strategy field is
-/// ignored — the hybrid's PLET phase is always load-balanced).
-pub fn parallel_hybrid_cfg<P>(
     problem: Arc<P>,
     config: &ParallelConfig,
     switch_level: usize,
@@ -575,99 +515,16 @@ pub fn parallel_hybrid_cfg<P>(
 where
     P: MiningProblem + PatternCodec + Send + Sync + 'static,
 {
-    assert!(config.workers >= 1, "need at least one worker");
     assert!(switch_level >= 1, "switch level starts at 1");
-
-    // One worker program serving both protocols, selected per task flag:
-    // EVAL tasks answer with an evaluate-only report (PLED mode); NORMAL
-    // tasks expand in place with counter-based termination (PLET mode).
-    // The two phases are disjoint in time, so they share one result
-    // channel: EVAL reports carry zeroed expansion fields.
-    let name = config.farm_name("hybrid");
-    let wp = Arc::clone(&problem);
-    let farm = TaskFarm::<Vec<u8>, DoneReport>::start(
-        &name,
-        bag_config(config),
-        move |scope, flag, enc| {
-            let p = wp.decode_pattern(&enc);
-            let g = wp.goodness(&p);
-            if flag == EVAL {
-                scope.result(&(enc, g, 0, 0));
-            } else {
-                let good = wp.is_good(&p, g);
-                let mut n_children = 0i64;
-                if good {
-                    for c in wp.children(&p) {
-                        scope.emit(NORMAL, &wp.encode_pattern(&c));
-                        n_children += 1;
-                    }
-                }
-                scope.retire(n_children)?;
-                scope.result(&(enc, g, i64::from(good), n_children));
-            }
-            Ok(())
-        },
-    );
-
-    // Phase 1: PLED over levels 1..=switch_level (full pruning).
-    let mut outcome = MiningOutcome::new();
-    let root = problem.root();
-    let mut prev_good: HashMap<P::Pattern, bool> = HashMap::new();
-    prev_good.insert(root.clone(), true);
-    let mut frontier: Vec<P::Pattern> = problem.children(&root);
-    let mut level = 1usize;
-    while !frontier.is_empty() && level <= switch_level {
-        let mut this_good: HashMap<P::Pattern, bool> = HashMap::new();
-        let mut dispatched: HashMap<Vec<u8>, P::Pattern> = HashMap::new();
-        for p in frontier {
-            let eligible = problem
-                .immediate_subpatterns(&p)
-                .iter()
-                .all(|sp| prev_good.get(sp).copied().unwrap_or(false));
-            if eligible {
-                let enc = problem.encode_pattern(&p);
-                farm.send(EVAL, &enc);
-                dispatched.insert(enc, p);
-            } else {
-                this_good.insert(p, false);
-            }
-        }
-        let mut next_frontier = Vec::new();
-        for _ in 0..dispatched.len() {
-            let (enc, g, _, _) = farm.recv();
-            outcome.tested += 1;
-            let p = dispatched[&enc].clone();
-            let good = problem.is_good(&p, g);
-            if good {
-                outcome.good.insert(p.clone(), g);
-                next_frontier.extend(problem.children(&p));
-            }
-            this_good.insert(p, good);
-        }
-        prev_good = this_good;
-        frontier = next_frontier;
-        level += 1;
-    }
-
-    // Phase 2: PLET over everything below, starting from the surviving
-    // frontier (already pruned by PLED's subpattern rule).
+    let name = config.farm_name("hybrid-pled");
+    let (mut outcome, frontier) =
+        level_sync(&name, &problem, config, Pruning::Subpatterns, switch_level);
+    // Phase 2 starts from the children of the last PLED level's good
+    // patterns, which the subpattern rule already pruned.
     if !frontier.is_empty() {
-        let initial = frontier.len() as i64;
-        for p in &frontier {
-            farm.send(NORMAL, &problem.encode_pattern(p));
-        }
-        farm.seed_counter(initial);
-        farm.await_quiescent();
-        for (enc, g, good, _children) in farm.drain() {
-            outcome.tested += 1;
-            if good == 1 {
-                let p = problem.decode_pattern(&enc);
-                outcome.good.insert(p, g);
-            }
-        }
+        let name = config.farm_name("hybrid-plet");
+        load_balanced(&name, &problem, config, &frontier, &mut outcome);
     }
-
-    assert_drained(&name, &farm.finish());
     outcome
 }
 
@@ -704,7 +561,7 @@ mod tests {
     fn theorem_2_pled_equals_edt() {
         let p = seq_problem();
         let seq = sequential_edt(&*p);
-        let par = parallel_edt(Arc::clone(&p), 3);
+        let par = parallel_edt(Arc::clone(&p), &ParallelConfig::load_balanced(3));
         assert_eq!(seq.good, par.good);
         assert_eq!(seq.tested, par.tested, "PLED tests exactly the EDT set");
     }
@@ -752,12 +609,12 @@ mod tests {
         let p = itemset_problem();
         let seq = crate::edag::sequential_edt(&*p);
         for switch in [1, 2, 5] {
-            let hybrid = parallel_hybrid(Arc::clone(&p), 3, switch);
+            let hybrid = parallel_hybrid(Arc::clone(&p), &ParallelConfig::load_balanced(3), switch);
             assert_eq!(seq.good, hybrid.good, "switch={switch}");
         }
         // Switching below the deepest level degenerates to pure PLED:
         // the tested sets then agree exactly as well.
-        let hybrid = parallel_hybrid(Arc::clone(&p), 2, 64);
+        let hybrid = parallel_hybrid(Arc::clone(&p), &ParallelConfig::load_balanced(2), 64);
         assert_eq!(seq.good, hybrid.good);
         assert_eq!(seq.tested, hybrid.tested);
     }
@@ -857,7 +714,7 @@ mod tests {
         let p = Arc::new(ToyItemsets::new(vec![], 1));
         let out = parallel_ett(Arc::clone(&p), &ParallelConfig::load_balanced(2));
         assert!(out.is_empty());
-        let out = parallel_edt(p, 2);
+        let out = parallel_edt(p, &ParallelConfig::load_balanced(2));
         assert!(out.is_empty());
     }
 }

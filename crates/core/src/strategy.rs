@@ -259,7 +259,7 @@ fn run_strategy(
     initial_task_level: usize,
 ) -> StrategyReport {
     let prologue = tree.master_prologue(initial_task_level);
-    let sim = Simulator::run(prog, machines, config);
+    let sim = Simulator::run(prog, machines, config, None);
     StrategyReport {
         makespan: prologue + sim.makespan,
         sequential: tree.sequential_time(),

@@ -10,7 +10,7 @@
 //!   live service) and records exact per-request latencies into the
 //!   `fpdm.metrics.v1` ledger. A million requests replay in seconds with
 //!   no wall-clock reads, so every number is reproducible bit-for-bit.
-//! * [`bench`] — the committed `BENCH_service.json` artefact and its CI
+//! * [`mod@bench`] — the committed `BENCH_service.json` artefact and its CI
 //!   regression gate (p50/p99, throughput, shed rate).
 //!
 //! The `loadgen` binary ties them together:

@@ -568,25 +568,16 @@ impl Simulator {
             .enumerate()
             .map(|(i, &c)| SimTask::new(i as u64, c))
             .collect();
-        Self::run(&mut StaticProgram::new(tasks), machines, config)
+        Self::run(&mut StaticProgram::new(tasks), machines, config, None)
     }
 
-    /// Run `program` on `machines` to completion and report.
+    /// Run `program` on `machines` to completion and report. With a
+    /// metrics registry the run records live `sim.tasks.*` counters, a
+    /// `sim.bag.depth` gauge and a `sim.task.duration_ns` histogram, plus
+    /// per-machine `busy_ns`/`util_ppm` and master/makespan totals folded
+    /// in at the end — the simulated twin of the ledger a real
+    /// [`plinda::TaskFarm`] run produces, in the same snapshot schema.
     pub fn run(
-        program: &mut dyn SimProgram,
-        machines: &[MachineSpec],
-        config: &SimConfig,
-    ) -> SimReport {
-        Self::run_metered(program, machines, config, None)
-    }
-
-    /// [`Simulator::run`] with an optional metrics registry: live
-    /// `sim.tasks.*` counters, a `sim.bag.depth` gauge and a
-    /// `sim.task.duration_ns` histogram during the run, plus per-machine
-    /// `busy_ns`/`util_ppm` and master/makespan totals folded in at the
-    /// end — the simulated twin of the ledger a real [`plinda::TaskFarm`]
-    /// run produces, in the same snapshot schema.
-    pub fn run_metered(
         program: &mut dyn SimProgram,
         machines: &[MachineSpec],
         config: &SimConfig,
@@ -691,6 +682,7 @@ mod tests {
             &mut prog,
             &[MachineSpec::ideal(), MachineSpec::ideal()],
             &SimConfig::zero_overhead(),
+            None,
         );
         assert!((r.makespan - 2.0).abs() < 1e-9);
         assert!(r.busy_time[1] < 1e-9);
@@ -720,6 +712,7 @@ mod tests {
             &mut TreeProgram,
             &vec![MachineSpec::ideal(); 4],
             &SimConfig::zero_overhead(),
+            None,
         );
         assert_eq!(r.completed, 15);
         // Level widths 1,2,4,8 on 4 machines: 1 + 1 + 1 + 2 = 5 units.
@@ -775,7 +768,7 @@ mod tests {
             SimTask::new(1, 1.0),
             SimTask::new(2, 1.0),
         ]);
-        let r = Simulator::run_metered(&mut prog, &machines, &cfg, Some(&reg));
+        let r = Simulator::run(&mut prog, &machines, &cfg, Some(&reg));
         let snap = reg.snapshot();
 
         assert_eq!(snap.counter("sim.tasks.admitted"), 3);

@@ -88,7 +88,7 @@ proptest! {
         let mut prog = StaticProgram::new(
             costs.iter().enumerate().map(|(i, &c)| SimTask::new(i as u64, c)).collect(),
         );
-        let r = Simulator::run_metered(&mut prog, &machines, &SimConfig::zero_overhead(), Some(&reg));
+        let r = Simulator::run(&mut prog, &machines, &SimConfig::zero_overhead(), Some(&reg));
         let snap = reg.snapshot();
         prop_assert_eq!(snap.counter("sim.tasks.admitted"), costs.len() as u64);
         prop_assert_eq!(snap.counter("sim.tasks.completed"), r.completed);
@@ -123,7 +123,7 @@ proptest! {
         let mut prog = StaticProgram::new(
             costs.iter().enumerate().map(|(i, &c)| SimTask::new(i as u64, c)).collect(),
         );
-        let r = Simulator::run_metered(&mut prog, &pool, &cfg, Some(&reg));
+        let r = Simulator::run(&mut prog, &pool, &cfg, Some(&reg));
         let snap = reg.snapshot();
         prop_assert_eq!(snap.counter("sim.tasks.aborted"), r.aborted);
         prop_assert_eq!(snap.counter("sim.tasks.requeued"), r.aborted);

@@ -16,28 +16,21 @@
 //! * [`sim`] — NOW-simulator replays of measured task costs for the
 //!   running-time/speedup figures (Figs. 6.3–6.8).
 //!
-//! [`lattice`] carries the same driver surface (plain + `_metered`
-//! variants) over to the three pattern-lattice miners — seqmine,
-//! treemine, episodes — run as candidate-partitioned wave farms
-//! (`fpdm_core::parallel_wave`).
-//!
-//! Each parallel routine is seed-for-seed equivalent to its sequential
-//! counterpart in `classify` (checked by tests).
+//! Like every parallel driver in the workspace, each routine takes its
+//! run parameters — workers, kill schedule, metrics registry, tuple
+//! space, job tag — as one [`fpdm_core::ParallelConfig`], and is
+//! seed-for-seed equivalent to its sequential counterpart in `classify`
+//! (checked by tests, including under worker kills). The pattern-lattice
+//! miners are farmed by their own crates: `seqmine::discover_farm`,
+//! `treemine::discover_tree_motifs_farm` and
+//! `episodes::discover_episodes_farm`.
 
 #![warn(missing_docs)]
 
-pub mod lattice;
 pub mod pc45;
 pub mod pcv;
 pub mod sim;
 
-pub use lattice::{
-    parallel_episodes, parallel_episodes_metered, parallel_seqmine, parallel_seqmine_metered,
-    parallel_treemine, parallel_treemine_metered,
-};
-pub use pc45::{
-    parallel_c45_trials, parallel_c45_trials_metered, parallel_nyuminer_rs,
-    parallel_nyuminer_rs_metered,
-};
-pub use pcv::{parallel_nyuminer_cv, parallel_nyuminer_cv_metered, ParallelCv};
+pub use pc45::{parallel_c45_trials, parallel_nyuminer_rs};
+pub use pcv::{parallel_nyuminer_cv, ParallelCv};
 pub use sim::{simulate_parallel_cv, simulate_parallel_trials, speedup};

@@ -20,9 +20,10 @@
 
 use classify::data::Dataset;
 use classify::prune::{ccp_sequence, select_for_alpha};
-use classify::tree::{DecisionTree, GrowRule};
+use classify::tree::DecisionTree;
 use classify::{Classifier, ColumnarIndex, NyuConfig};
-use plinda::{Chan, FarmConfig, TaskFarm};
+use fpdm_core::ParallelConfig;
+use plinda::{Chan, TaskFarm};
 use std::sync::Arc;
 
 /// Result of a parallel cross-validated run.
@@ -35,8 +36,8 @@ pub struct ParallelCv {
     pub cv_errors: Vec<(f64, f64)>,
 }
 
-/// Grow + prune with `v`-fold CV, the `v` auxiliary trees built by
-/// `workers` PLinda workers while the master grows the main tree.
+/// Grow + prune with `v`-fold CV, the `v` auxiliary trees built by the
+/// workers of `parallel` while the master grows the main tree.
 /// Matches [`classify::prune::grow_with_cv_pruning`] exactly (same seeds,
 /// same folds, same selection rule).
 pub fn parallel_nyuminer_cv(
@@ -44,93 +45,61 @@ pub fn parallel_nyuminer_cv(
     rows: Arc<Vec<usize>>,
     config: &NyuConfig,
     v: usize,
-    workers: usize,
+    parallel: &ParallelConfig,
     seed: u64,
 ) -> ParallelCv {
-    parallel_nyuminer_cv_metered(data, rows, config, v, workers, seed, None, None)
-}
-
-/// [`parallel_nyuminer_cv`] with an optional metrics registry installed
-/// on the farm's tuple space; the farm folds per-worker accounting into
-/// it at teardown — snapshot after this returns for the run's ledger.
-/// `space` selects the backend: `None` runs in-process, `Some` runs the
-/// identical farm over a pre-connected (e.g. broker) tuple space.
-#[allow(clippy::too_many_arguments)]
-pub fn parallel_nyuminer_cv_metered(
-    data: Arc<Dataset>,
-    rows: Arc<Vec<usize>>,
-    config: &NyuConfig,
-    v: usize,
-    workers: usize,
-    seed: u64,
-    metrics: Option<plinda::MetricsRegistry>,
-    space: Option<std::sync::Arc<plinda::TupleSpace>>,
-) -> ParallelCv {
-    assert!(v >= 2 && workers >= 1);
+    assert!(v >= 2);
     let folds: Arc<Vec<Vec<usize>>> = Arc::new(data.folds(&rows, v, seed));
     // One columnar ingest, shared by the main tree and every fold worker.
     let index: Arc<ColumnarIndex> = Arc::new(ColumnarIndex::build(&data));
 
-    let max_branches = config.max_branches;
-    let impurity = config.impurity;
-    let grow = config.grow.clone();
-
-    let mids_chan = Chan::<Vec<f64>>::new("pcv.mids");
+    let name = parallel.farm_name("pcv");
+    let mids_chan = Chan::<Vec<f64>>::new(format!("{name}.mids"));
 
     // Worker (Fig. 6.2): grow the aux tree of one fold, read the broadcast
     // midpoints, report the fold's per-α error vector.
     let w_data = Arc::clone(&data);
     let w_folds = Arc::clone(&folds);
     let w_index = Arc::clone(&index);
-    let w_grow = grow.clone();
+    let w_config = config.clone();
     let w_mids = mids_chan.clone();
-    let mut cfg = FarmConfig::bag(workers);
-    if let Some(reg) = metrics {
-        cfg = cfg.with_metrics(reg);
-    }
-    if let Some(space) = space {
-        cfg = cfg.with_space(space);
-    }
-    let farm = TaskFarm::<i64, (i64, Vec<u32>)>::start("pcv", cfg, move |scope, _flag, fold| {
-        let i = fold as usize;
-        // Learning set V(i) = all folds but fold i.
-        let train: Vec<usize> = w_folds
-            .iter()
-            .enumerate()
-            .filter(|(j, _)| *j != i)
-            .flat_map(|(_, f)| f.iter().copied())
-            .collect();
-        let rule = GrowRule::NyuMiner {
-            max_branches,
-            impurity: impurity.as_dyn(),
-        };
-        let aux = DecisionTree::grow_indexed(&w_data, &w_index, &train, &rule, &w_grow);
-        let seq = ccp_sequence(&aux);
-        // Broadcast read: every worker reads the same midpoints.
-        let mids = w_mids.read_txn(scope.proc())?;
-        let errs: Vec<u32> = mids
-            .iter()
-            .map(|&alpha| {
-                let pruned = select_for_alpha(&seq, alpha);
-                w_folds[i]
-                    .iter()
-                    .filter(|&&r| pruned.predict(&w_data, r) != w_data.class(r))
-                    .count() as u32
-            })
-            .collect();
-        scope.result(&(fold, errs));
-        Ok(())
-    });
+    let farm = TaskFarm::<i64, (i64, Vec<u32>)>::start(
+        &name,
+        parallel.farm_config(),
+        move |scope, _flag, fold| {
+            let i = fold as usize;
+            // Learning set V(i) = all folds but fold i.
+            let train: Vec<usize> = w_folds
+                .iter()
+                .enumerate()
+                .filter(|(j, _)| *j != i)
+                .flat_map(|(_, f)| f.iter().copied())
+                .collect();
+            let rule = w_config.rule();
+            let aux = DecisionTree::grow_indexed(&w_data, &w_index, &train, &rule, &w_config.grow);
+            let seq = ccp_sequence(&aux);
+            // Broadcast read: every worker reads the same midpoints.
+            let mids = w_mids.read_txn(scope.proc())?;
+            let errs: Vec<u32> = mids
+                .iter()
+                .map(|&alpha| {
+                    let pruned = select_for_alpha(&seq, alpha);
+                    w_folds[i]
+                        .iter()
+                        .filter(|&&r| pruned.predict(&w_data, r) != w_data.class(r))
+                        .count() as u32
+                })
+                .collect();
+            scope.result(&(fold, errs));
+            Ok(())
+        },
+    );
 
     // Emit fold tasks, then grow the main tree concurrently.
     for i in 0..v {
         farm.send(0, &(i as i64));
     }
-    let rule = GrowRule::NyuMiner {
-        max_branches,
-        impurity: impurity.as_dyn(),
-    };
-    let main = DecisionTree::grow_indexed(&data, &index, &rows, &rule, &grow);
+    let main = DecisionTree::grow_indexed(&data, &index, &rows, &config.rule(), &config.grow);
     let seq = ccp_sequence(&main);
 
     // Midpoints α'_k of the main sequence (same formula as the sequential
@@ -165,12 +134,7 @@ pub fn parallel_nyuminer_cv_metered(
     mids_chan
         .try_recv(farm.space())
         .expect("midpoint broadcast still in space");
-    let report = farm.finish();
-    assert!(
-        report.leaked.is_empty(),
-        "pcv farm leaked tuples: {:?}",
-        report.leaked
-    );
+    parallel.finish_farm(&name, farm);
 
     let n = rows.len() as f64;
     let cv_errors: Vec<(f64, f64)> = seq
@@ -195,6 +159,7 @@ pub fn parallel_nyuminer_cv_metered(
 mod tests {
     use super::*;
     use classify::prune::grow_with_cv_pruning;
+    use classify::tree::GrowRule;
     use datagen::benchmark;
 
     #[test]
@@ -216,8 +181,14 @@ mod tests {
             v,
             seed,
         );
-        let par_result =
-            parallel_nyuminer_cv(Arc::clone(&data), Arc::clone(&rows), &cfg, v, 2, seed);
+        let par_result = parallel_nyuminer_cv(
+            Arc::clone(&data),
+            Arc::clone(&rows),
+            &cfg,
+            v,
+            &ParallelConfig::load_balanced(2),
+            seed,
+        );
 
         assert_eq!(par_result.alpha, seq_result.alpha);
         assert_eq!(par_result.tree.leaves(), seq_result.tree.leaves());
@@ -233,9 +204,31 @@ mod tests {
         let data = Arc::new(benchmark("vote", 5));
         let rows = Arc::new(data.all_rows());
         let cfg = NyuConfig::default();
-        let a = parallel_nyuminer_cv(Arc::clone(&data), Arc::clone(&rows), &cfg, 4, 1, 9);
-        let b = parallel_nyuminer_cv(Arc::clone(&data), Arc::clone(&rows), &cfg, 4, 4, 9);
+        let run = |workers| {
+            let parallel = ParallelConfig::load_balanced(workers);
+            parallel_nyuminer_cv(Arc::clone(&data), Arc::clone(&rows), &cfg, 4, &parallel, 9)
+        };
+        let (a, b) = (run(1), run(4));
         assert_eq!(a.alpha, b.alpha);
         assert_eq!(a.tree.leaves(), b.tree.leaves());
+    }
+
+    #[test]
+    fn parallel_cv_survives_worker_kills() {
+        let data = Arc::new(benchmark("vote", 5));
+        let rows = Arc::new(data.all_rows());
+        let cfg = NyuConfig::default();
+        let seq = grow_with_cv_pruning(&data, &rows, &cfg.rule(), &cfg.grow, 4, 9);
+        let reg = plinda::MetricsRegistry::new();
+        let parallel = ParallelConfig::load_balanced(2)
+            .kill_after(std::time::Duration::ZERO, 0)
+            .with_metrics(reg.clone());
+        let par = parallel_nyuminer_cv(Arc::clone(&data), Arc::clone(&rows), &cfg, 4, &parallel, 9);
+        assert_eq!(par.alpha, seq.alpha);
+        assert_eq!(par.tree, seq.tree);
+        let respawns = reg
+            .snapshot()
+            .sum_counters(|k| k.starts_with("farm.pcv.worker.") && k.ends_with(".respawns"));
+        assert!(respawns >= 1, "the kill landed");
     }
 }

@@ -28,7 +28,7 @@ pub fn simulate_parallel_cv(
             .map(|(i, &c)| SimTask::new(1 + i as u64, c)),
     );
     let pool: Vec<MachineSpec> = (0..machines).map(|_| MachineSpec::ideal()).collect();
-    Simulator::run(&mut StaticProgram::new(tasks), &pool, config)
+    Simulator::run(&mut StaticProgram::new(tasks), &pool, config, None)
 }
 
 /// Simulate a trial-parallel run (Parallel C4.5 / Parallel NyuMiner-RS):
@@ -45,7 +45,7 @@ pub fn simulate_parallel_trials(
         .map(|(i, &c)| SimTask::new(i as u64, c))
         .collect();
     let pool: Vec<MachineSpec> = (0..machines).map(|_| MachineSpec::ideal()).collect();
-    Simulator::run(&mut StaticProgram::new(tasks), &pool, config)
+    Simulator::run(&mut StaticProgram::new(tasks), &pool, config, None)
 }
 
 /// Speedup convention of Chapter 6: the sequential reference for `n`

@@ -15,7 +15,7 @@
 //!   (the algorithm's expensive inner subroutine);
 //! * [`gst`] — a generalised suffix tree (Ukkonen) for candidate-segment
 //!   harvesting and exact-occurrence counting;
-//! * [`discover`] — the two-phase discovery algorithm expressed as a
+//! * [`mod@discover`] — the two-phase discovery algorithm expressed as a
 //!   [`fpdm_core::MiningProblem`], runnable by any of the framework's
 //!   sequential or parallel traversals.
 //!

@@ -24,10 +24,13 @@
 //! ([`JobPlane::Private`]) or run over the service's own warm space
 //! ([`JobPlane::Shared`]); in the shared plane each job's farm channels are
 //! namespaced by a `job_tag` derived from the reqid so concurrent jobs of
-//! the same program never collide. Shared-plane farms deliberately leave
-//! the service's metrics registry uninstalled on their space traffic: the
-//! farm-ledger invariants assume one farm per registry, and the service
-//! ledger instead records the request lifecycle (`service.*`).
+//! the same program never collide. Shared-plane farms get no registry of
+//! their own (the farm-ledger invariants assume one farm per registry):
+//! their space traffic lands in the service's aggregate `space.*`/`txn.*`
+//! counters, and the service ledger records the request lifecycle
+//! (`service.*`). A job's tagged `chan.<program>.<tag>.*` keys are dropped
+//! when its farm finishes ([`ParallelConfig::finish_farm`]), so the ledger
+//! does not grow with the number of jobs served.
 
 use crate::admission::{Admission, AdmissionConfig, Verdict};
 use crate::catalog::DatasetCatalog;

@@ -12,7 +12,7 @@
 //!   transaction atomicity ([`check_atomicity`]), tuple leaks at
 //!   quiescence ([`check_leaks`]), and wait-for-graph deadlock /
 //!   lost-wakeup detection ([`check_deadlock`]).
-//! * [`explore`] — a deterministic interleaving explorer (a loom-style
+//! * [`explore()`] — a deterministic interleaving explorer (a loom-style
 //!   mini model checker sized to the farm protocols) that replays small
 //!   programs under seeded schedules, with kill placement at every commit
 //!   boundary, asserting the checkers plus sequential equivalence on each.

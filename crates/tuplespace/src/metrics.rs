@@ -281,6 +281,15 @@ impl MetricsRegistry {
         }
     }
 
+    /// Drop every metric whose name starts with `prefix` (e.g. the
+    /// channel keys of a finished job on a long-lived registry). Handles
+    /// already taken keep working but no longer reach the registry.
+    pub fn remove_prefix(&self, prefix: &str) {
+        for shard in &self.inner.shards {
+            shard.lock().retain(|name, _| !name.starts_with(prefix));
+        }
+    }
+
     /// A consistent-enough copy of every metric's current value. Shards
     /// are locked one at a time, so values written concurrently with the
     /// snapshot may straddle it — take snapshots at quiescent points for
@@ -1048,6 +1057,21 @@ mod tests {
         let hv = snap.histogram("h").unwrap();
         // 0 → bucket 0, 1 → bucket 1, 2 and 3 → bucket 2, 1024 → bucket 11.
         assert_eq!(hv.buckets, vec![(0, 1), (1, 1), (2, 2), (11, 1)]);
+    }
+
+    #[test]
+    fn remove_prefix_drops_only_matching_keys() {
+        let reg = MetricsRegistry::new();
+        reg.counter("chan.job.j1.result.recv").inc();
+        reg.gauge("chan.job.j1.result.depth").set(2);
+        reg.counter("chan.job.j10.result.recv").inc();
+        reg.remove_prefix("chan.job.j1.");
+        let snap = reg.snapshot();
+        assert!(snap.gauges.is_empty());
+        assert_eq!(
+            snap.counters.keys().collect::<Vec<_>>(),
+            ["chan.job.j10.result.recv"]
+        );
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //!   sent behind the buffered deferred frames, and the broker applies a
 //!   connection's parked outs before answering anything else, program
 //!   order is preserved structurally — a blocking wait can never overtake
-//!   this connection's own deferred outs. After [`DEFER_WINDOW`] unacked
+//!   this connection's own deferred outs. After `DEFER_WINDOW` unacked
 //!   tuples the client forces a `Flush` round-trip.
 //! * **Bulk takes** (`inp_batch`/`in_batch_cancellable`) withdraw up to
 //!   `max` matching tuples in one round-trip.

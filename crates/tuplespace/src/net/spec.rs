@@ -314,7 +314,7 @@ pub fn client_machine() -> Machine {
 }
 
 /// The broker connection machine, extracted from
-/// [`super::broker::serve_conn`] / `handle`: request-driven, except that a
+/// the broker's `serve_conn` / `handle`: request-driven, except that a
 /// parked blocking wait (`Parked`) is answered spontaneously when a
 /// matching tuple is delivered. A `Cancel` that finds its waiter parked is
 /// answered `Cancelled` (wait seq) then `Ok` (cancel seq); a `Cancel`

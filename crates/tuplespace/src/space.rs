@@ -3,7 +3,7 @@
 //!
 //! [`TupleSpace`] is the handle every process, channel, farm, and checker
 //! holds. It no longer *is* the storage: it delegates to a
-//! [`SpaceBackend`] — either the in-process [`LocalBackend`] defined here
+//! [`SpaceBackend`] — either the in-process `LocalBackend` defined here
 //! (created by [`TupleSpace::new`]) or the Unix-socket client of
 //! [`crate::net`] (created by [`TupleSpace::connect_unix`]) — while owning
 //! the trace-recorder and metrics slots that the transaction layer,

@@ -72,9 +72,9 @@ fn tag_from_code(c: u8) -> TypeTag {
 /// checkpoint byte streams are unchanged.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Sig {
-    /// Up to [`SIG_PACK_MAX`] tags, one 4-bit code each.
+    /// Up to `SIG_PACK_MAX` tags, one 4-bit code each.
     Packed(u128),
-    /// Signatures longer than [`SIG_PACK_MAX`] fields (rare).
+    /// Signatures longer than `SIG_PACK_MAX` fields (rare).
     Heap(std::sync::Arc<[TypeTag]>),
 }
 

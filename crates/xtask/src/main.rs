@@ -11,9 +11,7 @@
 //! verification. It prints human diagnostics, optionally writes the
 //! frozen `fpdm.lint.v1` JSON report (`--json PATH`, `-` for stdout),
 //! and exits non-zero if any error-severity finding is not covered by
-//! the root's `fpdm-analyze.allow` file. The old `lint-templates`
-//! subcommand is kept as a deprecated alias for the analyzer's shape
-//! pass.
+//! the root's `fpdm-analyze.allow` file.
 //!
 //! `metrics-smoke` is the CI observability gate: it runs a small metered
 //! task farm twice — over the in-process backend and over an in-process
@@ -44,11 +42,7 @@ use plinda::{
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("analyze") => analyze(&args[1..], false),
-        Some("lint-templates") => {
-            eprintln!("lint-templates is deprecated; it now runs `analyze` shape pass only");
-            analyze(&args[1..], true)
-        }
+        Some("analyze") => analyze(&args[1..]),
         Some("metrics-smoke") => metrics_smoke(),
         Some("changes-check") => changes_check(args.get(1).map(String::as_str)),
         _ => {
@@ -64,10 +58,8 @@ fn main() -> ExitCode {
 
 /// Run the static analyzer over ROOT (default: the workspace), print
 /// diagnostics, optionally export the `fpdm.lint.v1` report, and map
-/// unallowed error findings to a failing exit code. `shape_only`
-/// restricts the verdict to the shape pass (the `lint-templates`
-/// compatibility contract).
-fn analyze(args: &[String], shape_only: bool) -> ExitCode {
+/// unallowed error findings to a failing exit code.
+fn analyze(args: &[String]) -> ExitCode {
     let mut root = None;
     let mut json_path: Option<PathBuf> = None;
     let mut it = args.iter();
@@ -119,8 +111,7 @@ fn analyze(args: &[String], shape_only: bool) -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    let failed = report.failures().any(|f| !shape_only || f.pass == "shape");
-    if failed {
+    if report.failures().next().is_some() {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS

@@ -96,7 +96,7 @@ fn replay<P: MiningProblem>(name: &str, problem: &P) {
             remaining: 0,
         };
         let machines: Vec<MachineSpec> = (0..m).map(|_| MachineSpec::ideal()).collect();
-        let report = Simulator::run(&mut prog, &machines, &SimConfig::lan_default());
+        let report = Simulator::run(&mut prog, &machines, &SimConfig::lan_default(), None);
         println!(
             "  {m:>8}  {:>7.2}  {:>7.2}",
             report.makespan,

@@ -9,7 +9,7 @@
 use fpdm::assoc::{
     apriori, generate_rules, parallel_apriori, partition_mine, ItemsetMiningProblem, TransactionDb,
 };
-use fpdm::core::sequential_edt;
+use fpdm::core::{sequential_edt, ParallelConfig};
 use fpdm::datagen::{basket_db, BasketSpec};
 use std::sync::Arc;
 
@@ -56,7 +56,7 @@ fn main() {
     let p = partition_mine(&db, min_support, 4);
     let problem = ItemsetMiningProblem::new(db.clone(), min_support);
     let e = problem.report(&sequential_edt(&problem));
-    let par = parallel_apriori(Arc::new(db), min_support, 4);
+    let par = parallel_apriori(Arc::new(db), min_support, &ParallelConfig::load_balanced(4));
     assert_eq!(a, p, "Partition == Apriori");
     assert_eq!(a, e, "E-dag == Apriori");
     assert_eq!(a, par, "parallel count-distribution == Apriori");

@@ -30,18 +30,20 @@ fn main() {
         ett.tested
     );
 
-    // ...and the parallel traversals on the PLinda runtime.
+    // ...and the parallel traversals on the PLinda runtime. Every
+    // parallel driver takes its run parameters as one `ParallelConfig`.
     let arc = Arc::new(problem);
-    let pled = parallel_edt(Arc::clone(&arc), 3);
-    let plet = parallel_ett(
-        Arc::clone(&arc),
-        &ParallelConfig::load_balanced(3).adaptive(),
-    );
+    let cfg = ParallelConfig::load_balanced(3).adaptive();
+    let pled = parallel_edt(Arc::clone(&arc), &cfg);
+    let plet = parallel_ett(Arc::clone(&arc), &cfg);
+    let hybrid = parallel_hybrid(Arc::clone(&arc), &cfg, 1);
 
-    // Theorems 1-3: every traversal finds the same good patterns.
+    // Theorems 1-4: every traversal finds the same good patterns.
     assert_eq!(edt.good, ett.good);
     assert_eq!(edt.good, pled.good);
     assert_eq!(edt.good, plet.good);
+    assert_eq!(edt.good, hybrid.good);
+    assert_eq!(edt.tested, pled.tested);
     // The E-dag's extra pruning shows in the evaluation counts.
     assert!(edt.tested <= ett.tested);
     println!(

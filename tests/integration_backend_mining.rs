@@ -4,7 +4,7 @@
 //! themselves are byte-identical — and produce exactly the in-process
 //! (and sequential) results, with and without injected worker kills.
 
-use fpdm::assoc::{apriori, parallel_apriori_metered};
+use fpdm::assoc::{apriori, parallel_apriori};
 use fpdm::core::prelude::*;
 use fpdm::datagen::{basket_db, BasketSpec};
 use fpdm::plinda::metrics::check_snapshot;
@@ -101,9 +101,10 @@ fn seqmine_over_socket_equals_sequential() {
 
 #[test]
 fn treemine_and_episodes_over_socket_equal_sequential() {
-    use fpdm::episodes::{discover_episodes, EpisodeParams, EventSequence};
-    use fpdm::parmine::{parallel_episodes_metered, parallel_treemine_metered};
-    use fpdm::treemine::{discover_tree_motifs, OrderedTree, TreeDiscoveryParams};
+    use fpdm::episodes::{discover_episodes, discover_episodes_farm, EpisodeParams, EventSequence};
+    use fpdm::treemine::{
+        discover_tree_motifs, discover_tree_motifs_farm, OrderedTree, TreeDiscoveryParams,
+    };
 
     let trees: Vec<OrderedTree> = ["N(M(R,H),I(B))", "N(M(R,H))", "M(R,H,B)", "I(M(R,H),B)"]
         .iter()
@@ -118,7 +119,11 @@ fn treemine_and_episodes_over_socket_equal_sequential() {
     let tref = discover_tree_motifs(trees.clone(), tparams.clone());
     let broker = Broker::start(BrokerConfig::new(socket_path("treemine"))).unwrap();
     let space = Arc::new(TupleSpace::connect_unix(broker.socket()).unwrap());
-    let got = parallel_treemine_metered(trees, tparams, 2, None, Some(space));
+    let got = discover_tree_motifs_farm(
+        trees,
+        tparams,
+        &ParallelConfig::load_balanced(2).with_space(space),
+    );
     assert_eq!(tref, got);
 
     let events = EventSequence::new(
@@ -135,7 +140,11 @@ fn treemine_and_episodes_over_socket_equal_sequential() {
     let eref = discover_episodes(&events, eparams.clone());
     let broker = Broker::start(BrokerConfig::new(socket_path("episodes"))).unwrap();
     let space = Arc::new(TupleSpace::connect_unix(broker.socket()).unwrap());
-    let got = parallel_episodes_metered(&events, eparams, 2, None, Some(space));
+    let got = discover_episodes_farm(
+        &events,
+        eparams,
+        &ParallelConfig::load_balanced(2).with_space(space),
+    );
     assert_eq!(eref, got);
 }
 
@@ -155,6 +164,10 @@ fn apriori_over_socket_equals_sequential() {
 
     let broker = Broker::start(BrokerConfig::new(socket_path("apriori"))).unwrap();
     let space = Arc::new(TupleSpace::connect_unix(broker.socket()).unwrap());
-    let got = parallel_apriori_metered(Arc::clone(&db), 8, 3, None, Some(space));
+    let got = parallel_apriori(
+        Arc::clone(&db),
+        8,
+        &ParallelConfig::load_balanced(3).with_space(space),
+    );
     assert_eq!(reference, got);
 }

@@ -7,6 +7,7 @@ use fpdm::classify::nyuminer::{NyuConfig, NyuMinerCV, NyuMinerRS};
 use fpdm::classify::prune::grow_with_cv_pruning;
 use fpdm::classify::tree::GrowRule;
 use fpdm::classify::Classifier;
+use fpdm::core::ParallelConfig;
 use fpdm::datagen::benchmark;
 use fpdm::parmine::{parallel_c45_trials, parallel_nyuminer_cv, parallel_nyuminer_rs};
 use std::sync::Arc;
@@ -73,14 +74,28 @@ fn parallel_cv_and_trials_match_sequential() {
         4,
         77,
     );
-    let par = parallel_nyuminer_cv(Arc::clone(&data), Arc::clone(&rows), &cfg, 4, 3, 77);
+    let par = parallel_nyuminer_cv(
+        Arc::clone(&data),
+        Arc::clone(&rows),
+        &cfg,
+        4,
+        &ParallelConfig::load_balanced(3),
+        77,
+    );
     assert_eq!(seq.alpha, par.alpha);
     assert_eq!(seq.tree.leaves(), par.tree.leaves());
 
     // Parallel C4.5 trials == sequential trials.
     let c45cfg = C45Config::default();
     let seq_tree = C45::fit_trials(&data, &rows, &c45cfg, 3, 5);
-    let par_tree = parallel_c45_trials(Arc::clone(&data), Arc::clone(&rows), &c45cfg, 3, 2, 5);
+    let par_tree = parallel_c45_trials(
+        Arc::clone(&data),
+        Arc::clone(&rows),
+        &c45cfg,
+        3,
+        &ParallelConfig::load_balanced(2),
+        5,
+    );
     assert_eq!(
         seq_tree.tree.accuracy(&data, &rows),
         par_tree.accuracy(&data, &rows)
@@ -95,7 +110,7 @@ fn parallel_cv_and_trials_match_sequential() {
         2,
         0.6,
         0.01,
-        2,
+        &ParallelConfig::load_balanced(2),
         5,
     );
     assert_eq!(seq_rs.rules.rules().len(), par_rs.rules.rules().len());

@@ -56,7 +56,7 @@ proptest! {
     ) {
         let p = Arc::new(ToyItemsets::new(txns, min_support));
         let reference = sequential_edt(&*p);
-        let pled = parallel_edt(Arc::clone(&p), workers);
+        let pled = parallel_edt(Arc::clone(&p), &ParallelConfig::load_balanced(workers));
         prop_assert_eq!(&reference.good, &pled.good);
         prop_assert_eq!(reference.tested, pled.tested);
         for strategy in [WorkerStrategy::LoadBalanced, WorkerStrategy::Optimistic] {

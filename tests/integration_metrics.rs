@@ -38,7 +38,7 @@ fn real_ledger() -> MetricsSnapshot {
 fn sim_ledger() -> MetricsSnapshot {
     let reg = MetricsRegistry::new();
     let mut prog = StaticProgram::new((0..TASKS).map(|i| SimTask::new(i, 1.0)).collect());
-    let r = Simulator::run_metered(
+    let r = Simulator::run(
         &mut prog,
         &[MachineSpec::ideal(), MachineSpec::ideal()],
         &SimConfig::lan_default(),
@@ -77,12 +77,13 @@ fn real_and_simulated_ledgers_share_the_frozen_schema() {
 
 /// One metered run per farmed lattice miner, on doc-test-scale inputs.
 fn miner_ledgers() -> Vec<(&'static str, MetricsSnapshot)> {
-    use fpdm::episodes::{EpisodeParams, EventSequence};
-    use fpdm::parmine::{
-        parallel_episodes_metered, parallel_seqmine_metered, parallel_treemine_metered,
+    use fpdm::core::ParallelConfig;
+    use fpdm::episodes::{discover_episodes_farm, EpisodeParams, EventSequence};
+    use fpdm::seqmine::{discover_farm, DiscoveryParams, Sequence};
+    use fpdm::treemine::{discover_tree_motifs_farm, OrderedTree, TreeDiscoveryParams};
+    let metered = |workers, reg: &MetricsRegistry| {
+        ParallelConfig::load_balanced(workers).with_metrics(reg.clone())
     };
-    use fpdm::seqmine::{DiscoveryParams, Sequence};
-    use fpdm::treemine::{OrderedTree, TreeDiscoveryParams};
 
     let mut out = Vec::new();
 
@@ -91,12 +92,10 @@ fn miner_ledgers() -> Vec<(&'static str, MetricsSnapshot)> {
         .iter()
         .map(|s| Sequence::from_str(s))
         .collect();
-    let found = parallel_seqmine_metered(
+    let found = discover_farm(
         db.clone(),
         DiscoveryParams::new(3, 7, 2, 0),
-        3,
-        Some(reg.clone()),
-        None,
+        &metered(3, &reg),
     );
     assert_eq!(
         found,
@@ -115,8 +114,7 @@ fn miner_ledgers() -> Vec<(&'static str, MetricsSnapshot)> {
         min_occurrence: 4,
         max_distance: 0,
     };
-    let found =
-        parallel_treemine_metered(trees.clone(), params.clone(), 2, Some(reg.clone()), None);
+    let found = discover_tree_motifs_farm(trees.clone(), params.clone(), &metered(2, &reg));
     assert_eq!(found, fpdm::treemine::discover_tree_motifs(trees, params));
     out.push(("treemine", reg.snapshot()));
 
@@ -132,7 +130,7 @@ fn miner_ledgers() -> Vec<(&'static str, MetricsSnapshot)> {
         min_length: 2,
         max_length: 3,
     };
-    let found = parallel_episodes_metered(&events, params.clone(), 2, Some(reg.clone()), None);
+    let found = discover_episodes_farm(&events, params.clone(), &metered(2, &reg));
     assert_eq!(found, fpdm::episodes::discover_episodes(&events, params));
     out.push(("episodes", reg.snapshot()));
 

@@ -71,7 +71,11 @@ fn pear_count_distribution_equals_apriori() {
     );
     for workers in [1, 3, 6] {
         assert_eq!(
-            parallel_apriori(Arc::new(db.clone()), min_support, workers),
+            parallel_apriori(
+                Arc::new(db.clone()),
+                min_support,
+                &ParallelConfig::load_balanced(workers)
+            ),
             reference,
             "workers={workers}"
         );
@@ -183,6 +187,6 @@ fn classification_rule_mining_parallel_equals_sequential() {
     let par = parallel_ett(Arc::clone(&problem), &ParallelConfig::load_balanced(3));
     assert_eq!(reference.good, par.good);
     // Theorem 4's hybrid also agrees.
-    let hybrid = parallel_hybrid(Arc::clone(&problem), 3, 2);
+    let hybrid = parallel_hybrid(Arc::clone(&problem), &ParallelConfig::load_balanced(3), 2);
     assert_eq!(reference.good, hybrid.good);
 }

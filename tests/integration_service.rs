@@ -235,6 +235,48 @@ fn columnar_index_is_built_once_and_shared() {
 }
 
 #[test]
+fn shared_plane_jobs_leave_no_per_job_ledger_keys() {
+    // Each shared-plane job runs its farm under channels tagged with its
+    // reqid; none of those channel keys may outlive the job in the
+    // service's registry, or a resident service's ledger grows per job.
+    let cat = Arc::new(catalog());
+    let space = Arc::new(TupleSpace::new());
+    let service = MiningService::start(
+        ServiceConfig {
+            plane: JobPlane::Shared,
+            ..ServiceConfig::default()
+        },
+        Arc::clone(&cat),
+        Arc::clone(&space),
+    );
+    let client = ServiceClient::new(Arc::clone(&space), 5);
+    let req = MiningRequest::Seqmine {
+        dataset: "fam".into(),
+        params: DiscoveryParams::new(3, 5, 5, 0),
+    };
+    let registry = service.registry();
+    let keys = || {
+        let snap = registry.snapshot();
+        snap.counters.len() + snap.gauges.len() + snap.histograms.len()
+    };
+    let run = |jobs| {
+        for _ in 0..jobs {
+            assert_eq!(client.request(1, &req).status, Status::Ok);
+        }
+    };
+    run(2);
+    let after_two = keys();
+    run(6);
+    assert_eq!(keys(), after_two, "8 jobs left more ledger keys than 2");
+    let snap = service.shutdown();
+    let mut names = snap.counters.keys().chain(snap.gauges.keys());
+    assert!(
+        names.all(|k| !k.starts_with("chan.seqmine.")),
+        "per-job channel keys survived"
+    );
+}
+
+#[test]
 fn admission_sheds_when_a_tenant_floods_a_tiny_queue() {
     let cat = Arc::new(catalog());
     let space = Arc::new(TupleSpace::new());
