@@ -43,10 +43,42 @@ use std::sync::Arc;
 /// A time-stamped event stream, sorted by time.
 #[derive(Debug, Clone)]
 pub struct EventSequence {
-    /// `(time, event type)` pairs, ascending in time.
+    /// `(time, event type)` pairs, ascending in time (ties by type).
     events: Vec<(u32, u8)>,
     /// Distinct event types, ascending.
     alphabet: Vec<u8>,
+}
+
+/// Next-occurrence index of an event stream: the ascending positions in
+/// the event array of each event type, as one array sliced by type.
+struct TypeIndex {
+    /// Positions of type `e` are `positions[offsets[e]..offsets[e + 1]]`.
+    offsets: Vec<u32>,
+    positions: Vec<u32>,
+}
+
+impl TypeIndex {
+    fn new(events: &[(u32, u8)]) -> Self {
+        let mut offsets = vec![0u32; 257];
+        for &(_, e) in events {
+            offsets[e as usize + 1] += 1;
+        }
+        for e in 0..256 {
+            offsets[e + 1] += offsets[e];
+        }
+        let mut fill = offsets.clone();
+        let mut positions = vec![0u32; events.len()];
+        for (i, &(_, e)) in events.iter().enumerate() {
+            positions[fill[e as usize] as usize] = i as u32;
+            fill[e as usize] += 1;
+        }
+        TypeIndex { offsets, positions }
+    }
+
+    fn positions(&self, e: u8) -> &[u32] {
+        let e = e as usize;
+        &self.positions[self.offsets[e] as usize..self.offsets[e + 1] as usize]
+    }
 }
 
 impl EventSequence {
@@ -109,16 +141,64 @@ impl EventSequence {
     }
 
     /// WINEPI window count: the number of width-`w` windows containing
-    /// `episode` in order.
+    /// `episode` in order — the number of starts `t` for which
+    /// [`window_contains`](Self::window_contains) holds. Builds the
+    /// stream's next-occurrence index for the one call; a mining problem
+    /// builds it once and counts every candidate against it.
     pub fn window_count(&self, w: u32, episode: &[u8]) -> usize {
-        let Some((first, last)) = self.span() else {
+        self.sweep_count(&TypeIndex::new(&self.events), w, episode)
+    }
+
+    /// The window count in one sweep over the stream.
+    ///
+    /// A window's scan begins at its first event at or after `t`, so the
+    /// starts in `(time[s - 1], time[s]]` all begin at index `s` (the
+    /// first event of its timestamp). From there the greedy in-order match
+    /// completes at a fixed index `c`, and the window contains the episode
+    /// iff `time[c] < t + w`. The sweep visits each distinct-time start
+    /// once and counts its qualifying starts in closed form. Greedy
+    /// completion positions only move right as `s` does, so each episode
+    /// position keeps a cursor into its type's occurrence list that never
+    /// backs up: `O(n · |episode|)` per episode.
+    fn sweep_count(&self, index: &TypeIndex, w: u32, episode: &[u8]) -> usize {
+        let Some((first, _)) = self.span() else {
             return 0;
         };
-        let lo = first as i64 - w as i64 + 1;
-        let hi = last as i64;
-        (lo..=hi)
-            .filter(|&t| self.window_contains(t, w, episode))
-            .count()
+        if episode.is_empty() {
+            return self.n_windows(w);
+        }
+        let w = w as i64;
+        let lists: Vec<&[u32]> = episode.iter().map(|&e| index.positions(e)).collect();
+        let mut cursors = vec![0usize; episode.len()];
+        // Last timestamp whose starts are counted; the first group's
+        // starts begin at the first window start, `first - w + 1`.
+        let mut prev_time = first as i64 - w;
+        let mut count = 0usize;
+        for (s, &(time, _)) in self.events.iter().enumerate() {
+            if s > 0 && self.events[s - 1].0 == time {
+                continue;
+            }
+            let time = time as i64;
+            // Greedy completion from index `s`: each episode position
+            // takes the first occurrence of its type after the previous
+            // match.
+            let mut next = s as u32;
+            for (list, cursor) in lists.iter().zip(cursors.iter_mut()) {
+                while *cursor < list.len() && list[*cursor] < next {
+                    *cursor += 1;
+                }
+                let Some(&at) = list.get(*cursor) else {
+                    // No completion from here, nor from any later start.
+                    return count;
+                };
+                next = at + 1;
+            }
+            let done = self.events[next as usize - 1].0 as i64;
+            let from = (prev_time + 1).max(done - w + 1);
+            count += (time - from + 1).max(0) as usize;
+            prev_time = time;
+        }
+        count
     }
 }
 
@@ -147,6 +227,8 @@ pub struct FrequentEpisode {
 /// Frequent-episode discovery as a pattern-lattice mining problem.
 pub struct EpisodeMiningProblem {
     events: EventSequence,
+    /// The stream's next-occurrence index, built once per problem.
+    index: TypeIndex,
     params: EpisodeParams,
 }
 
@@ -154,7 +236,11 @@ impl EpisodeMiningProblem {
     /// Build the problem.
     pub fn new(events: EventSequence, params: EpisodeParams) -> Self {
         assert!(params.window >= 1);
-        EpisodeMiningProblem { events, params }
+        EpisodeMiningProblem {
+            index: TypeIndex::new(&events.events),
+            events,
+            params,
+        }
     }
 
     /// The underlying stream.
@@ -220,7 +306,7 @@ impl MiningProblem for EpisodeMiningProblem {
     }
 
     fn goodness(&self, p: &Vec<u8>) -> f64 {
-        self.events.window_count(self.params.window, p) as f64
+        self.events.sweep_count(&self.index, self.params.window, p) as f64
     }
 
     fn is_good(&self, _p: &Vec<u8>, goodness: f64) -> bool {
@@ -309,6 +395,21 @@ mod tests {
                 .count();
             assert_eq!(e.window_count(w, pat), brute);
         }
+    }
+
+    #[test]
+    fn same_timestamp_events_keep_type_order() {
+        // At t=3 the array order is (3,A), (3,B), (3,C): width-1 windows
+        // see A→B and B→C at that instant, never B→A.
+        let e = EventSequence::new(vec![(3, b'C'), (3, b'A'), (3, b'B'), (5, b'A')]);
+        assert_eq!(e.window_count(1, b"AB"), 1);
+        assert_eq!(e.window_count(1, b"AC"), 1);
+        assert_eq!(e.window_count(1, b"BA"), 0);
+        assert_eq!(e.window_count(3, b"BA"), 1); // only t=3 reaches (5,A)
+        assert_eq!(e.window_count(2, b"AA"), 0);
+        assert_eq!(e.window_count(3, b"AA"), 1);
+        assert_eq!(e.window_count(1, b"D"), 0);
+        assert_eq!(e.window_count(4, b""), e.n_windows(4));
     }
 
     #[test]

@@ -10,8 +10,43 @@ fn arb_stream() -> impl Strategy<Value = EventSequence> {
     })
 }
 
+/// Streams over few timestamps, so events often share one; may be empty.
+fn arb_dense_stream() -> impl Strategy<Value = EventSequence> {
+    prop::collection::vec((0u32..12, 0u8..3), 0..30).prop_map(|pairs| {
+        EventSequence::new(pairs.into_iter().map(|(t, e)| (t, b'a' + e)).collect())
+    })
+}
+
+/// The count the sweep replaced: every WINEPI window start, each scanned
+/// on its own with `window_contains`.
+fn brute_window_count(stream: &EventSequence, w: u32, episode: &[u8]) -> usize {
+    let Some((first, last)) = stream.span() else {
+        return 0;
+    };
+    ((first as i64 - w as i64 + 1)..=last as i64)
+        .filter(|&t| stream.window_contains(t, w, episode))
+        .count()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn sweep_count_matches_per_window_scan(
+        stream in arb_dense_stream(),
+        // Symbol `d` never occurs; short alphabets repeat symbols.
+        pat in prop::collection::vec(0u8..4, 0..5),
+        w in 2u32..7,
+    ) {
+        let pat: Vec<u8> = pat.into_iter().map(|e| b'a' + e).collect();
+        for w in [1, w] {
+            prop_assert_eq!(
+                stream.window_count(w, &pat),
+                brute_window_count(&stream, w, &pat),
+                "w={} pattern {:?} over {:?}", w, pat, stream.events()
+            );
+        }
+    }
 
     #[test]
     fn containment_monotone_in_window_width(

@@ -40,6 +40,8 @@ struct Node {
     children: HashMap<u32, usize>,
     /// Bitset of sequence ids whose suffixes pass through / end below.
     strings: Vec<u64>,
+    /// Length of the root-to-node path label.
+    depth: usize,
 }
 
 /// A generalised suffix tree over a set of sequences.
@@ -77,13 +79,14 @@ impl Gst {
                 link: 0,
                 children: HashMap::new(),
                 strings: Vec::new(),
+                depth: 0,
             }],
             seq_of_pos,
             n_strings: seqs.len(),
             bitset_words,
         };
         gst.ukkonen();
-        gst.compute_string_sets();
+        gst.annotate();
         gst
     }
 
@@ -94,6 +97,7 @@ impl Gst {
             link: 0,
             children: HashMap::new(),
             strings: Vec::new(),
+            depth: 0,
         });
         self.nodes.len() - 1
     }
@@ -167,8 +171,9 @@ impl Gst {
         }
     }
 
-    /// Post-order accumulation of per-node string bitsets.
-    fn compute_string_sets(&mut self) {
+    /// Post-order accumulation of per-node string bitsets; records each
+    /// node's path depth on the way down.
+    fn annotate(&mut self) {
         let words = self.bitset_words;
         for n in &mut self.nodes {
             n.strings = vec![0u64; words];
@@ -176,12 +181,9 @@ impl Gst {
         // Iterative post-order: (node, depth_before_edge, visited?).
         let mut stack: Vec<(usize, usize, bool)> = vec![(0, 0, false)];
         while let Some((id, depth, visited)) = stack.pop() {
-            let label_len = if self.nodes[id].end == LEAF_END {
-                self.text.len() - self.nodes[id].start
-            } else {
-                self.nodes[id].end - self.nodes[id].start
-            };
+            let label_len = self.edge_label_len(id);
             if !visited {
+                self.nodes[id].depth = depth + label_len;
                 stack.push((id, depth, true));
                 let children: Vec<usize> = self.nodes[id].children.values().copied().collect();
                 for c in children {
@@ -294,22 +296,7 @@ impl Gst {
 
     /// Length of the root-to-`node` path label.
     fn path_depth(&self, node: usize) -> usize {
-        // Recompute by walking down is awkward; store depths lazily
-        // instead: depth = parent depth + label. We do not store parents,
-        // so compute via a full DFS memo on demand (cached).
-        self.depths()[node]
-    }
-
-    fn depths(&self) -> Vec<usize> {
-        let mut depth = vec![0usize; self.nodes.len()];
-        let mut stack = vec![0usize];
-        while let Some(id) = stack.pop() {
-            for &c in self.nodes[id].children.values() {
-                depth[c] = depth[id] + self.edge_label_len(c);
-                stack.push(c);
-            }
-        }
-        depth
+        self.nodes[node].depth
     }
 
     /// All distinct separator-free substrings with length in

@@ -19,48 +19,71 @@ use crate::seq::{Motif, Sequence};
 /// against `seq`; `usize::MAX`-free (always finite: you can always delete
 /// the whole motif, costing `|P|`).
 pub fn min_mutations(motif: &Motif, seq: &Sequence) -> usize {
-    let s = seq.bytes();
-    let n = s.len();
-    // prev[i] = min cost to match segments consumed so far within the
-    // first i characters (prefix-min applied: using MORE of the sequence
-    // never hurts thanks to the separating VLDC).
-    let mut prev: Vec<usize> = vec![0; n + 1];
+    mutation_dp(motif, seq.bytes(), usize::MAX)
+}
 
-    let mut rows: Vec<usize> = Vec::new();
+/// The mutation program on two reused rows, giving up once the cost is
+/// sure to exceed `budget`: returns the exact minimum when it is at most
+/// `budget`, and some value above `budget` otherwise.
+fn mutation_dp(motif: &Motif, s: &[u8], budget: usize) -> usize {
+    let n = s.len();
+    // last[i] = min cost to match segments consumed so far within the
+    // first i characters (prefix-min applied: using MORE of the sequence
+    // never hurts thanks to the separating VLDC). Row 0 of each segment
+    // is the previous segment's prefix-min: start the segment anywhere
+    // after the previous match.
+    let mut last: Vec<usize> = vec![0; n + 1];
+    let mut row: Vec<usize> = vec![0; n + 1];
     for seg in motif.segments() {
-        // cur[k][i]: min cost aligning the first k chars of seg such that
-        // the alignment ends at sequence position i. Row 0 is prev (start
-        // the segment anywhere after the previous match).
-        rows.clear();
-        rows.extend_from_slice(&prev);
-        let mut last_row = rows.clone();
-        for (k, &c) in seg.iter().enumerate() {
-            let mut row = vec![usize::MAX; n + 1];
-            // Starting at i = 0 means deleting seg[..=k] entirely.
-            row[0] = last_row[0] + 1;
+        for &c in seg {
+            // row[i]: min cost aligning the segment's letters so far with
+            // the alignment ending at sequence position i. Starting at
+            // i = 0 means deleting them entirely.
+            row[0] = last[0] + 1;
+            let mut row_min = row[0];
             for i in 1..=n {
-                let sub = last_row[i - 1] + usize::from(s[i - 1] != c);
-                let del = last_row[i] + 1; // delete seg char k
-                let ins = row[i - 1] + 1; // insert s[i-1] into segment
+                let sub = last[i - 1] + usize::from(s[i - 1] != c);
+                let del = last[i] + 1; // delete the segment letter
+                let ins = row[i - 1] + 1; // insert s[i-1] into the segment
                 row[i] = sub.min(del).min(ins);
+                row_min = row_min.min(row[i]);
             }
-            last_row = row;
-            let _ = k;
+            // Every later row's minimum is at least this one's, and the
+            // answer is the last row's minimum.
+            if row_min > budget {
+                return row_min;
+            }
+            std::mem::swap(&mut last, &mut row);
         }
         // Trailing/inter-segment VLDC: prefix-min so later segments may
         // start at any position ≥ the end of this one.
         let mut best = usize::MAX;
-        for i in 0..=n {
-            best = best.min(last_row[i]);
-            prev[i] = best;
+        for v in &mut last {
+            best = best.min(*v);
+            *v = best;
         }
     }
-    prev[n]
+    last[n]
 }
 
 /// Does `motif` occur in `seq` within `max_mut` mutations?
+///
+/// With no mutations allowed this is an exact search: each segment's
+/// first occurrence after the previous segment's match (earliest-ending
+/// is always best). Otherwise the mutation program runs only until its
+/// cost is sure to exceed `max_mut`.
 pub fn matches_within(motif: &Motif, seq: &Sequence, max_mut: usize) -> bool {
-    min_mutations(motif, seq) <= max_mut
+    if max_mut > 0 {
+        return mutation_dp(motif, seq.bytes(), max_mut) <= max_mut;
+    }
+    let mut rest = seq.bytes();
+    for seg in motif.segments() {
+        match rest.windows(seg.len()).position(|w| w == seg.as_slice()) {
+            Some(at) => rest = &rest[at + seg.len()..],
+            None => return false,
+        }
+    }
+    true
 }
 
 /// The occurrence number `occurrence_no^i_S(P)` (§2.3.3): how many
@@ -74,6 +97,54 @@ pub fn occurrence_number(motif: &Motif, set: &[Sequence], max_mut: usize) -> usi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The program the two-row version replaced: a fresh row per motif
+    /// letter, run to the end. Kept as an oracle.
+    fn min_mutations_oracle(motif: &Motif, seq: &Sequence) -> usize {
+        let s = seq.bytes();
+        let n = s.len();
+        let mut prev: Vec<usize> = vec![0; n + 1];
+        for seg in motif.segments() {
+            let mut last_row = prev.clone();
+            for &c in seg {
+                let mut row = vec![usize::MAX; n + 1];
+                row[0] = last_row[0] + 1;
+                for i in 1..=n {
+                    let sub = last_row[i - 1] + usize::from(s[i - 1] != c);
+                    let del = last_row[i] + 1;
+                    let ins = row[i - 1] + 1;
+                    row[i] = sub.min(del).min(ins);
+                }
+                last_row = row;
+            }
+            let mut best = usize::MAX;
+            for i in 0..=n {
+                best = best.min(last_row[i]);
+                prev[i] = best;
+            }
+        }
+        prev[n]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn two_row_program_matches_oracle(
+            // A two-letter alphabet makes exact and near matches common.
+            seq in "[AB]{0,12}",
+            segs in prop::collection::vec("[AB]{1,3}", 1..4),
+        ) {
+            let s = Sequence::from_str(&seq);
+            let m = Motif::new(segs.iter().map(|g| g.as_bytes().to_vec()).collect());
+            let exact = min_mutations_oracle(&m, &s);
+            prop_assert_eq!(min_mutations(&m, &s), exact);
+            for k in 0..=3 {
+                prop_assert_eq!(matches_within(&m, &s, k), exact <= k, "budget {}", k);
+            }
+        }
+    }
 
     fn m1(seg: &str) -> Motif {
         Motif::single(seg.as_bytes())
@@ -134,6 +205,10 @@ mod tests {
         assert!(min_mutations(&m, &seq("AZZA")) >= 1);
         // Two disjoint ZZ runs: exact.
         assert_eq!(min_mutations(&m, &seq("ZZAZZ")), 0);
+        // The exact search agrees: overlapping runs are no match.
+        assert!(!matches_within(&m, &seq("AZZZA"), 0));
+        assert!(matches_within(&m, &seq("AZZZZA"), 0));
+        assert!(matches_within(&m, &seq("AZZZA"), 1));
     }
 
     #[test]

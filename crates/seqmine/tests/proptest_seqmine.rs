@@ -2,7 +2,7 @@
 //! matcher invariants, and the anti-monotone pruning property.
 
 use proptest::prelude::*;
-use seqmine::{min_mutations, occurrence_number, Gst, Motif, Sequence};
+use seqmine::{matches_within, min_mutations, occurrence_number, Gst, Motif, Sequence};
 
 fn arb_seqs() -> impl Strategy<Value = Vec<Sequence>> {
     prop::collection::vec("[ABC]{1,12}", 1..6)
@@ -52,6 +52,23 @@ proptest! {
         prop_assert!(cost <= pat.len(), "deleting everything costs |P|");
         // Exact containment iff zero cost.
         prop_assert_eq!(cost == 0, s.contains(pat.as_bytes()));
+    }
+
+    #[test]
+    fn matches_within_is_min_mutations_within_budget(
+        seq in "[ABC]{0,12}",
+        segs in prop::collection::vec("[ABD]{1,4}", 1..4),
+    ) {
+        let s = Sequence::from_str(&seq);
+        let m = Motif::new(segs.iter().map(|g| g.as_bytes().to_vec()).collect());
+        let cost = min_mutations(&m, &s);
+        for k in 0..=2 {
+            prop_assert_eq!(
+                matches_within(&m, &s, k),
+                cost <= k,
+                "motif {} sequence {:?} cost {} budget {}", m, seq, cost, k
+            );
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! of which has occurrence ≥ the motif's occurrence, which is the
 //! anti-monotonicity that powers E-dag/E-tree pruning.
 
-use crate::dist::occurrence_number;
+use crate::dist::{prepared_occurrence_number, ZsTree};
 use crate::tree::OrderedTree;
 use fpdm_core::{
     parallel_ett, parallel_wave, sequential_ett, MiningOutcome, MiningProblem, ParallelConfig,
@@ -50,6 +50,8 @@ pub struct ActiveTreeMotif {
 /// Tree-motif discovery as a pattern-lattice mining problem.
 pub struct TreeMiningProblem {
     trees: Vec<OrderedTree>,
+    /// The data trees prepared for the distance program, once per problem.
+    prepared: Vec<ZsTree>,
     labels: Vec<u8>,
     params: TreeDiscoveryParams,
 }
@@ -66,6 +68,7 @@ impl TreeMiningProblem {
             .collect();
         labels.sort_unstable();
         TreeMiningProblem {
+            prepared: trees.iter().map(ZsTree::new).collect(),
             trees,
             labels,
             params,
@@ -152,8 +155,8 @@ impl MiningProblem for TreeMiningProblem {
     }
 
     fn goodness(&self, p: &TreeCode) -> f64 {
-        let motif = OrderedTree::decode(p);
-        occurrence_number(&motif, &self.trees, self.params.max_distance) as f64
+        let motif = ZsTree::new(&OrderedTree::decode(p));
+        prepared_occurrence_number(&motif, &self.prepared, self.params.max_distance) as f64
     }
 
     fn is_good(&self, _p: &TreeCode, goodness: f64) -> bool {

@@ -18,131 +18,155 @@
 
 use crate::tree::OrderedTree;
 
-struct ZsInfo {
-    /// Postorder node ids.
-    post: Vec<usize>,
-    /// `l[i]`: postorder index of the leftmost leaf of postorder node i.
-    l: Vec<usize>,
+/// A tree prepared for the Zhang–Shasha program: everything the DP reads
+/// of one side, computed once and reused against any other tree.
+pub(crate) struct ZsTree {
     /// Labels by postorder index.
     label: Vec<u8>,
-    /// LR-keyroots (postorder indices).
+    /// `l[i]`: postorder index of the leftmost leaf of postorder node i.
+    l: Vec<usize>,
+    /// LR-keyroots (postorder indices), ascending.
     keyroots: Vec<usize>,
 }
 
-fn zs_info(t: &OrderedTree) -> ZsInfo {
-    let post = t.postorder();
-    let n = post.len();
-    let mut post_index = vec![0usize; t.len()];
-    for (i, &node) in post.iter().enumerate() {
-        post_index[node] = i;
-    }
-    // Leftmost leaf per postorder index.
-    let mut l = vec![0usize; n];
-    for (i, &node) in post.iter().enumerate() {
-        let mut cur = node;
-        while let Some(&first) = t.children(cur).first() {
-            cur = first;
+impl ZsTree {
+    pub(crate) fn new(t: &OrderedTree) -> Self {
+        let post = t.postorder();
+        let n = post.len();
+        let mut post_index = vec![0usize; n];
+        for (i, &node) in post.iter().enumerate() {
+            post_index[node] = i;
         }
-        l[i] = post_index[cur];
+        // Children precede their parent in postorder, so a node's leftmost
+        // leaf is its first child's, or itself.
+        let mut l = vec![0usize; n];
+        for (i, &node) in post.iter().enumerate() {
+            l[i] = match t.children(node).first() {
+                Some(&first) => l[post_index[first]],
+                None => i,
+            };
+        }
+        // Keyroots: for each distinct l-value, the highest postorder index.
+        let mut seen = vec![false; n];
+        let mut keyroots: Vec<usize> = (0..n)
+            .rev()
+            .filter(|&i| !std::mem::replace(&mut seen[l[i]], true))
+            .collect();
+        keyroots.reverse();
+        let label = post.iter().map(|&node| t.label(node)).collect();
+        ZsTree { label, l, keyroots }
     }
-    // Keyroots: for each distinct l-value, the highest postorder index.
-    let mut last_for_l = std::collections::HashMap::new();
-    for (i, &lv) in l.iter().enumerate().take(n) {
-        last_for_l.insert(lv, i);
-    }
-    let mut keyroots: Vec<usize> = last_for_l.into_values().collect();
-    keyroots.sort_unstable();
-    let label = post.iter().map(|&node| t.label(node)).collect();
-    ZsInfo {
-        post,
-        l,
-        label,
-        keyroots,
+
+    fn len(&self) -> usize {
+        self.label.len()
     }
 }
 
-/// Full distance matrix `td[i][j]` = edit distance between the subtree of
-/// A rooted at postorder node `i` and the subtree of B rooted at `j`,
-/// with optional free cutting of complete B-subtrees.
-fn zs_matrix(a: &OrderedTree, b: &OrderedTree, cuts_in_b: bool) -> Vec<Vec<usize>> {
-    let ia = zs_info(a);
-    let ib = zs_info(b);
-    let (na, nb) = (ia.post.len(), ib.post.len());
-    let mut td = vec![vec![0usize; nb]; na];
+/// The Zhang–Shasha program's buffers, kept across runs so that grading a
+/// motif against a whole tree set allocates once.
+#[derive(Default)]
+pub(crate) struct ZsScratch {
+    /// `td[i * nb + j]`: distance between the subtree of A rooted at
+    /// postorder node `i` and the subtree of B rooted at `j`.
+    td: Vec<usize>,
+    /// Forest-distance table, row stride `nb + 1`.
+    fd: Vec<usize>,
+}
 
-    // Forest-distance scratch, indexed by (postorder+1) within the spans.
-    let mut fd = vec![vec![0usize; nb + 1]; na + 1];
+impl ZsScratch {
+    /// Fill the distance matrix between every subtree of `a` and every
+    /// subtree of `b`, with optional free cutting of complete B-subtrees;
+    /// returns it row-major (`a.len()` rows of `b.len()`).
+    fn run(&mut self, a: &ZsTree, b: &ZsTree, cuts_in_b: bool) -> &[usize] {
+        let (na, nb) = (a.len(), b.len());
+        let stride = nb + 1;
+        // Every entry either table is read from is written earlier in
+        // the same run, so stale contents need no clearing.
+        if self.td.len() < na * nb {
+            self.td.resize(na * nb, 0);
+        }
+        if self.fd.len() < (na + 1) * stride {
+            self.fd.resize((na + 1) * stride, 0);
+        }
+        let (td, fd) = (&mut self.td, &mut self.fd);
 
-    for &ka in &ia.keyroots {
-        for &kb in &ib.keyroots {
-            let la = ia.l[ka];
-            let lb = ib.l[kb];
-            // fd[x][y]: distance between A-forest l(ka)..(la+x-1) and
-            // B-forest l(kb)..(lb+y-1); x,y are counts.
-            fd[0][0] = 0;
-            for x in 1..=(ka - la + 1) {
-                fd[x][0] = fd[x - 1][0] + 1; // delete A node
-            }
-            for y in 1..=(kb - lb + 1) {
-                // Insert the B node... or cut it free: the prefix forest
-                // l(kb)..j is a union of complete subtrees, so with cuts
-                // enabled the empty A-forest matches any B-forest at 0.
-                fd[0][y] = if cuts_in_b { 0 } else { fd[0][y - 1] + 1 };
-            }
-            for x in 1..=(ka - la + 1) {
-                let i = la + x - 1; // A postorder index
+        for &ka in &a.keyroots {
+            let la = a.l[ka];
+            for &kb in &b.keyroots {
+                let lb = b.l[kb];
+                // fd[x][y]: distance between A-forest l(ka)..(la+x-1) and
+                // B-forest l(kb)..(lb+y-1); x,y are counts.
+                fd[0] = 0;
+                for x in 1..=(ka - la + 1) {
+                    fd[x * stride] = fd[(x - 1) * stride] + 1; // delete A node
+                }
                 for y in 1..=(kb - lb + 1) {
-                    let j = lb + y - 1; // B postorder index
-                    let both_trees = ia.l[i] == la && ib.l[j] == lb;
-                    let mut best;
-                    if both_trees {
-                        let sub = fd[x - 1][y - 1] + usize::from(ia.label[i] != ib.label[j]);
-                        best = sub;
-                        best = best.min(fd[x - 1][y] + 1); // delete A node i
-                        best = best.min(fd[x][y - 1] + 1); // insert B node j
+                    // Insert the B node... or cut it free: the prefix forest
+                    // l(kb)..j is a union of complete subtrees, so with cuts
+                    // enabled the empty A-forest matches any B-forest at 0.
+                    fd[y] = if cuts_in_b { 0 } else { fd[y - 1] + 1 };
+                }
+                for x in 1..=(ka - la + 1) {
+                    let i = la + x - 1; // A postorder index
+                    let row = x * stride;
+                    let up = row - stride;
+                    let xa = (a.l[i] - la) * stride; // forest prefix before subtree i
+                    let a_tree = a.l[i] == la;
+                    for y in 1..=(kb - lb + 1) {
+                        let j = lb + y - 1; // B postorder index
+                        let yb = b.l[j] - lb; // forest prefix before subtree j
+                        let mut best = (fd[up + y] + 1).min(fd[row + y - 1] + 1); // delete i, insert j
                         if cuts_in_b {
                             // Cut the whole subtree rooted at j.
-                            let skip = ib.l[j] - lb; // count before subtree j
-                            best = best.min(fd[x][skip]);
+                            best = best.min(fd[row + yb]);
                         }
-                        td[i][j] = best;
-                    } else {
-                        best = fd[x - 1][y] + 1;
-                        best = best.min(fd[x][y - 1] + 1);
-                        let xa = ia.l[i] - la; // forest prefix before subtree i
-                        let yb = ib.l[j] - lb;
-                        best = best.min(fd[xa][yb] + td[i][j]);
-                        if cuts_in_b {
-                            best = best.min(fd[x][yb]);
+                        if a_tree && yb == 0 {
+                            // Both forests are whole subtrees: match i to j.
+                            let sub = fd[up + y - 1] + usize::from(a.label[i] != b.label[j]);
+                            best = best.min(sub);
+                            td[i * nb + j] = best;
+                        } else {
+                            best = best.min(fd[xa + yb] + td[i * nb + j]);
                         }
+                        fd[row + y] = best;
                     }
-                    fd[x][y] = best;
                 }
             }
         }
+        &self.td[..na * nb]
     }
-    td
+
+    /// Distance between the whole trees.
+    fn distance(&mut self, a: &ZsTree, b: &ZsTree, cuts_in_b: bool) -> usize {
+        let nb = b.len();
+        self.run(a, b, cuts_in_b)[a.len() * nb - 1]
+    }
+
+    /// Minimum over all subtrees `U` of `data` of the cut distance between
+    /// `motif` and `U`.
+    pub(crate) fn best_subtree_distance(&mut self, motif: &ZsTree, data: &ZsTree) -> usize {
+        let nb = data.len();
+        let td = self.run(motif, data, true);
+        let root = (motif.len() - 1) * nb;
+        td[root..root + nb].iter().copied().min().unwrap()
+    }
 }
 
 /// Zhang–Shasha ordered tree edit distance (unit costs).
 pub fn tree_edit_distance(a: &OrderedTree, b: &OrderedTree) -> usize {
-    let td = zs_matrix(a, b, false);
-    td[a.len() - 1][b.len() - 1]
+    ZsScratch::default().distance(&ZsTree::new(a), &ZsTree::new(b), false)
 }
 
 /// Edit distance between `motif` and `data` allowing free cuttings of
 /// complete subtrees of `data`.
 pub fn cut_distance(motif: &OrderedTree, data: &OrderedTree) -> usize {
-    let td = zs_matrix(motif, data, true);
-    td[motif.len() - 1][data.len() - 1]
+    ZsScratch::default().distance(&ZsTree::new(motif), &ZsTree::new(data), true)
 }
 
 /// Minimum over all subtrees `U` of `data` of the cut distance between
 /// `motif` and `U` — "how far is the motif from occurring in the tree".
 pub fn best_subtree_distance(motif: &OrderedTree, data: &OrderedTree) -> usize {
-    let td = zs_matrix(motif, data, true);
-    let root = motif.len() - 1;
-    (0..data.len()).map(|j| td[root][j]).min().unwrap()
+    ZsScratch::default().best_subtree_distance(&ZsTree::new(motif), &ZsTree::new(data))
 }
 
 /// Does `motif` occur in `data` within distance `d` (with cuttings)?
@@ -153,12 +177,22 @@ pub fn contains_within(motif: &OrderedTree, data: &OrderedTree, d: usize) -> boo
 /// Occurrence number of `motif` over a set of trees (§4.1.2):
 /// `occurrence_no^d_S(M)` = number of trees containing `M` within `d`.
 pub fn occurrence_number(motif: &OrderedTree, set: &[OrderedTree], d: usize) -> usize {
-    set.iter().filter(|t| contains_within(motif, t, d)).count()
+    let set: Vec<ZsTree> = set.iter().map(ZsTree::new).collect();
+    prepared_occurrence_number(&ZsTree::new(motif), &set, d)
+}
+
+/// [`occurrence_number`] over trees prepared in advance.
+pub(crate) fn prepared_occurrence_number(motif: &ZsTree, set: &[ZsTree], d: usize) -> usize {
+    let mut scratch = ZsScratch::default();
+    set.iter()
+        .filter(|t| scratch.best_subtree_distance(motif, t) <= d)
+        .count()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn t(s: &str) -> OrderedTree {
         OrderedTree::parse(s)
@@ -194,6 +228,173 @@ mod tests {
 
     fn brute_dist(a: &OrderedTree, b: &OrderedTree) -> usize {
         brute_forest(a, &[0], b, &[0])
+    }
+
+    /// Brute-force "how far is `motif` from occurring in `data`": the
+    /// plain edit distance to every subtree of `data` under every set of
+    /// cuttings, and to the empty tree (cutting the subtree's root).
+    fn brute_best_subtree(motif: &OrderedTree, data: &OrderedTree) -> usize {
+        let mut best = motif.len();
+        for node in data.nodes() {
+            let code = data.subtree(node).encode();
+            // Each subset of the non-root nodes is a set of cut points;
+            // a node survives unless it or an ancestor is cut.
+            for cuts in 0u32..(1 << (code.len() - 1)) {
+                let mut kept = Vec::new();
+                let mut cut_depth = None;
+                for (i, &(depth, label)) in code.iter().enumerate() {
+                    if cut_depth.is_some_and(|d| depth > d) {
+                        continue;
+                    }
+                    cut_depth = None;
+                    if i > 0 && cuts & (1 << (i - 1)) != 0 {
+                        cut_depth = Some(depth);
+                        continue;
+                    }
+                    kept.push((depth, label));
+                }
+                best = best.min(brute_dist(motif, &OrderedTree::decode(&kept)));
+            }
+        }
+        best
+    }
+
+    /// The per-call distance matrix the prepared program replaced: both
+    /// trees' postorder, leftmost leaves and keyroots rebuilt on every
+    /// call, nested-vector tables. Kept as an oracle.
+    fn zs_matrix_oracle(a: &OrderedTree, b: &OrderedTree, cuts_in_b: bool) -> Vec<Vec<usize>> {
+        struct ZsInfo {
+            post: Vec<usize>,
+            l: Vec<usize>,
+            label: Vec<u8>,
+            keyroots: Vec<usize>,
+        }
+        fn zs_info(t: &OrderedTree) -> ZsInfo {
+            let post = t.postorder();
+            let n = post.len();
+            let mut post_index = vec![0usize; t.len()];
+            for (i, &node) in post.iter().enumerate() {
+                post_index[node] = i;
+            }
+            let mut l = vec![0usize; n];
+            for (i, &node) in post.iter().enumerate() {
+                let mut cur = node;
+                while let Some(&first) = t.children(cur).first() {
+                    cur = first;
+                }
+                l[i] = post_index[cur];
+            }
+            let mut last_for_l = std::collections::HashMap::new();
+            for (i, &lv) in l.iter().enumerate().take(n) {
+                last_for_l.insert(lv, i);
+            }
+            let mut keyroots: Vec<usize> = last_for_l.into_values().collect();
+            keyroots.sort_unstable();
+            let label = post.iter().map(|&node| t.label(node)).collect();
+            ZsInfo {
+                post,
+                l,
+                label,
+                keyroots,
+            }
+        }
+        let ia = zs_info(a);
+        let ib = zs_info(b);
+        let (na, nb) = (ia.post.len(), ib.post.len());
+        let mut td = vec![vec![0usize; nb]; na];
+        let mut fd = vec![vec![0usize; nb + 1]; na + 1];
+        for &ka in &ia.keyroots {
+            for &kb in &ib.keyroots {
+                let la = ia.l[ka];
+                let lb = ib.l[kb];
+                fd[0][0] = 0;
+                for x in 1..=(ka - la + 1) {
+                    fd[x][0] = fd[x - 1][0] + 1;
+                }
+                for y in 1..=(kb - lb + 1) {
+                    fd[0][y] = if cuts_in_b { 0 } else { fd[0][y - 1] + 1 };
+                }
+                for x in 1..=(ka - la + 1) {
+                    let i = la + x - 1;
+                    for y in 1..=(kb - lb + 1) {
+                        let j = lb + y - 1;
+                        let both_trees = ia.l[i] == la && ib.l[j] == lb;
+                        let mut best;
+                        if both_trees {
+                            let sub = fd[x - 1][y - 1] + usize::from(ia.label[i] != ib.label[j]);
+                            best = sub;
+                            best = best.min(fd[x - 1][y] + 1);
+                            best = best.min(fd[x][y - 1] + 1);
+                            if cuts_in_b {
+                                let skip = ib.l[j] - lb;
+                                best = best.min(fd[x][skip]);
+                            }
+                            td[i][j] = best;
+                        } else {
+                            best = fd[x - 1][y] + 1;
+                            best = best.min(fd[x][y - 1] + 1);
+                            let xa = ia.l[i] - la;
+                            let yb = ib.l[j] - lb;
+                            best = best.min(fd[xa][yb] + td[i][j]);
+                            if cuts_in_b {
+                                best = best.min(fd[x][yb]);
+                            }
+                        }
+                        fd[x][y] = best;
+                    }
+                }
+            }
+        }
+        td
+    }
+
+    /// Small trees over a 3-letter alphabet with at most `1 + max_steps`
+    /// nodes, from preorder `(depth, label)` encodings.
+    fn arb_small_tree(max_steps: usize) -> impl Strategy<Value = OrderedTree> {
+        prop::collection::vec((0u8..3, 0u8..3), 0..max_steps + 1).prop_map(|steps| {
+            let mut code: Vec<(u8, u8)> = vec![(0, b'A')];
+            let mut last_depth = 0u8;
+            for (jump, label) in steps {
+                let depth = 1 + jump % (last_depth + 1);
+                code.push((depth, b'A' + label));
+                last_depth = depth;
+            }
+            OrderedTree::decode(&code)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn prepared_program_matches_per_call_oracle(
+            a in arb_small_tree(6),
+            b in arb_small_tree(8),
+        ) {
+            for cuts in [false, true] {
+                let td = zs_matrix_oracle(&a, &b, cuts);
+                let got = ZsScratch::default()
+                    .run(&ZsTree::new(&a), &ZsTree::new(&b), cuts)
+                    .to_vec();
+                let want: Vec<usize> = td.concat();
+                prop_assert_eq!(got, want, "cuts={}", cuts);
+            }
+        }
+
+        #[test]
+        fn prepared_occurrence_matches_brute_force(
+            motif in arb_small_tree(3),
+            set in prop::collection::vec(arb_small_tree(4), 1..4),
+        ) {
+            // One scratch across the whole set, as the miner runs it.
+            let prepared: Vec<ZsTree> = set.iter().map(ZsTree::new).collect();
+            let m = ZsTree::new(&motif);
+            let brute: Vec<usize> = set.iter().map(|t| brute_best_subtree(&motif, t)).collect();
+            for d in 0..=2 {
+                let want = brute.iter().filter(|&&b| b <= d).count();
+                prop_assert_eq!(prepared_occurrence_number(&m, &prepared, d), want, "d={}", d);
+            }
+        }
     }
 
     #[test]
