@@ -457,7 +457,7 @@ pub struct OpKind {
 }
 
 /// The consuming method names the scanner resolves, with their kinds.
-const OP_TABLE: [(&str, OpKind); 12] = [
+const OP_TABLE: [(&str, OpKind); 10] = [
     (
         "in_",
         OpKind {
@@ -480,21 +480,7 @@ const OP_TABLE: [(&str, OpKind); 12] = [
         },
     ),
     (
-        "try_in_cancellable",
-        OpKind {
-            withdraw: true,
-            blocking: true,
-        },
-    ),
-    (
         "inp",
-        OpKind {
-            withdraw: true,
-            blocking: false,
-        },
-    ),
-    (
-        "try_inp",
         OpKind {
             withdraw: true,
             blocking: false,

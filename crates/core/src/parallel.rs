@@ -674,7 +674,7 @@ mod tests {
     }
 
     #[test]
-    fn wave_metered_ledger_is_consistent() {
+    fn wave_ledger_is_consistent() {
         let p = seq_problem();
         let reg = plinda::MetricsRegistry::new();
         let cfg = ParallelConfig::load_balanced(3).with_metrics(reg.clone());

@@ -28,6 +28,7 @@
 //! any change.
 
 use crate::codec;
+use crate::probe::Event;
 use crate::process::{PlindaError, Process};
 use crate::space::TupleSpace;
 use crate::template::{field, Field, Template};
@@ -264,6 +265,30 @@ tuple_payload!(A.0, B.1);
 tuple_payload!(A.0, B.1, C.2);
 tuple_payload!(A.0, B.1, C.2, D.3);
 
+/// Emit `n` sends, receives or reads of channel `name`: its
+/// `chan.<name>.{sent,recv,read}` counters and its `chan.<name>.depth`
+/// gauge, whose high-water mark is the channel's depth watermark. The depth
+/// counts tuples matching `depth_of()`, sampled *before* emitting — probe
+/// sinks never re-enter the space (see `crate::probe`).
+fn note(
+    space: &TupleSpace,
+    name: &str,
+    depth_of: impl FnOnce() -> Template,
+    dir: &'static str,
+    n: usize,
+) {
+    if n == 0 || !space.metrics_enabled() {
+        return;
+    }
+    let depth = space.count(&depth_of()) as i64;
+    space.emit(Event::Chan {
+        name,
+        dir,
+        n: n as u64,
+        depth,
+    });
+}
+
 /// A named, typed tuple stream.
 ///
 /// The wire format is `[Str(name), fields…]`; the receive template is the
@@ -325,25 +350,12 @@ impl<T: Payload> Chan<T> {
         T::from_values(&t.0[1..])
     }
 
-    /// Update this channel's `chan.<name>.{sent,recv}` counters and its
-    /// `chan.<name>.depth` gauge (whose high-water mark is the channel's
-    /// depth watermark). The depth is sampled *before* entering the
-    /// registry closure — metric closures must never re-enter the space
-    /// (see the lock-order rule on `TupleSpace::metric`).
     fn note(&self, space: &TupleSpace, dir: &'static str) {
         self.note_n(space, dir, 1);
     }
 
     fn note_n(&self, space: &TupleSpace, dir: &'static str, n: usize) {
-        if n == 0 || !space.metrics_enabled() {
-            return;
-        }
-        let depth = space.count(&self.template()) as i64;
-        space.metric(|reg| {
-            reg.counter(&format!("chan.{}.{dir}", self.name))
-                .add(n as u64);
-            reg.gauge(&format!("chan.{}.depth", self.name)).set(depth);
-        });
+        note(space, &self.name, || self.template(), dir, n);
     }
 
     // ---- space-side (master, outside transactions) ----
@@ -511,17 +523,9 @@ impl<T: Payload> KeyedChan<T> {
         Template::new(fs)
     }
 
-    /// Keyed twin of [`Chan::note`]: depth counts tuples across *all*
-    /// keys, sampled before the registry closure (lock-order rule).
+    /// Depth counts tuples across *all* keys.
     fn note(&self, space: &TupleSpace, dir: &'static str) {
-        if !space.metrics_enabled() {
-            return;
-        }
-        let depth = space.count(&self.template_any()) as i64;
-        space.metric(|reg| {
-            reg.counter(&format!("chan.{}.{dir}", self.name)).inc();
-            reg.gauge(&format!("chan.{}.depth", self.name)).set(depth);
-        });
+        note(space, &self.name, || self.template_any(), dir, 1);
     }
 
     /// `out` a payload addressed to `key`.

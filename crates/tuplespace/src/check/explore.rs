@@ -21,6 +21,7 @@
 
 use super::checkers::{check_trace, CheckReport};
 use super::trace::{OpKind, Recorder, Trace, TraceEvent};
+use crate::probe::Event;
 use crate::process::{PlindaError, Process, ProcessState};
 use crate::space::TupleSpace;
 use crate::template::Template;
@@ -304,7 +305,8 @@ impl<'a> Driver<'a> {
             }
             PState::Blocked { tmpl, withdraw } => {
                 // A matching tuple is visible: complete the parked op.
-                self.space.record(|| TraceEvent::Wake { actor: pid });
+                self.space
+                    .emit(Event::Virtual(TraceEvent::Wake { actor: pid }));
                 let got = if withdraw {
                     self.procs[i].in_(tmpl)
                 } else {
@@ -343,7 +345,7 @@ impl<'a> Driver<'a> {
                         // as a fresh incarnation, like the real runtime.
                         self.kill_fired = true;
                         self.states[i].kill();
-                        self.space.record(|| TraceEvent::Kill { pid });
+                        self.space.emit(Event::Virtual(TraceEvent::Kill { pid }));
                         match self.procs[i].xcommit(cont) {
                             Err(PlindaError::Killed) => {}
                             other => {
@@ -357,7 +359,7 @@ impl<'a> Driver<'a> {
                         self.procs[i] =
                             Process::new(pid, Arc::clone(&self.space), Arc::clone(&self.states[i]));
                         self.programs[i] = (self.cfg.programs[i])();
-                        self.space.record(|| TraceEvent::Respawn { pid });
+                        self.space.emit(Event::Virtual(TraceEvent::Respawn { pid }));
                         return PState::Fresh;
                     }
                 }
@@ -381,8 +383,8 @@ impl<'a> Driver<'a> {
             Action::In(tmpl) => self.blocking_op(i, tmpl, true),
             Action::Rd(tmpl) => self.blocking_op(i, tmpl, false),
             Action::Exit => {
-                let _ = self.space.cont_clear(pid);
-                self.space.record(|| TraceEvent::Done { pid });
+                let _ = self.space.backend().cont_clear(pid);
+                self.space.emit(Event::Virtual(TraceEvent::Done { pid }));
                 PState::Exited
             }
         }
@@ -405,13 +407,11 @@ impl<'a> Driver<'a> {
                 }
             }
         } else {
-            let op = if withdraw { OpKind::In } else { OpKind::Rd };
-            let t = tmpl.clone();
-            self.space.record(move || TraceEvent::Block {
+            self.space.emit(Event::Virtual(TraceEvent::Block {
                 actor: pid,
-                op,
-                template: t,
-            });
+                op: if withdraw { OpKind::In } else { OpKind::Rd },
+                template: tmpl.clone(),
+            }));
             PState::Blocked { tmpl, withdraw }
         }
     }

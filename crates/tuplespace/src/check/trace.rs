@@ -3,18 +3,21 @@
 //!
 //! Every Linda operation, transaction event, block/wake transition, and
 //! kill is appended to a per-run trace when a recorder is installed on the
-//! [`crate::TupleSpace`] (see [`crate::TupleSpace::set_recorder`]). Events
-//! that mutate the *visible* space are recorded while the owning partition
-//! lock is held, so for any single tuple the trace order agrees with the
-//! real order of its production and withdrawal; cross-partition order is
-//! the recorder's own append order. When no recorder is installed the
-//! instrumentation is a load of one relaxed atomic per operation.
+//! [`crate::TupleSpace`] (see [`crate::TupleSpace::set_recorder`]). The
+//! recorder is one of the two sinks of the space's instrumentation probe
+//! (the metrics ledger is the other), so trace and ledger are read off the
+//! same event stream and share its fast path: one relaxed atomic load per
+//! operation while neither sink is installed. Events that mutate the
+//! *visible* space are emitted while the owning partition lock is held, so
+//! for any single tuple the trace order agrees with the real order of its
+//! production and withdrawal; cross-partition order is the recorder's own
+//! append order.
 
+use crate::probe::Event;
 use crate::template::Template;
 use crate::value::Tuple;
 use parking_lot::Mutex;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Which Linda operation a [`TraceEvent::Block`] / [`TraceEvent::Miss`]
@@ -338,6 +341,97 @@ impl Recorder {
         }
     }
 
+    /// Append the trace events `ev` stands for, attributing space events
+    /// to this thread's current actor. Metrics-only events append nothing.
+    pub(crate) fn record_event(&self, ev: Event<'_>) {
+        let actor = current_actor();
+        let mut events = self.events.lock();
+        let ev = match ev {
+            Event::Out { tuples, .. } => {
+                return events.extend(each(tuples, |tuple| TraceEvent::OutVisible {
+                    actor,
+                    tuple,
+                }));
+            }
+            Event::Found {
+                withdrawn, tuples, ..
+            } => {
+                return events.extend(each(tuples, |tuple| match withdrawn {
+                    true => TraceEvent::Take { actor, tuple },
+                    false => TraceEvent::Read { actor, tuple },
+                }));
+            }
+            Event::TentativeIn { pid, txn, tuples } => {
+                return events.extend(each(tuples, |tuple| TraceEvent::TentativeIn {
+                    pid,
+                    txn,
+                    tuple,
+                }));
+            }
+            Event::SelfIn { pid, txn, tuples } => {
+                return events.extend(each(tuples, |tuple| TraceEvent::SelfIn { pid, txn, tuple }));
+            }
+            Event::Restore { tuples } => {
+                events.push(TraceEvent::Reset { actor });
+                return events.extend(each(tuples, |tuple| TraceEvent::OutVisible {
+                    actor,
+                    tuple,
+                }));
+            }
+            Event::Miss { op, template, .. } => TraceEvent::Miss {
+                actor,
+                op,
+                template: template.clone(),
+            },
+            Event::Block { op, template } => TraceEvent::Block {
+                actor,
+                op,
+                template: template.clone(),
+            },
+            Event::Wake { .. } => TraceEvent::Wake { actor },
+            Event::WaitCancelled => TraceEvent::WaitCancelled { actor },
+            Event::XStart { pid, txn } => TraceEvent::XStart { pid, txn },
+            Event::NestedXStart { pid } => TraceEvent::NestedXStart { pid },
+            Event::BufferedOut { pid, txn, tuple } => TraceEvent::BufferedOut {
+                pid,
+                txn,
+                tuple: tuple.clone(),
+            },
+            Event::XCommit {
+                pid,
+                txn,
+                published,
+                consumed,
+                continuation,
+                ..
+            } => TraceEvent::XCommit {
+                pid,
+                txn,
+                published: published.to_vec(),
+                consumed: consumed.to_vec(),
+                continuation,
+            },
+            Event::XAbort {
+                pid,
+                txn,
+                restored,
+                dropped,
+            } => TraceEvent::XAbort {
+                pid,
+                txn,
+                restored: restored.to_vec(),
+                dropped: dropped.to_vec(),
+            },
+            Event::XRecover { pid, found } => TraceEvent::XRecover { pid, found },
+            Event::Kill { pid } => TraceEvent::Kill { pid },
+            Event::Respawn { pid } => TraceEvent::Respawn { pid },
+            Event::Done { pid, .. } => TraceEvent::Done { pid },
+            Event::Virtual(ev) => ev,
+            Event::Spawn | Event::Flush { .. } | Event::Chan { .. } => return,
+        };
+        events.push(ev);
+    }
+
     /// Copy the events recorded so far without draining.
     pub fn snapshot(&self) -> Trace {
         Trace {
@@ -346,37 +440,10 @@ impl Recorder {
     }
 }
 
-/// The per-space recorder slot: one relaxed atomic on the fast (disabled)
-/// path, a clone of the recorder handle behind a mutex when enabled.
-#[derive(Default)]
-pub(crate) struct RecorderSlot {
-    enabled: AtomicBool,
-    recorder: Mutex<Option<Recorder>>,
-}
-
-impl RecorderSlot {
-    /// Install or remove the recorder.
-    pub(crate) fn set(&self, rec: Option<Recorder>) {
-        let mut slot = self.recorder.lock();
-        self.enabled.store(rec.is_some(), Ordering::Release);
-        *slot = rec;
-    }
-
-    /// Record `ev` if a recorder is installed. The event is only *built*
-    /// when recording is on: call as `slot.record(|| TraceEvent::…)` so
-    /// tuple clones are free on the disabled path.
-    #[inline]
-    pub(crate) fn record(&self, ev: impl FnOnce() -> TraceEvent) {
-        if self.enabled.load(Ordering::Acquire) {
-            if let Some(rec) = &*self.recorder.lock() {
-                rec.record(ev());
-            }
-        }
-    }
-
-    /// Is a recorder installed?
-    #[inline]
-    pub(crate) fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Acquire)
-    }
+/// One trace event per tuple of a batch event.
+fn each<'a>(
+    tuples: &'a [Tuple],
+    f: impl Fn(Tuple) -> TraceEvent + 'a,
+) -> impl Iterator<Item = TraceEvent> + 'a {
+    tuples.iter().cloned().map(f)
 }

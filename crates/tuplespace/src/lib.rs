@@ -85,6 +85,7 @@ pub mod codec;
 pub mod farm;
 pub mod metrics;
 pub mod net;
+mod probe;
 pub mod process;
 pub mod runtime;
 pub mod space;

@@ -1,26 +1,24 @@
 //! Live metrics: a lock-sharded registry of counters, gauges, and
-//! log₂-bucket histograms, wired into the hot paths of the tuple space,
-//! the transaction layer, the runtime, the task farm, and the channels.
+//! log₂-bucket histograms, fed by the tuple space, the transaction layer,
+//! the runtime, the task farm, and the channels.
 //!
-//! The design generalizes the [`crate::Recorder`] hook pattern from
-//! post-hoc trace checking to always-on observability:
-//!
-//! * **Cheap when off.** Every instrumented operation begins with a single
-//!   relaxed atomic load of an "enabled" flag (see `MetricsSlot`); the
-//!   metric names, handle lookups, and clock reads behind it are never
-//!   evaluated while metrics are disabled.
+//! * **One event stream.** Space, transaction, runtime and channel ops
+//!   emit events to their space's instrumentation probe, whose ledger sink
+//!   (`Ledger`) turns them into metric updates; the trace
+//!   [`crate::Recorder`] is the other sink of the same stream. With
+//!   neither installed an op costs one relaxed atomic load.
 //! * **Lock-free when on.** [`MetricsRegistry::counter`] (and friends)
 //!   get-or-create a handle under one of 16 shard locks, but the handle
 //!   itself is an `Arc`'d atomic: repeated updates through a cached handle
-//!   never take a lock. Hot paths cache handles (e.g. the per-partition
-//!   stats cached inside each tuple-space partition).
+//!   never take a lock. The ledger caches its per-op handles.
 //! * **Stable export.** [`MetricsRegistry::snapshot`] produces a
 //!   [`MetricsSnapshot`] — plain sorted maps — with a frozen JSON schema
 //!   ([`SCHEMA`], round-trippable via [`MetricsSnapshot::from_json`]) and
 //!   an aligned-text rendering for humans. The `nowsim` simulator emits
 //!   the same schema, so simulated and real runs are directly comparable.
 //!
-//! Metric names are dotted paths. The conventional namespaces:
+//! Metric names are dotted paths. The conventional namespaces (all but
+//! `farm.*` and `sim.*` are spelled only in `Ledger::account`):
 //!
 //! | prefix            | source                                          |
 //! |-------------------|-------------------------------------------------|
@@ -29,15 +27,18 @@
 //! | `space.block_ns`  | blocked-wait duration histogram                 |
 //! | `txn.*`           | transaction outcomes and durations              |
 //! | `runtime.*`       | spawns, kills, respawns, protocol errors        |
+//! | `net.*`           | socket-backend batching and deferred outs       |
 //! | `chan.<name>.*`   | per-channel send/recv counts, depth watermarks  |
 //! | `farm.<name>.*`   | per-worker busy/blocked/wall/respawn accounting |
 //! | `sim.*`           | the `nowsim` simulator's ledger                 |
 
+use crate::probe::Event;
+use crate::value::Sig;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Frozen identifier of the snapshot JSON schema. Renaming or re-shaping
@@ -52,8 +53,6 @@ const SHARDS: usize = 16;
 /// Histogram bucket count: bucket 0 holds zero observations, bucket `k`
 /// (1 ≤ k ≤ 64) holds observations in `[2^(k-1), 2^k)`.
 const BUCKETS: usize = 65;
-
-static NEXT_REGISTRY_ID: AtomicU64 = AtomicU64::new(1);
 
 /// A monotonically increasing `u64` metric handle. Cloning shares the
 /// underlying cell.
@@ -182,11 +181,6 @@ impl Metric {
     }
 }
 
-struct RegistryInner {
-    id: u64,
-    shards: [Mutex<HashMap<String, Metric>>; SHARDS],
-}
-
 /// A cloneable handle to a shared metrics registry.
 ///
 /// Install on a tuple space with [`crate::TupleSpace::set_metrics`] (or
@@ -196,7 +190,7 @@ struct RegistryInner {
 /// per-run numbers; counters accumulate across runs otherwise.
 #[derive(Clone)]
 pub struct MetricsRegistry {
-    inner: Arc<RegistryInner>,
+    shards: Arc<[Mutex<HashMap<String, Metric>>; SHARDS]>,
 }
 
 impl Default for MetricsRegistry {
@@ -207,33 +201,22 @@ impl Default for MetricsRegistry {
 
 impl std::fmt::Debug for MetricsRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MetricsRegistry")
-            .field("id", &self.inner.id)
-            .finish()
+        f.debug_struct("MetricsRegistry").finish_non_exhaustive()
     }
 }
 
 impl MetricsRegistry {
-    /// A fresh, empty registry with a process-unique id.
+    /// A fresh, empty registry.
     pub fn new() -> Self {
         MetricsRegistry {
-            inner: Arc::new(RegistryInner {
-                id: NEXT_REGISTRY_ID.fetch_add(1, Ordering::Relaxed),
-                shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-            }),
+            shards: Arc::new(std::array::from_fn(|_| Mutex::new(HashMap::new()))),
         }
-    }
-
-    /// Process-unique id of this registry (distinguishes a re-installed
-    /// registry from the one a cached handle was created against).
-    pub fn id(&self) -> u64 {
-        self.inner.id
     }
 
     fn shard(&self, name: &str) -> &Mutex<HashMap<String, Metric>> {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         name.hash(&mut h);
-        &self.inner.shards[(h.finish() as usize) % SHARDS]
+        &self.shards[(h.finish() as usize) % SHARDS]
     }
 
     fn get_or_insert(&self, name: &str, make: impl FnOnce() -> Metric) -> Metric {
@@ -285,7 +268,7 @@ impl MetricsRegistry {
     /// channel keys of a finished job on a long-lived registry). Handles
     /// already taken keep working but no longer reach the registry.
     pub fn remove_prefix(&self, prefix: &str) {
-        for shard in &self.inner.shards {
+        for shard in self.shards.iter() {
             shard.lock().retain(|name, _| !name.starts_with(prefix));
         }
     }
@@ -296,7 +279,7 @@ impl MetricsRegistry {
     /// exact ledgers (the farm does, after joining its workers).
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::default();
-        for shard in &self.inner.shards {
+        for shard in self.shards.iter() {
             for (name, m) in shard.lock().iter() {
                 match m {
                     Metric::Counter(c) => {
@@ -982,47 +965,182 @@ pub fn check_snapshot(snap: &MetricsSnapshot) -> Vec<String> {
     bad
 }
 
-/// The per-space metrics slot: one **relaxed** atomic load on the fast
-/// (disabled) path; the registry handle behind a mutex when enabled.
-///
-/// Closures passed to [`MetricsSlot::with`] run while the slot mutex is
-/// held and MUST NOT re-enter the tuple space (the space's partition
-/// locks may be held by the caller — see the lock-order note in
-/// `space.rs`).
-#[derive(Default)]
-pub(crate) struct MetricsSlot {
-    enabled: AtomicBool,
-    reg: Mutex<Option<MetricsRegistry>>,
+/// The ledger sink of the instrumentation probe: turns each event into
+/// registry updates. [`Ledger::account`] and its helpers below are the one
+/// place the per-op metric names are spelled. Handles are registered on
+/// first use and then cached, so a snapshot holds exactly the names some
+/// event touched and a steady-state event costs a few relaxed atomic adds.
+/// A ledger lives as long as its registry stays installed on one space.
+pub(crate) struct Ledger {
+    reg: MetricsRegistry,
+    counters: HashMap<&'static str, Counter>,
+    histograms: HashMap<&'static str, Histogram>,
+    /// `space.part.<sig>.ops`, plus `.occupancy` once a local op reports it
+    /// (the socket backend cannot see broker-side occupancy).
+    parts: HashMap<Sig, (Counter, Option<Gauge>)>,
 }
 
-impl MetricsSlot {
-    /// Install or remove the registry.
-    pub(crate) fn set(&self, reg: Option<MetricsRegistry>) {
-        let mut slot = self.reg.lock();
-        self.enabled.store(reg.is_some(), Ordering::Relaxed);
-        *slot = reg;
-    }
-
-    /// Is a registry installed? One relaxed load.
-    #[inline]
-    pub(crate) fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Run `f` against the installed registry, if any. The enabled check
-    /// is the only cost on the disabled path.
-    #[inline]
-    pub(crate) fn with(&self, f: impl FnOnce(&MetricsRegistry)) {
-        if self.enabled() {
-            if let Some(reg) = &*self.reg.lock() {
-                f(reg);
-            }
+impl Ledger {
+    pub(crate) fn new(reg: MetricsRegistry) -> Self {
+        Ledger {
+            reg,
+            counters: HashMap::new(),
+            histograms: HashMap::new(),
+            parts: HashMap::new(),
         }
     }
 
-    /// Clone of the installed registry, if any.
-    pub(crate) fn get(&self) -> Option<MetricsRegistry> {
-        self.reg.lock().clone()
+    pub(crate) fn registry(&self) -> &MetricsRegistry {
+        &self.reg
+    }
+
+    /// Account one event. Must never re-enter the tuple space: the caller
+    /// may hold a partition lock.
+    pub(crate) fn account(&mut self, ev: &Event<'_>) {
+        let (name, n) = match *ev {
+            Event::Out {
+                tuples,
+                occupancy,
+                deferred,
+            } => {
+                let n = tuples.len() as u64;
+                match (occupancy, tuples.first()) {
+                    // One local partition: one handle for the whole batch.
+                    (Some(_), Some(t)) => self.part(&t.sig(), n, occupancy),
+                    _ => tuples.iter().for_each(|t| self.part(&t.sig(), 1, None)),
+                }
+                if deferred {
+                    self.add("net.deferred.outs", n);
+                }
+                ("space.ops.out", n)
+            }
+            Event::Found {
+                withdrawn,
+                tuples,
+                occupancy,
+                batch,
+            } => {
+                let n = tuples.len() as u64;
+                if let Some(t) = tuples.first() {
+                    self.part(&t.sig(), n, occupancy);
+                }
+                if batch {
+                    self.batch(n);
+                }
+                let name = if withdrawn {
+                    "space.ops.take"
+                } else {
+                    "space.ops.read"
+                };
+                (name, n)
+            }
+            Event::Miss { batch, .. } => {
+                if batch {
+                    self.batch(0);
+                }
+                ("space.ops.miss", 1)
+            }
+            Event::Block { .. } => ("space.ops.block", 1),
+            Event::Wake { since } => {
+                if let Some(since) = since {
+                    self.observe("space.block_ns", since.elapsed().as_nanos() as u64);
+                }
+                ("space.ops.wake", 1)
+            }
+            Event::WaitCancelled => ("space.ops.cancelled", 1),
+            Event::Restore { .. } => ("space.ops.restore", 1),
+            Event::XStart { .. } => ("txn.start", 1),
+            Event::NestedXStart { .. } => ("txn.nested", 1),
+            Event::XCommit {
+                continuation,
+                started,
+                ..
+            } => {
+                if continuation {
+                    self.add("txn.continuations", 1);
+                }
+                if let Some(started) = started {
+                    self.observe("txn.duration_ns", started.elapsed().as_nanos() as u64);
+                }
+                ("txn.commit", 1)
+            }
+            Event::XAbort { .. } => ("txn.abort", 1),
+            Event::XRecover { found: true, .. } => ("txn.recover.hit", 1),
+            Event::XRecover { found: false, .. } => ("txn.recover.miss", 1),
+            Event::Spawn => ("runtime.spawns", 1),
+            Event::Kill { .. } => ("runtime.kills", 1),
+            Event::Respawn { .. } => ("runtime.respawns", 1),
+            Event::Done { protocol_error, .. } => {
+                if protocol_error {
+                    self.add("runtime.protocol_errors", 1);
+                }
+                ("runtime.done", 1)
+            }
+            Event::Flush { acked, pipelined } => {
+                self.add("net.deferred.acked", acked);
+                if pipelined {
+                    self.batch(2);
+                }
+                ("net.deferred.flushes", 1)
+            }
+            Event::Chan {
+                name,
+                dir,
+                n,
+                depth,
+            } => {
+                // Looked up per event, not cached: a long-lived registry
+                // drops a finished job's `chan.*` keys with `remove_prefix`,
+                // and the next job's channel must register them again.
+                self.reg.counter(&format!("chan.{name}.{dir}")).add(n);
+                self.reg.gauge(&format!("chan.{name}.depth")).set(depth);
+                return;
+            }
+            Event::BufferedOut { .. }
+            | Event::TentativeIn { .. }
+            | Event::SelfIn { .. }
+            | Event::Virtual(_) => return,
+        };
+        self.add(name, n);
+    }
+
+    fn add(&mut self, name: &'static str, n: u64) {
+        let reg = &self.reg;
+        self.counters
+            .entry(name)
+            .or_insert_with(|| reg.counter(name))
+            .add(n);
+    }
+
+    fn observe(&mut self, name: &'static str, v: u64) {
+        let reg = &self.reg;
+        self.histograms
+            .entry(name)
+            .or_insert_with(|| reg.histogram(name))
+            .observe(v);
+    }
+
+    /// One batched broker exchange carrying `k` operations or tuples. The
+    /// counter and the histogram move together, so `net.batch.ops` always
+    /// equals the sum of `net.batch.occupancy`.
+    fn batch(&mut self, k: u64) {
+        self.add("net.batch.ops", k);
+        self.observe("net.batch.occupancy", k);
+    }
+
+    fn part(&mut self, sig: &Sig, n: u64, occupancy: Option<usize>) {
+        let reg = &self.reg;
+        if !self.parts.contains_key(sig) {
+            let ops = reg.counter(&format!("space.part.{sig}.ops"));
+            self.parts.insert(sig.clone(), (ops, None));
+        }
+        let (ops, gauge) = self.parts.get_mut(sig).expect("inserted above");
+        ops.add(n);
+        if let Some(occupancy) = occupancy {
+            gauge
+                .get_or_insert_with(|| reg.gauge(&format!("space.part.{sig}.occupancy")))
+                .set(occupancy as i64);
+        }
     }
 }
 
@@ -1187,18 +1305,21 @@ mod tests {
 
     #[test]
     fn slot_disabled_is_inert() {
-        let slot = MetricsSlot::default();
-        assert!(!slot.enabled());
-        slot.with(|_| panic!("must not run while disabled"));
+        use crate::probe::{Event, Probe};
+        let probe = Probe::default();
+        assert!(!probe.metrics_enabled());
+        assert!(
+            !probe.emit(Event::Spawn),
+            "nothing installed, nothing delivered"
+        );
         let reg = MetricsRegistry::new();
-        slot.set(Some(reg.clone()));
-        let mut ran = false;
-        slot.with(|r| {
-            assert_eq!(r.id(), reg.id());
-            ran = true;
-        });
-        assert!(ran);
-        slot.set(None);
-        assert!(!slot.enabled());
+        probe.set_metrics(Some(reg.clone()));
+        assert!(probe.metrics_enabled());
+        assert!(probe.metrics().is_some());
+        assert!(probe.emit(Event::Spawn));
+        probe.set_metrics(None);
+        assert!(!probe.metrics_enabled());
+        assert!(!probe.emit(Event::Spawn));
+        assert_eq!(reg.snapshot().counter("runtime.spawns"), 1);
     }
 }

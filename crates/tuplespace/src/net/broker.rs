@@ -315,7 +315,7 @@ fn handle_simple(
         ReqBody::Count(tmpl) => RespBody::Num(space.count(&tmpl) as u64),
         ReqBody::HasMatch(tmpl) => RespBody::Bool(space.has_match(&tmpl)),
         ReqBody::Snapshot => RespBody::Tuples(space.snapshot()),
-        ReqBody::Restore(ts) => match space.restore_tuples(ts) {
+        ReqBody::Restore(ts) => match space.backend().restore(ts) {
             Ok(()) => {
                 resatisfy(sync, space);
                 RespBody::Ok
@@ -335,7 +335,7 @@ fn handle_simple(
             }
             // Record the continuation first, then publish — all under the
             // sync lock, so the commit is atomic for every other client.
-            match space.txn_commit(pid, Vec::new(), cont) {
+            match space.backend().txn_commit(pid, Vec::new(), cont) {
                 Ok(()) => {
                     deliver_all(sync, space, publish);
                     RespBody::Ok
@@ -357,11 +357,11 @@ fn handle_simple(
             deliver_all(sync, space, tentative);
             RespBody::Ok
         }
-        ReqBody::ContGet { pid } => match space.cont_get(pid) {
+        ReqBody::ContGet { pid } => match space.backend().cont_get(pid) {
             Ok(c) => RespBody::Tuple(c),
             Err(e) => RespBody::Err(e.to_string()),
         },
-        ReqBody::ContClear { pid } => match space.cont_clear(pid) {
+        ReqBody::ContClear { pid } => match space.backend().cont_clear(pid) {
             Ok(()) => RespBody::Ok,
             Err(e) => RespBody::Err(e.to_string()),
         },

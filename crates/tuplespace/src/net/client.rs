@@ -37,20 +37,20 @@
 //!   response; `txn_commit` uses this to flush deferred outs and commit
 //!   in a single round-trip.
 //!
-//! Trace events and metrics are recorded *client-side* under the same
-//! names as the local backend (`space.ops.*`, `space.part.<sig>.ops`,
-//! `space.block_ns`), so the `fpdm.metrics.v1` ledger and the `check`
-//! analyzers see the same shape either way. Per-partition occupancy gauges
-//! are broker state and are not mirrored.
+//! Instrumentation events are emitted *client-side*, the same events the
+//! local backend emits, so the `fpdm.metrics.v1` ledger and the `check`
+//! analyzers see the same shape either way. Partition occupancy is broker
+//! state, so these events carry none and the ledger keeps no occupancy
+//! gauges for a socket-backed space.
 
 use super::frame::{encode_frame, FrameEvent, FrameReader};
 use super::proto::{Req, ReqBody, Resp, RespBody};
 use crate::backend::SpaceBackend;
-use crate::check::trace::{self, OpKind, RecorderSlot, TraceEvent};
-use crate::metrics::MetricsSlot;
+use crate::check::trace::OpKind;
+use crate::probe::{Event, Probe};
 use crate::process::PlindaError;
 use crate::template::Template;
-use crate::value::{Sig, Tuple};
+use crate::value::Tuple;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::io::Write;
@@ -95,25 +95,19 @@ thread_local! {
 pub struct SocketBackend {
     id: u64,
     path: PathBuf,
-    rec: Arc<RecorderSlot>,
-    met: Arc<MetricsSlot>,
+    probe: Arc<Probe>,
 }
 
 impl SocketBackend {
     /// Connect to the broker at `path`. Fails fast if no broker listens
     /// there; per-thread working connections are opened lazily.
-    pub(crate) fn connect(
-        path: &Path,
-        rec: Arc<RecorderSlot>,
-        met: Arc<MetricsSlot>,
-    ) -> std::io::Result<Self> {
+    pub(crate) fn connect(path: &Path, probe: Arc<Probe>) -> std::io::Result<Self> {
         // Probe connection: surface "no broker" at setup, not first op.
         drop(UnixStream::connect(path)?);
         Ok(SocketBackend {
             id: NEXT_BACKEND_ID.fetch_add(1, Ordering::SeqCst),
             path: path.to_owned(),
-            rec,
-            met,
+            probe,
         })
     }
 
@@ -159,16 +153,6 @@ impl SocketBackend {
         })
     }
 
-    /// Record a metric bump under the local backend's counter names.
-    fn bump(&self, global: &'static str, sig: Option<&Sig>, n: u64) {
-        self.met.with(|reg| {
-            reg.counter(global).add(n);
-            if let Some(sig) = sig {
-                reg.counter(&format!("space.part.{sig}.ops")).add(n);
-            }
-        });
-    }
-
     /// One strict request-response exchange.
     fn rpc(&self, body: ReqBody) -> Result<RespBody, PlindaError> {
         self.with_conn(|conn| {
@@ -185,23 +169,12 @@ impl SocketBackend {
         })
     }
 
-    /// Blocking `in`/`rd` with cancellation, over the polled wait protocol.
-    fn blocking_wait(
-        &self,
-        tmpl: &Template,
-        cancel: Option<&AtomicBool>,
-        withdraw: bool,
-    ) -> Result<Option<Tuple>, PlindaError> {
-        Ok(self
-            .blocking_wait_impl(tmpl, cancel, withdraw, None)?
-            .map(|mut got| got.remove(0)))
-    }
-
-    /// Shared body of `in`/`rd`/`in_batch` waits. `bulk: Some(max)` sends
+    /// Blocking `in`/`rd`/`in_batch` with cancellation, over the polled
+    /// wait protocol. `bulk: Some(max)` sends
     /// an `InBatch` answered with `Tuples`; `None` sends `In`/`Rd`
     /// answered with `Tuple`. A successful bulk return holds 1..=max
     /// tuples.
-    fn blocking_wait_impl(
+    fn blocking_wait(
         &self,
         tmpl: &Template,
         cancel: Option<&AtomicBool>,
@@ -210,10 +183,10 @@ impl SocketBackend {
     ) -> Result<Option<Vec<Tuple>>, PlindaError> {
         let cancelled = |c: Option<&AtomicBool>| c.is_some_and(|c| c.load(Ordering::SeqCst));
         if cancelled(cancel) {
-            self.note_cancelled();
+            self.probe.emit(Event::WaitCancelled);
             return Ok(None);
         }
-        let sig = tmpl.sig();
+        let (mut blocked, mut block_start) = (false, None);
         let got = self.with_conn(|conn| {
             conn.seq += 1;
             let wait_seq = conn.seq;
@@ -231,11 +204,9 @@ impl SocketBackend {
                     },
                 },
             )?;
-            let mut blocked = false;
-            let mut block_start: Option<Instant> = None;
             loop {
                 if let Some(body) = conn.inflight.remove(&wait_seq) {
-                    return finish_wait(body, bulk, blocked, block_start);
+                    return finish_wait(body, bulk);
                 }
                 match conn.reader.read_from(&mut conn.stream)? {
                     FrameEvent::Frame(payload) => {
@@ -246,24 +217,19 @@ impl SocketBackend {
                             conn.inflight.insert(resp.seq, resp.body);
                             continue;
                         }
-                        return finish_wait(resp.body, bulk, blocked, block_start);
+                        return finish_wait(resp.body, bulk);
                     }
                     FrameEvent::TimedOut => {
                         if !blocked {
                             blocked = true;
-                            self.rec.record(|| TraceEvent::Block {
-                                actor: trace::current_actor(),
-                                op: if withdraw { OpKind::In } else { OpKind::Rd },
-                                template: tmpl.clone(),
-                            });
-                            if self.met.enabled() {
-                                block_start = Some(Instant::now());
-                                self.met.with(|reg| reg.counter("space.ops.block").inc());
-                            }
+                            let op = if withdraw { OpKind::In } else { OpKind::Rd };
+                            block_start = self
+                                .probe
+                                .emit(Event::Block { op, template: tmpl })
+                                .then(Instant::now);
                         }
                         if cancelled(cancel) {
-                            let won = cancel_wait(conn, wait_seq, bulk.is_some())?;
-                            return Ok((won, blocked, block_start));
+                            return cancel_wait(conn, wait_seq, bulk.is_some());
                         }
                     }
                     FrameEvent::Eof => {
@@ -273,87 +239,68 @@ impl SocketBackend {
             }
         })?;
         match got {
-            (Some(ts), blocked, block_start) => {
+            Some(ts) => {
                 // A cancel may have raced the arrival; `cancel_wait` already
                 // returned the tuples to the space in that case and reported
                 // None, so reaching here means the wait truly succeeded.
                 if blocked {
-                    self.rec.record(|| TraceEvent::Wake {
-                        actor: trace::current_actor(),
-                    });
-                    self.met.with(|reg| {
-                        reg.counter("space.ops.wake").inc();
-                        if let Some(start) = block_start {
-                            reg.histogram("space.block_ns")
-                                .observe(start.elapsed().as_nanos() as u64);
-                        }
-                    });
+                    self.probe.emit(Event::Wake { since: block_start });
                 }
-                for t in &ts {
-                    self.rec.record(|| {
-                        let actor = trace::current_actor();
-                        let tuple = t.clone();
-                        if withdraw {
-                            TraceEvent::Take { actor, tuple }
-                        } else {
-                            TraceEvent::Read { actor, tuple }
-                        }
-                    });
-                }
-                self.bump(
-                    if withdraw {
-                        "space.ops.take"
-                    } else {
-                        "space.ops.read"
-                    },
-                    Some(&sig),
-                    ts.len() as u64,
-                );
-                if bulk.is_some() {
-                    self.note_batch(ts.len());
-                }
+                self.probe.emit(Event::Found {
+                    withdrawn: withdraw,
+                    tuples: &ts,
+                    occupancy: None,
+                    batch: bulk.is_some(),
+                });
                 Ok(Some(ts))
             }
-            (None, _, _) => {
-                self.note_cancelled();
+            None => {
+                self.probe.emit(Event::WaitCancelled);
                 Ok(None)
             }
         }
     }
 
-    fn note_cancelled(&self) {
-        self.rec.record(|| TraceEvent::WaitCancelled {
-            actor: trace::current_actor(),
+    /// Emit the outcome of a non-blocking `inp`/`rdp`: `Found` for `got`,
+    /// or a `Miss` when it is empty.
+    fn emit_poll(&self, op: OpKind, tmpl: &Template, got: &[Tuple], batch: bool) {
+        self.probe.emit(if got.is_empty() {
+            Event::Miss {
+                op,
+                template: tmpl,
+                batch,
+            }
+        } else {
+            Event::Found {
+                withdrawn: op == OpKind::Inp,
+                tuples: got,
+                occupancy: None,
+                batch,
+            }
         });
-        self.met
-            .with(|reg| reg.counter("space.ops.cancelled").inc());
     }
 
-    /// Record one batched exchange that carried `k` operations (or tuples).
-    /// Counter and histogram are bumped at the same site, so
-    /// `net.batch.ops` always equals the sum of `net.batch.occupancy`.
-    fn note_batch(&self, k: usize) {
-        self.met.with(|reg| {
-            reg.counter("net.batch.ops").add(k as u64);
-            reg.histogram("net.batch.occupancy").observe(k as u64);
+    /// Emit the visibility of `tuples` before they are sent, mirroring the
+    /// local backend's "emit at the visibility point" — the broker makes
+    /// them visible on receipt, and this client observes no earlier point.
+    /// An empty batch emits nothing.
+    fn emit_out(&self, tuples: &[Tuple], deferred: bool) {
+        if tuples.is_empty() {
+            return;
+        }
+        self.probe.emit(Event::Out {
+            tuples,
+            occupancy: None,
+            deferred,
         });
     }
 }
 
-/// Outcome of a classified wait response: the withdrawn tuples plus the
-/// threaded-through blocking bookkeeping.
-type WaitOutcome = (Option<Vec<Tuple>>, bool, Option<Instant>);
-
-/// Classify a wait response for [`SocketBackend::blocking_wait_impl`].
-fn finish_wait(
-    body: RespBody,
-    bulk: Option<usize>,
-    blocked: bool,
-    block_start: Option<Instant>,
-) -> Result<WaitOutcome, PlindaError> {
+/// Classify a wait response for [`SocketBackend::blocking_wait`].
+fn finish_wait(body: RespBody, bulk: Option<usize>) -> Result<Option<Vec<Tuple>>, PlindaError> {
     match (bulk, body) {
-        (None, RespBody::Tuple(Some(t))) => Ok((Some(vec![t]), blocked, block_start)),
-        (Some(_), RespBody::Tuples(ts)) if !ts.is_empty() => Ok((Some(ts), blocked, block_start)),
+        (None, RespBody::Tuple(Some(t))) => Ok(Some(vec![t])),
+        (Some(_), RespBody::Tuples(ts)) if !ts.is_empty() => Ok(Some(ts)),
         (_, other) => Err(PlindaError::Transport(format!(
             "unexpected blocking-wait response: {other:?}"
         ))),
@@ -405,7 +352,7 @@ fn recv_seq(conn: &mut Conn, seq: u64) -> Result<RespBody, PlindaError> {
 
 /// Force a `Flush` round-trip: every parked deferred out of this
 /// connection is applied and acknowledged.
-fn flush_conn(conn: &mut Conn, met: &MetricsSlot) -> Result<u64, PlindaError> {
+fn flush_conn(conn: &mut Conn, probe: &Probe) -> Result<u64, PlindaError> {
     conn.seq += 1;
     let seq = conn.seq;
     send_req(
@@ -418,9 +365,9 @@ fn flush_conn(conn: &mut Conn, met: &MetricsSlot) -> Result<u64, PlindaError> {
     match recv_seq(conn, seq)? {
         RespBody::Num(n) => {
             conn.unacked_deferred = 0;
-            met.with(|reg| {
-                reg.counter("net.deferred.flushes").inc();
-                reg.counter("net.deferred.acked").add(n);
+            probe.emit(Event::Flush {
+                acked: n,
+                pipelined: false,
             });
             Ok(n)
         }
@@ -519,15 +466,7 @@ impl SpaceBackend for SocketBackend {
     }
 
     fn out(&self, t: Tuple) -> Result<(), PlindaError> {
-        let sig = t.sig();
-        // Recorded before the send, mirroring the local backend's "record
-        // at the visibility point" — the broker makes it visible on
-        // receipt, and this client observes no earlier point.
-        self.rec.record(|| TraceEvent::OutVisible {
-            actor: trace::current_actor(),
-            tuple: t.clone(),
-        });
-        self.bump("space.ops.out", Some(&sig), 1);
+        self.emit_out(std::slice::from_ref(&t), false);
         match self.rpc(ReqBody::Out(t))? {
             RespBody::Ok => Ok(()),
             other => Err(unexpected("out", &other)),
@@ -538,13 +477,7 @@ impl SpaceBackend for SocketBackend {
         if ts.is_empty() {
             return Ok(());
         }
-        for t in &ts {
-            self.rec.record(|| TraceEvent::OutVisible {
-                actor: trace::current_actor(),
-                tuple: t.clone(),
-            });
-            self.bump("space.ops.out", Some(&t.sig()), 1);
-        }
+        self.emit_out(&ts, false);
         match self.rpc(ReqBody::OutAll(ts))? {
             RespBody::Ok => Ok(()),
             other => Err(unexpected("out_all", &other)),
@@ -553,22 +486,9 @@ impl SpaceBackend for SocketBackend {
 
     fn inp(&self, tmpl: &Template) -> Result<Option<Tuple>, PlindaError> {
         match self.rpc(ReqBody::Inp(tmpl.clone()))? {
-            RespBody::Tuple(Some(t)) => {
-                self.rec.record(|| TraceEvent::Take {
-                    actor: trace::current_actor(),
-                    tuple: t.clone(),
-                });
-                self.bump("space.ops.take", Some(&tmpl.sig()), 1);
-                Ok(Some(t))
-            }
-            RespBody::Tuple(None) => {
-                self.rec.record(|| TraceEvent::Miss {
-                    actor: trace::current_actor(),
-                    op: OpKind::Inp,
-                    template: tmpl.clone(),
-                });
-                self.bump("space.ops.miss", None, 1);
-                Ok(None)
+            RespBody::Tuple(got) => {
+                self.emit_poll(OpKind::Inp, tmpl, got.as_slice(), false);
+                Ok(got)
             }
             other => Err(unexpected("inp", &other)),
         }
@@ -576,22 +496,9 @@ impl SpaceBackend for SocketBackend {
 
     fn rdp(&self, tmpl: &Template) -> Result<Option<Tuple>, PlindaError> {
         match self.rpc(ReqBody::Rdp(tmpl.clone()))? {
-            RespBody::Tuple(Some(t)) => {
-                self.rec.record(|| TraceEvent::Read {
-                    actor: trace::current_actor(),
-                    tuple: t.clone(),
-                });
-                self.bump("space.ops.read", Some(&tmpl.sig()), 1);
-                Ok(Some(t))
-            }
-            RespBody::Tuple(None) => {
-                self.rec.record(|| TraceEvent::Miss {
-                    actor: trace::current_actor(),
-                    op: OpKind::Rdp,
-                    template: tmpl.clone(),
-                });
-                self.bump("space.ops.miss", None, 1);
-                Ok(None)
+            RespBody::Tuple(got) => {
+                self.emit_poll(OpKind::Rdp, tmpl, got.as_slice(), false);
+                Ok(got)
             }
             other => Err(unexpected("rdp", &other)),
         }
@@ -602,7 +509,9 @@ impl SpaceBackend for SocketBackend {
         tmpl: &Template,
         cancel: Option<&AtomicBool>,
     ) -> Result<Option<Tuple>, PlindaError> {
-        self.blocking_wait(tmpl, cancel, true)
+        Ok(self
+            .blocking_wait(tmpl, cancel, true, None)?
+            .and_then(|mut got| got.pop()))
     }
 
     fn rd_cancellable(
@@ -610,21 +519,17 @@ impl SpaceBackend for SocketBackend {
         tmpl: &Template,
         cancel: Option<&AtomicBool>,
     ) -> Result<Option<Tuple>, PlindaError> {
-        self.blocking_wait(tmpl, cancel, false)
+        Ok(self
+            .blocking_wait(tmpl, cancel, false, None)?
+            .and_then(|mut got| got.pop()))
     }
 
     fn out_deferred(&self, t: Tuple) -> Result<(), PlindaError> {
-        let sig = t.sig();
-        // Trace/metric at enqueue, like `out`: within this connection the
-        // tuple is observable by every later operation (the broker applies
+        // Emitted at enqueue, like `out`: within this connection the tuple
+        // is observable by every later operation (the broker applies
         // parked outs before answering anything), and no other process can
         // distinguish "parked" from "in flight".
-        self.rec.record(|| TraceEvent::OutVisible {
-            actor: trace::current_actor(),
-            tuple: t.clone(),
-        });
-        self.bump("space.ops.out", Some(&sig), 1);
-        self.met.with(|reg| reg.counter("net.deferred.outs").inc());
+        self.emit_out(std::slice::from_ref(&t), true);
         self.with_conn(|conn| {
             conn.seq += 1;
             let seq = conn.seq;
@@ -636,7 +541,7 @@ impl SpaceBackend for SocketBackend {
             conn.wbuf.extend_from_slice(&encode_frame(&req.encode()));
             conn.unacked_deferred += 1;
             if conn.unacked_deferred >= DEFER_WINDOW {
-                flush_conn(conn, &self.met)?;
+                flush_conn(conn, &self.probe)?;
             }
             Ok(())
         })
@@ -646,15 +551,8 @@ impl SpaceBackend for SocketBackend {
         if ts.is_empty() {
             return Ok(());
         }
-        for t in &ts {
-            self.rec.record(|| TraceEvent::OutVisible {
-                actor: trace::current_actor(),
-                tuple: t.clone(),
-            });
-            self.bump("space.ops.out", Some(&t.sig()), 1);
-        }
+        self.emit_out(&ts, true);
         let n = ts.len() as u64;
-        self.met.with(|reg| reg.counter("net.deferred.outs").add(n));
         self.with_conn(|conn| {
             conn.seq += 1;
             let seq = conn.seq;
@@ -665,14 +563,14 @@ impl SpaceBackend for SocketBackend {
             conn.wbuf.extend_from_slice(&encode_frame(&req.encode()));
             conn.unacked_deferred += n;
             if conn.unacked_deferred >= DEFER_WINDOW {
-                flush_conn(conn, &self.met)?;
+                flush_conn(conn, &self.probe)?;
             }
             Ok(())
         })
     }
 
     fn flush(&self) -> Result<u64, PlindaError> {
-        self.with_conn(|conn| flush_conn(conn, &self.met))
+        self.with_conn(|conn| flush_conn(conn, &self.probe))
     }
 
     fn inp_batch(&self, tmpl: &Template, max: usize) -> Result<Vec<Tuple>, PlindaError> {
@@ -684,23 +582,7 @@ impl SpaceBackend for SocketBackend {
             max: max as u64,
         })? {
             RespBody::Tuples(ts) => {
-                self.note_batch(ts.len());
-                if ts.is_empty() {
-                    self.rec.record(|| TraceEvent::Miss {
-                        actor: trace::current_actor(),
-                        op: OpKind::Inp,
-                        template: tmpl.clone(),
-                    });
-                    self.bump("space.ops.miss", None, 1);
-                } else {
-                    for t in &ts {
-                        self.rec.record(|| TraceEvent::Take {
-                            actor: trace::current_actor(),
-                            tuple: t.clone(),
-                        });
-                    }
-                    self.bump("space.ops.take", Some(&tmpl.sig()), ts.len() as u64);
-                }
+                self.emit_poll(OpKind::Inp, tmpl, &ts, true);
                 Ok(ts)
             }
             other => Err(unexpected("inp_batch", &other)),
@@ -713,10 +595,7 @@ impl SpaceBackend for SocketBackend {
         max: usize,
         cancel: Option<&AtomicBool>,
     ) -> Result<Option<Vec<Tuple>>, PlindaError> {
-        if max <= 1 {
-            return Ok(self.blocking_wait(tmpl, cancel, true)?.map(|t| vec![t]));
-        }
-        self.blocking_wait_impl(tmpl, cancel, true, Some(max))
+        self.blocking_wait(tmpl, cancel, true, (max > 1).then_some(max))
     }
 
     fn kick(&self) {
@@ -753,10 +632,9 @@ impl SpaceBackend for SocketBackend {
     }
 
     fn restore(&self, tuples: Vec<Tuple>) -> Result<(), PlindaError> {
-        self.rec.record(|| TraceEvent::Reset {
-            actor: trace::current_actor(),
-        });
-        self.met.with(|reg| reg.counter("space.ops.restore").inc());
+        // The broker places the tuples; this client observes only the
+        // reset.
+        self.probe.emit(Event::Restore { tuples: &[] });
         match self.rpc(ReqBody::Restore(tuples))? {
             RespBody::Ok => Ok(()),
             other => Err(unexpected("restore", &other)),
@@ -776,13 +654,7 @@ impl SpaceBackend for SocketBackend {
         publish: Vec<Tuple>,
         cont: Option<Tuple>,
     ) -> Result<(), PlindaError> {
-        for t in &publish {
-            self.rec.record(|| TraceEvent::OutVisible {
-                actor: trace::current_actor(),
-                tuple: t.clone(),
-            });
-            self.bump("space.ops.out", Some(&t.sig()), 1);
-        }
+        self.emit_out(&publish, false);
         let needs_flush = self.with_conn(|conn| Ok(conn.unacked_deferred > 0))?;
         if !needs_flush {
             return match self.rpc(ReqBody::TxnCommit { pid, publish, cont })? {
@@ -792,7 +664,7 @@ impl SpaceBackend for SocketBackend {
         }
         // Unacknowledged deferred outs ride ahead of the commit: pipeline
         // the flush and the commit as one batch frame, one round-trip.
-        let commit_body = self.with_conn(|conn| {
+        let (acked, commit_body) = self.with_conn(|conn| {
             conn.seq += 1;
             let flush_seq = conn.seq;
             conn.seq += 1;
@@ -817,23 +689,21 @@ impl SpaceBackend for SocketBackend {
             )?;
             match recv_seq(conn, batch_seq)? {
                 RespBody::Batch(resps) => {
-                    let mut commit_body = None;
+                    let (mut acked, mut commit_body) = (0, None);
                     for resp in resps {
                         if resp.seq == flush_seq {
                             if let RespBody::Num(n) = resp.body {
                                 conn.unacked_deferred = 0;
-                                self.met.with(|reg| {
-                                    reg.counter("net.deferred.flushes").inc();
-                                    reg.counter("net.deferred.acked").add(n);
-                                });
+                                acked = n;
                             }
                         } else if resp.seq == commit_seq {
                             commit_body = Some(resp.body);
                         }
                     }
-                    commit_body.ok_or_else(|| {
+                    let commit_body = commit_body.ok_or_else(|| {
                         PlindaError::Transport("batch response missing commit entry".into())
-                    })
+                    })?;
+                    Ok((acked, commit_body))
                 }
                 RespBody::Err(msg) => Err(PlindaError::Transport(format!(
                     "broker rejected request: {msg}"
@@ -841,7 +711,10 @@ impl SpaceBackend for SocketBackend {
                 other => Err(unexpected("txn_commit", &other)),
             }
         })?;
-        self.note_batch(2);
+        self.probe.emit(Event::Flush {
+            acked,
+            pipelined: true,
+        });
         match commit_body {
             RespBody::Ok => Ok(()),
             other => Err(unexpected("txn_commit", &other)),
@@ -849,13 +722,7 @@ impl SpaceBackend for SocketBackend {
     }
 
     fn txn_abort(&self, pid: u64, restore: Vec<Tuple>) -> Result<(), PlindaError> {
-        for t in &restore {
-            self.rec.record(|| TraceEvent::OutVisible {
-                actor: trace::current_actor(),
-                tuple: t.clone(),
-            });
-            self.bump("space.ops.out", Some(&t.sig()), 1);
-        }
+        self.emit_out(&restore, false);
         match self.rpc(ReqBody::TxnAbort { pid, restore })? {
             RespBody::Ok => Ok(()),
             other => Err(unexpected("txn_abort", &other)),

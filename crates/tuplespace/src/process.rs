@@ -25,7 +25,8 @@
 //! [`PlindaError::Transport`] / [`PlindaError::Codec`] from the
 //! transactional operations instead of panics.
 
-use crate::check::trace::{self, TraceEvent};
+use crate::check::trace;
+use crate::probe::Event;
 use crate::space::TupleSpace;
 use crate::template::Template;
 use crate::value::Tuple;
@@ -193,8 +194,8 @@ struct Txn {
     consumed: Vec<Tuple>,
     /// Tuples produced; published atomically on commit.
     outbox: Vec<Tuple>,
-    /// Open time — only sampled while metrics are enabled, feeding the
-    /// `txn.duration_ns` histogram at commit.
+    /// Open time — only sampled while an instrumentation sink is
+    /// installed; the ledger turns it into `txn.duration_ns` at commit.
     started: Option<std::time::Instant>,
 }
 
@@ -280,25 +281,19 @@ impl Process {
     /// and the `plinda::check` analyzers can observe it.
     pub fn xstart(&mut self) -> Result<(), PlindaError> {
         if self.txn.is_some() {
-            self.space
-                .record(|| TraceEvent::NestedXStart { pid: self.pid });
-            self.space.metric(|reg| reg.counter("txn.nested").inc());
+            self.space.emit(Event::NestedXStart { pid: self.pid });
             return Err(PlindaError::NestedTransaction);
         }
-        self.space.txn_begin(self.pid)?;
+        self.space.backend().txn_begin(self.pid)?;
         self.txn_seq += 1;
-        self.space.record(|| TraceEvent::XStart {
+        let observed = self.space.emit(Event::XStart {
             pid: self.pid,
             txn: self.txn_seq,
         });
-        let metered = self.space.metrics_enabled();
-        if metered {
-            self.space.metric(|reg| reg.counter("txn.start").inc());
-        }
         self.txn = Some(Txn {
             consumed: Vec::new(),
             outbox: Vec::new(),
-            started: metered.then(std::time::Instant::now),
+            started: observed.then(std::time::Instant::now),
         });
         Ok(())
     }
@@ -312,10 +307,10 @@ impl Process {
     pub fn out(&mut self, t: Tuple) {
         match &mut self.txn {
             Some(txn) => {
-                self.space.record(|| TraceEvent::BufferedOut {
+                self.space.emit(Event::BufferedOut {
                     pid: self.pid,
                     txn: self.txn_seq,
-                    tuple: t.clone(),
+                    tuple: &t,
                 });
                 txn.outbox.push(t);
             }
@@ -334,27 +329,16 @@ impl Process {
         if let Some(txn) = &mut self.txn {
             if let Some(i) = txn.outbox.iter().position(|t| tmpl.matches(t)) {
                 let t = txn.outbox.remove(i);
-                self.space.record(|| TraceEvent::SelfIn {
-                    pid: self.pid,
-                    txn: self.txn_seq,
-                    tuple: t.clone(),
-                });
+                self.self_in(std::slice::from_ref(&t));
                 return Ok(t);
             }
         }
         self.state.set_status(ProcessStatus::Blocked);
-        let got = self.as_actor(|s| s.try_in_cancellable(&tmpl, Some(&self.state.killed)));
+        let got = self.as_actor(|s| s.backend().in_cancellable(&tmpl, Some(&self.state.killed)));
         self.state.set_status(ProcessStatus::Running);
         match got? {
             Some(t) => {
-                if let Some(txn) = &mut self.txn {
-                    self.space.record(|| TraceEvent::TentativeIn {
-                        pid: self.pid,
-                        txn: self.txn_seq,
-                        tuple: t.clone(),
-                    });
-                    txn.consumed.push(t.clone());
-                }
+                self.tentative_in(std::slice::from_ref(&t));
                 Ok(t)
             }
             None => Err(PlindaError::Killed),
@@ -376,18 +360,11 @@ impl Process {
         if let Some(txn) = &mut self.txn {
             while got.len() < max {
                 match txn.outbox.iter().position(|t| tmpl.matches(t)) {
-                    Some(i) => {
-                        let t = txn.outbox.remove(i);
-                        self.space.record(|| TraceEvent::SelfIn {
-                            pid: self.pid,
-                            txn: self.txn_seq,
-                            tuple: t.clone(),
-                        });
-                        got.push(t);
-                    }
+                    Some(i) => got.push(txn.outbox.remove(i)),
                     None => break,
                 }
             }
+            self.self_in(&got);
             if got.len() >= max {
                 return Ok(got);
             }
@@ -395,8 +372,10 @@ impl Process {
         let want = max - got.len();
         let from_space = if got.is_empty() {
             self.state.set_status(ProcessStatus::Blocked);
-            let more = self
-                .as_actor(|s| s.try_in_batch_cancellable(&tmpl, want, Some(&self.state.killed)));
+            let more = self.as_actor(|s| {
+                s.backend()
+                    .in_batch_cancellable(&tmpl, want, Some(&self.state.killed))
+            });
             self.state.set_status(ProcessStatus::Running);
             match more? {
                 Some(ts) => ts,
@@ -405,18 +384,9 @@ impl Process {
         } else {
             // The outbox already satisfied the blocking part; only top the
             // batch up with whatever the space holds right now.
-            self.as_actor(|s| s.try_inp_batch(&tmpl, want))?
+            self.as_actor(|s| s.backend().inp_batch(&tmpl, want))?
         };
-        if let Some(txn) = &mut self.txn {
-            for t in &from_space {
-                self.space.record(|| TraceEvent::TentativeIn {
-                    pid: self.pid,
-                    txn: self.txn_seq,
-                    tuple: t.clone(),
-                });
-                txn.consumed.push(t.clone());
-            }
-        }
+        self.tentative_in(&from_space);
         got.extend(from_space);
         Ok(got)
     }
@@ -427,22 +397,13 @@ impl Process {
         if let Some(txn) = &mut self.txn {
             if let Some(i) = txn.outbox.iter().position(|t| tmpl.matches(t)) {
                 let t = txn.outbox.remove(i);
-                self.space.record(|| TraceEvent::SelfIn {
-                    pid: self.pid,
-                    txn: self.txn_seq,
-                    tuple: t.clone(),
-                });
+                self.self_in(std::slice::from_ref(&t));
                 return Ok(Some(t));
             }
         }
-        let got = self.as_actor(|s| s.try_inp(tmpl))?;
-        if let (Some(t), Some(txn)) = (&got, &mut self.txn) {
-            self.space.record(|| TraceEvent::TentativeIn {
-                pid: self.pid,
-                txn: self.txn_seq,
-                tuple: t.clone(),
-            });
-            txn.consumed.push(t.clone());
+        let got = self.as_actor(|s| s.backend().inp(tmpl))?;
+        if let Some(t) = &got {
+            self.tentative_in(std::slice::from_ref(t));
         }
         Ok(got)
     }
@@ -456,7 +417,7 @@ impl Process {
             }
         }
         self.state.set_status(ProcessStatus::Blocked);
-        let got = self.as_actor(|s| s.try_rd_cancellable(&tmpl, Some(&self.state.killed)));
+        let got = self.as_actor(|s| s.backend().rd_cancellable(&tmpl, Some(&self.state.killed)));
         self.state.set_status(ProcessStatus::Running);
         match got? {
             Some(t) => Ok(t),
@@ -472,7 +433,7 @@ impl Process {
                 return Ok(Some(t.clone()));
             }
         }
-        self.as_actor(|s| s.try_rdp(tmpl))
+        self.as_actor(|s| s.backend().rdp(tmpl))
     }
 
     /// Commit the open transaction: atomically publish buffered `out`s and
@@ -485,40 +446,21 @@ impl Process {
     pub fn xcommit(&mut self, continuation: Option<Tuple>) -> Result<(), PlindaError> {
         let txn = self.txn.take().ok_or(PlindaError::NoTransaction)?;
         if self.state.is_killed() {
-            // The failure happened before commit: abort. The XAbort event
-            // is recorded before the restoring publish so the transaction
-            // is closed in the trace when the restores become visible.
-            self.space.record(|| TraceEvent::XAbort {
-                pid: self.pid,
-                txn: self.txn_seq,
-                restored: txn.consumed.clone(),
-                dropped: txn.outbox.clone(),
-            });
-            self.space.metric(|reg| reg.counter("txn.abort").inc());
-            // A transport failure here is survivable: the broker restores
-            // a dead connection's tentative withdrawals itself.
-            let _ = self.as_actor(|s| s.txn_abort(self.pid, txn.consumed));
+            // The failure happened before commit: abort. A transport
+            // failure here is survivable: the broker restores a dead
+            // connection's tentative withdrawals itself.
+            self.abort_txn(txn);
             return Err(PlindaError::Killed);
         }
-        self.space.record(|| TraceEvent::XCommit {
+        self.space.emit(Event::XCommit {
             pid: self.pid,
             txn: self.txn_seq,
-            published: txn.outbox.clone(),
-            consumed: txn.consumed.clone(),
+            published: &txn.outbox,
+            consumed: &txn.consumed,
             continuation: continuation.is_some(),
+            started: txn.started,
         });
-        let with_cont = continuation.is_some();
-        self.space.metric(|reg| {
-            reg.counter("txn.commit").inc();
-            if with_cont {
-                reg.counter("txn.continuations").inc();
-            }
-            if let Some(start) = txn.started {
-                reg.histogram("txn.duration_ns")
-                    .observe(start.elapsed().as_nanos() as u64);
-            }
-        });
-        self.as_actor(|s| s.txn_commit(self.pid, txn.outbox, continuation))?;
+        self.as_actor(|s| s.backend().txn_commit(self.pid, txn.outbox, continuation))?;
         self.committed += 1;
         Ok(())
     }
@@ -526,25 +468,16 @@ impl Process {
     /// Retrieve the continuation of the last committed transaction of this
     /// logical process, if a previous incarnation failed after committing.
     pub fn xrecover(&self) -> Option<Tuple> {
-        let cont = match self.space.cont_get(self.pid) {
+        let cont = match self.space.backend().cont_get(self.pid) {
             Ok(c) => c,
             Err(e) => {
                 eprintln!("plinda: xrecover({}) failed: {e}", self.pid);
                 None
             }
         };
-        let found = cont.is_some();
-        self.space.record(|| TraceEvent::XRecover {
+        self.space.emit(Event::XRecover {
             pid: self.pid,
-            found,
-        });
-        self.space.metric(|reg| {
-            reg.counter(if found {
-                "txn.recover.hit"
-            } else {
-                "txn.recover.miss"
-            })
-            .inc();
+            found: cont.is_some(),
         });
         cont
     }
@@ -553,14 +486,43 @@ impl Process {
     /// discard buffered ones. Called by the runtime after a kill.
     pub(crate) fn abort(&mut self) {
         if let Some(txn) = self.txn.take() {
-            self.space.record(|| TraceEvent::XAbort {
+            self.abort_txn(txn);
+        }
+    }
+
+    /// Emit `XAbort`, then restore the tentative withdrawals — in that
+    /// order, so the transaction is closed in the trace when the restores
+    /// become visible.
+    fn abort_txn(&self, txn: Txn) {
+        self.space.emit(Event::XAbort {
+            pid: self.pid,
+            txn: self.txn_seq,
+            restored: &txn.consumed,
+            dropped: &txn.outbox,
+        });
+        let _ = self.as_actor(|s| s.backend().txn_abort(self.pid, txn.consumed));
+    }
+
+    /// Withdrawals satisfied from the open transaction's own outbox.
+    fn self_in(&self, tuples: &[Tuple]) {
+        if !tuples.is_empty() {
+            self.space.emit(Event::SelfIn {
                 pid: self.pid,
                 txn: self.txn_seq,
-                restored: txn.consumed.clone(),
-                dropped: txn.outbox.clone(),
+                tuples,
             });
-            self.space.metric(|reg| reg.counter("txn.abort").inc());
-            let _ = self.as_actor(|s| s.txn_abort(self.pid, txn.consumed));
+        }
+    }
+
+    /// Space withdrawals that become tentative if a transaction is open.
+    fn tentative_in(&mut self, tuples: &[Tuple]) {
+        if let Some(txn) = &mut self.txn {
+            self.space.emit(Event::TentativeIn {
+                pid: self.pid,
+                txn: self.txn_seq,
+                tuples,
+            });
+            txn.consumed.extend_from_slice(tuples);
         }
     }
 }
@@ -692,6 +654,6 @@ mod tests {
         assert!(trace
             .events
             .iter()
-            .any(|e| matches!(e, TraceEvent::NestedXStart { pid: 7 })));
+            .any(|e| matches!(e, crate::TraceEvent::NestedXStart { pid: 7 })));
     }
 }

@@ -11,7 +11,7 @@
 //! guarantee (§7.1.2): a completed computation, with or without failures,
 //! reaches the same final state as a failure-free execution.
 
-use crate::check::trace::TraceEvent;
+use crate::probe::Event;
 use crate::process::{PlindaError, Process, ProcessState, ProcessStatus};
 use crate::space::TupleSpace;
 use parking_lot::Mutex;
@@ -113,32 +113,27 @@ impl Runtime {
         let handle = std::thread::Builder::new()
             .name(format!("plinda-{name}-{pid}"))
             .spawn(move || {
-                space.metric(|reg| reg.counter("runtime.spawns").inc());
-                loop {
+                space.emit(Event::Spawn);
+                let protocol_error = loop {
                     let mut proc = Process::new(pid, Arc::clone(&space), Arc::clone(&thread_state));
                     thread_state.set_status(ProcessStatus::Running);
                     match f(&mut proc) {
                         Ok(()) => {
-                            let _ = space.cont_clear(pid);
+                            let _ = space.backend().cont_clear(pid);
                             thread_state.set_status(ProcessStatus::Done);
-                            space.record(|| TraceEvent::Done { pid });
-                            space.metric(|reg| reg.counter("runtime.done").inc());
-                            return;
+                            break false;
                         }
                         Err(PlindaError::Killed) => {
                             proc.abort();
                             if shutdown.load(Ordering::SeqCst) {
-                                space.record(|| TraceEvent::Done { pid });
-                                space.metric(|reg| reg.counter("runtime.done").inc());
-                                return;
+                                break false;
                             }
                             respawns.fetch_add(1, Ordering::SeqCst);
                             // "Re-spawned on another machine": same logical
                             // pid, fresh incarnation.
                             thread_state.revive();
-                            space.record(|| TraceEvent::Respawn { pid });
-                            space.metric(|reg| reg.counter("runtime.respawns").inc());
-                            space.kick();
+                            space.emit(Event::Respawn { pid });
+                            space.backend().kick();
                         }
                         Err(other) => {
                             // A protocol violation (nested xstart, commit
@@ -150,15 +145,14 @@ impl Runtime {
                             eprintln!("plinda: worker {pid} protocol violation: {other}");
                             proc.abort();
                             thread_state.set_status(ProcessStatus::Done);
-                            space.record(|| TraceEvent::Done { pid });
-                            space.metric(|reg| {
-                                reg.counter("runtime.protocol_errors").inc();
-                                reg.counter("runtime.done").inc();
-                            });
-                            return;
+                            break true;
                         }
                     }
-                }
+                };
+                space.emit(Event::Done {
+                    pid,
+                    protocol_error,
+                });
             })
             .expect("failed to spawn worker thread");
         let mut reg = self.registry.lock();
@@ -185,9 +179,8 @@ impl Runtime {
         match reg.procs.get(&pid) {
             Some(state) => {
                 state.kill();
-                self.space.record(|| TraceEvent::Kill { pid });
-                self.space.metric(|reg| reg.counter("runtime.kills").inc());
-                self.space.kick();
+                self.space.emit(Event::Kill { pid });
+                self.space.backend().kick();
                 true
             }
             None => false,
@@ -299,9 +292,8 @@ impl Runtime {
                     }
                     if let Some((_, st)) = reg_states.iter().find(|(p, _)| *p == pid) {
                         st.kill();
-                        space.record(|| TraceEvent::Kill { pid });
-                        space.metric(|reg| reg.counter("runtime.kills").inc());
-                        space.kick();
+                        space.emit(Event::Kill { pid });
+                        space.backend().kick();
                     }
                 }
             })

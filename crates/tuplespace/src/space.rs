@@ -6,8 +6,8 @@
 //! [`SpaceBackend`] — either the in-process `LocalBackend` defined here
 //! (created by [`TupleSpace::new`]) or the Unix-socket client of
 //! [`crate::net`] (created by [`TupleSpace::connect_unix`]) — while owning
-//! the trace-recorder and metrics slots that the transaction layer,
-//! runtime, and farm share with the backend.
+//! the instrumentation probe that the transaction layer, runtime, and
+//! channels share with the backend.
 //!
 //! ## The local backend
 //!
@@ -27,9 +27,10 @@
 //! lock graph is acyclic.
 
 use crate::backend::SpaceBackend;
-use crate::check::trace::{self, OpKind, Recorder, RecorderSlot, TraceEvent};
+use crate::check::trace::{OpKind, Recorder};
 use crate::codec;
-use crate::metrics::{Counter, Gauge, MetricsRegistry, MetricsSlot};
+use crate::metrics::MetricsRegistry;
+use crate::probe::{Event, Probe};
 use crate::process::{ContinuationStore, PlindaError};
 use crate::template::Template;
 use crate::value::{Sig, Tuple};
@@ -39,22 +40,11 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Cached per-partition metric handles, re-created whenever a different
-/// registry is installed (distinguished by registry id).
-struct PartStats {
-    reg_id: u64,
-    ops: Counter,
-    occupancy: Gauge,
-}
-
 /// One signature's tuples plus the condvar its waiters park on.
 #[derive(Default)]
 struct Partition {
     tuples: Mutex<Vec<Tuple>>,
     cond: Condvar,
-    /// Cached metric handles (`space.part.<sig>.*`); lazily (re)built on
-    /// first instrumented op against the installed registry.
-    stats: Mutex<Option<PartStats>>,
 }
 
 /// The in-process implementation of [`SpaceBackend`]: signature-sharded
@@ -68,47 +58,20 @@ pub(crate) struct LocalBackend {
     waiting: AtomicUsize,
     /// Continuations of committed transactions, keyed by logical pid.
     conts: ContinuationStore,
-    /// Shared with the facade: recorded under partition locks so trace
-    /// order agrees with visibility order.
-    rec: Arc<RecorderSlot>,
-    /// Shared with the facade.
-    met: Arc<MetricsSlot>,
+    /// Shared with the facade. Visible-space events are emitted under
+    /// partition locks so trace order agrees with visibility order.
+    probe: Arc<Probe>,
 }
 
 impl LocalBackend {
-    fn new(rec: Arc<RecorderSlot>, met: Arc<MetricsSlot>) -> Self {
+    fn new(probe: Arc<Probe>) -> Self {
         LocalBackend {
             registry: Mutex::new(HashMap::new()),
             len: AtomicUsize::new(0),
             waiting: AtomicUsize::new(0),
             conts: ContinuationStore::new(),
-            rec,
-            met,
+            probe,
         }
-    }
-
-    /// Bump the per-partition op counter and occupancy gauge plus the
-    /// matching global `space.ops.*` counter. Handles are cached on the
-    /// partition and rebuilt if a different registry was installed.
-    fn note_part(&self, part: &Partition, sig: &Sig, occ: usize, global: &'static str, n: u64) {
-        self.met.with(|reg| {
-            let mut stats = part.stats.lock();
-            let rebuild = match &*stats {
-                Some(ps) => ps.reg_id != reg.id(),
-                None => true,
-            };
-            if rebuild {
-                *stats = Some(PartStats {
-                    reg_id: reg.id(),
-                    ops: reg.counter(&format!("space.part.{sig}.ops")),
-                    occupancy: reg.gauge(&format!("space.part.{sig}.occupancy")),
-                });
-            }
-            let ps = stats.as_ref().unwrap();
-            ps.ops.add(n);
-            ps.occupancy.set(occ as i64);
-            reg.counter(global).add(n);
-        });
     }
 
     /// Get-or-create the partition for `sig`. Partitions are never removed
@@ -138,18 +101,15 @@ impl LocalBackend {
     }
 
     fn do_out(&self, t: Tuple) {
-        let sig = t.sig();
-        let part = self.partition(sig.clone());
+        let part = self.partition(t.sig());
         let mut tuples = part.tuples.lock();
-        // Record under the partition lock so the trace order of this
-        // tuple's production agrees with its real visibility order.
-        self.rec.record(|| TraceEvent::OutVisible {
-            actor: trace::current_actor(),
-            tuple: t.clone(),
+        self.probe.emit(Event::Out {
+            tuples: std::slice::from_ref(&t),
+            occupancy: Some(tuples.len() + 1),
+            deferred: false,
         });
         tuples.push(t);
         self.len.fetch_add(1, Ordering::SeqCst);
-        self.note_part(&part, &sig, tuples.len(), "space.ops.out", 1);
         drop(tuples);
         part.cond.notify_all();
     }
@@ -171,17 +131,14 @@ impl LocalBackend {
         // Acquire all locks in sorted-signature order, then publish.
         let mut guards: Vec<MutexGuard<'_, Vec<Tuple>>> =
             parts.iter().map(|p| p.tuples.lock()).collect();
-        for (i, (guard, batch)) in guards.iter_mut().zip(batches.iter_mut()).enumerate() {
-            for t in batch.iter() {
-                self.rec.record(|| TraceEvent::OutVisible {
-                    actor: trace::current_actor(),
-                    tuple: t.clone(),
-                });
-            }
+        for (guard, batch) in guards.iter_mut().zip(batches.iter_mut()) {
+            self.probe.emit(Event::Out {
+                tuples: batch,
+                occupancy: Some(guard.len() + batch.len()),
+                deferred: false,
+            });
             self.len.fetch_add(batch.len(), Ordering::SeqCst);
-            let n = batch.len() as u64;
             guard.append(batch);
-            self.note_part(&parts[i], &sigs[i], guard.len(), "space.ops.out", n);
         }
         drop(guards);
         for part in &parts {
@@ -189,26 +146,57 @@ impl LocalBackend {
         }
     }
 
-    /// Withdraw up to `max` matching tuples from a locked partition,
-    /// recording a `Take` per tuple. The caller updates `self.len` and
-    /// notes the partition op — this is what lets bulk takes acquire the
-    /// partition lock once per batch instead of once per tuple.
-    fn drain_matches(&self, tuples: &mut Vec<Tuple>, tmpl: &Template, max: usize) -> Vec<Tuple> {
+    /// Withdraw up to `max` tuples matching `tmpl` from a locked
+    /// partition — or, with `withdraw` false, copy the first one — keeping
+    /// `self.len` in step and emitting them as one `Found`. Bulk takes
+    /// thus acquire the partition lock once per batch, not once per tuple.
+    /// Order within a partition is not part of the Linda contract;
+    /// swap_remove keeps withdrawal O(1).
+    fn grab(
+        &self,
+        tuples: &mut Vec<Tuple>,
+        tmpl: &Template,
+        withdraw: bool,
+        max: usize,
+    ) -> Vec<Tuple> {
         let mut got = Vec::new();
-        while got.len() < max {
-            match tuples.iter().position(|t| tmpl.matches(t)) {
-                Some(idx) => {
-                    let t = tuples.swap_remove(idx);
-                    self.rec.record(|| TraceEvent::Take {
-                        actor: trace::current_actor(),
-                        tuple: t.clone(),
-                    });
-                    got.push(t);
+        if withdraw {
+            while got.len() < max {
+                match tuples.iter().position(|t| tmpl.matches(t)) {
+                    Some(idx) => got.push(tuples.swap_remove(idx)),
+                    None => break,
                 }
-                None => break,
             }
+            self.len.fetch_sub(got.len(), Ordering::SeqCst);
+        } else if let Some(t) = tuples.iter().find(|t| tmpl.matches(t)) {
+            got.push(t.clone());
+        }
+        if !got.is_empty() {
+            self.probe.emit(Event::Found {
+                withdrawn: withdraw,
+                tuples: &got,
+                occupancy: Some(tuples.len()),
+                batch: false,
+            });
         }
         got
+    }
+
+    /// Non-blocking `inp`/`rdp` (up to `max` tuples), emitting a `Miss`
+    /// when nothing matches.
+    fn poll(&self, tmpl: &Template, withdraw: bool, max: usize) -> Vec<Tuple> {
+        if let Some(part) = self.existing(&tmpl.sig()) {
+            let got = self.grab(&mut part.tuples.lock(), tmpl, withdraw, max);
+            if !got.is_empty() {
+                return got;
+            }
+        }
+        self.probe.emit(Event::Miss {
+            op: if withdraw { OpKind::Inp } else { OpKind::Rdp },
+            template: tmpl,
+            batch: false,
+        });
+        Vec::new()
     }
 
     fn wait_on_partition(
@@ -220,71 +208,33 @@ impl LocalBackend {
     ) -> Option<Vec<Tuple>> {
         // Waiting on a signature nobody has produced yet creates its
         // (empty) partition, so the eventual `out` finds our condvar.
-        let sig = tmpl.sig();
-        let part = self.partition(sig.clone());
+        let part = self.partition(tmpl.sig());
         let mut tuples = part.tuples.lock();
         let mut parked = false;
         let mut block_start: Option<Instant> = None;
         loop {
-            if let Some(c) = cancel {
-                if c.load(Ordering::SeqCst) {
-                    self.rec.record(|| TraceEvent::WaitCancelled {
-                        actor: trace::current_actor(),
-                    });
-                    self.met
-                        .with(|reg| reg.counter("space.ops.cancelled").inc());
-                    if parked {
-                        self.waiting.fetch_sub(1, Ordering::SeqCst);
-                    }
-                    return None;
-                }
-            }
-            if let Some(idx) = tuples.iter().position(|t| tmpl.matches(t)) {
-                if parked {
-                    self.rec.record(|| TraceEvent::Wake {
-                        actor: trace::current_actor(),
-                    });
-                    self.met.with(|reg| {
-                        reg.counter("space.ops.wake").inc();
-                        if let Some(start) = block_start {
-                            reg.histogram("space.block_ns")
-                                .observe(start.elapsed().as_nanos() as u64);
-                        }
-                    });
-                }
-                let got = if withdraw {
-                    self.drain_matches(&mut tuples, tmpl, max)
-                } else {
-                    let t = tuples[idx].clone();
-                    self.rec.record(|| TraceEvent::Read {
-                        actor: trace::current_actor(),
-                        tuple: t.clone(),
-                    });
-                    vec![t]
-                };
-                let global = if withdraw {
-                    "space.ops.take"
-                } else {
-                    "space.ops.read"
-                };
-                self.note_part(&part, &sig, tuples.len(), global, got.len() as u64);
+            if cancel.is_some_and(|c| c.load(Ordering::SeqCst)) {
+                self.probe.emit(Event::WaitCancelled);
                 if parked {
                     self.waiting.fetch_sub(1, Ordering::SeqCst);
                 }
-                return Some(got);
+                return None;
+            }
+            if tuples.iter().any(|t| tmpl.matches(t)) {
+                if parked {
+                    self.waiting.fetch_sub(1, Ordering::SeqCst);
+                    self.probe.emit(Event::Wake { since: block_start });
+                }
+                return Some(self.grab(&mut tuples, tmpl, withdraw, max));
             }
             if !parked {
                 parked = true;
                 self.waiting.fetch_add(1, Ordering::SeqCst);
-                self.rec.record(|| TraceEvent::Block {
-                    actor: trace::current_actor(),
-                    op: if withdraw { OpKind::In } else { OpKind::Rd },
-                    template: tmpl.clone(),
-                });
-                if self.met.enabled() {
-                    block_start = Some(Instant::now());
-                    self.met.with(|reg| reg.counter("space.ops.block").inc());
-                }
+                let op = if withdraw { OpKind::In } else { OpKind::Rd };
+                block_start = self
+                    .probe
+                    .emit(Event::Block { op, template: tmpl })
+                    .then(Instant::now);
             }
             // Unbounded wait: an `out` into this partition notifies its
             // condvar under the same lock, and `kick` (cancellation) locks
@@ -314,52 +264,11 @@ impl SpaceBackend for LocalBackend {
     }
 
     fn inp(&self, tmpl: &Template) -> Result<Option<Tuple>, PlindaError> {
-        let sig = tmpl.sig();
-        if let Some(part) = self.existing(&sig) {
-            let mut tuples = part.tuples.lock();
-            // Order within a partition is not part of the Linda contract;
-            // swap_remove keeps withdrawal O(1).
-            if let Some(idx) = tuples.iter().position(|t| tmpl.matches(t)) {
-                let t = tuples.swap_remove(idx);
-                self.rec.record(|| TraceEvent::Take {
-                    actor: trace::current_actor(),
-                    tuple: t.clone(),
-                });
-                self.len.fetch_sub(1, Ordering::SeqCst);
-                self.note_part(&part, &sig, tuples.len(), "space.ops.take", 1);
-                return Ok(Some(t));
-            }
-        }
-        self.rec.record(|| TraceEvent::Miss {
-            actor: trace::current_actor(),
-            op: OpKind::Inp,
-            template: tmpl.clone(),
-        });
-        self.met.with(|reg| reg.counter("space.ops.miss").inc());
-        Ok(None)
+        Ok(self.poll(tmpl, true, 1).pop())
     }
 
     fn rdp(&self, tmpl: &Template) -> Result<Option<Tuple>, PlindaError> {
-        let sig = tmpl.sig();
-        if let Some(part) = self.existing(&sig) {
-            let tuples = part.tuples.lock();
-            if let Some(t) = tuples.iter().find(|t| tmpl.matches(t)) {
-                let t = t.clone();
-                self.rec.record(|| TraceEvent::Read {
-                    actor: trace::current_actor(),
-                    tuple: t.clone(),
-                });
-                self.note_part(&part, &sig, tuples.len(), "space.ops.read", 1);
-                return Ok(Some(t));
-            }
-        }
-        self.rec.record(|| TraceEvent::Miss {
-            actor: trace::current_actor(),
-            op: OpKind::Rdp,
-            template: tmpl.clone(),
-        });
-        self.met.with(|reg| reg.counter("space.ops.miss").inc());
-        Ok(None)
+        Ok(self.poll(tmpl, false, 1).pop())
     }
 
     fn in_cancellable(
@@ -367,13 +276,9 @@ impl SpaceBackend for LocalBackend {
         tmpl: &Template,
         cancel: Option<&AtomicBool>,
     ) -> Result<Option<Tuple>, PlindaError> {
-        match self.wait_on_partition(tmpl, cancel, true, 1) {
-            Some(mut got) => {
-                self.len.fetch_sub(got.len(), Ordering::SeqCst);
-                Ok(Some(got.remove(0)))
-            }
-            None => Ok(None),
-        }
+        Ok(self
+            .wait_on_partition(tmpl, cancel, true, 1)
+            .and_then(|mut got| got.pop()))
     }
 
     fn rd_cancellable(
@@ -383,36 +288,15 @@ impl SpaceBackend for LocalBackend {
     ) -> Result<Option<Tuple>, PlindaError> {
         Ok(self
             .wait_on_partition(tmpl, cancel, false, 1)
-            .map(|mut got| got.remove(0)))
+            .and_then(|mut got| got.pop()))
     }
 
     fn inp_batch(&self, tmpl: &Template, max: usize) -> Result<Vec<Tuple>, PlindaError> {
-        if max == 0 {
-            return Ok(Vec::new());
-        }
-        let sig = tmpl.sig();
-        if let Some(part) = self.existing(&sig) {
-            let mut tuples = part.tuples.lock();
-            let got = self.drain_matches(&mut tuples, tmpl, max);
-            if !got.is_empty() {
-                self.len.fetch_sub(got.len(), Ordering::SeqCst);
-                self.note_part(
-                    &part,
-                    &sig,
-                    tuples.len(),
-                    "space.ops.take",
-                    got.len() as u64,
-                );
-                return Ok(got);
-            }
-        }
-        self.rec.record(|| TraceEvent::Miss {
-            actor: trace::current_actor(),
-            op: OpKind::Inp,
-            template: tmpl.clone(),
-        });
-        self.met.with(|reg| reg.counter("space.ops.miss").inc());
-        Ok(Vec::new())
+        Ok(if max == 0 {
+            Vec::new()
+        } else {
+            self.poll(tmpl, true, max)
+        })
     }
 
     fn in_batch_cancellable(
@@ -421,13 +305,7 @@ impl SpaceBackend for LocalBackend {
         max: usize,
         cancel: Option<&AtomicBool>,
     ) -> Result<Option<Vec<Tuple>>, PlindaError> {
-        match self.wait_on_partition(tmpl, cancel, true, max.max(1)) {
-            Some(got) => {
-                self.len.fetch_sub(got.len(), Ordering::SeqCst);
-                Ok(Some(got))
-            }
-            None => Ok(None),
-        }
+        Ok(self.wait_on_partition(tmpl, cancel, true, max.max(1)))
     }
 
     fn kick(&self) {
@@ -477,34 +355,24 @@ impl SpaceBackend for LocalBackend {
         let parts = self.sorted_partitions();
         let mut guards: Vec<MutexGuard<'_, Vec<Tuple>>> =
             parts.iter().map(|(_, p)| p.tuples.lock()).collect();
-        self.rec.record(|| TraceEvent::Reset {
-            actor: trace::current_actor(),
-        });
-        self.met.with(|reg| reg.counter("space.ops.restore").inc());
+        // Restored tuples whose signature has no partition yet cannot be
+        // pushed while holding the sorted guards (the registry lock must
+        // come first); they are published via `do_out` afterwards, which
+        // emits them itself.
+        let slot = |t: &Tuple| {
+            let sig = t.sig();
+            parts.binary_search_by(|(k, _)| k.cmp(&sig)).ok()
+        };
+        let (placed, leftover): (Vec<Tuple>, Vec<Tuple>) =
+            tuples.into_iter().partition(|t| slot(t).is_some());
+        self.probe.emit(Event::Restore { tuples: &placed });
         for g in guards.iter_mut() {
             g.clear();
         }
-        // Restored tuples whose signature has no partition yet cannot be
-        // pushed while holding the sorted guards (the registry lock must
-        // come first); collect them and publish via `out` afterwards.
-        let mut leftover = Vec::new();
-        let total = tuples.len();
-        'tuple: for t in tuples {
-            let sig = t.sig();
-            for (i, (k, _)) in parts.iter().enumerate() {
-                if *k == sig {
-                    self.rec.record(|| TraceEvent::OutVisible {
-                        actor: trace::current_actor(),
-                        tuple: t.clone(),
-                    });
-                    guards[i].push(t);
-                    continue 'tuple;
-                }
-            }
-            // `do_out` below records OutVisible for these itself.
-            leftover.push(t);
+        self.len.store(placed.len(), Ordering::SeqCst);
+        for t in placed {
+            guards[slot(&t).expect("partitioned above")].push(t);
         }
-        self.len.store(total - leftover.len(), Ordering::SeqCst);
         drop(guards);
         for (_, part) in &parts {
             part.cond.notify_all();
@@ -565,11 +433,10 @@ impl SpaceBackend for LocalBackend {
 /// fallible internal paths instead, so worker code sees transport
 /// failures as [`PlindaError`] values.
 pub struct TupleSpace {
-    /// Optional trace recorder; one relaxed load per op when disabled.
-    /// Shared with the backend, which records space-level events.
-    rec: Arc<RecorderSlot>,
-    /// Optional metrics registry; one relaxed load per op when disabled.
-    met: Arc<MetricsSlot>,
+    /// The instrumentation seam feeding the optional trace recorder and
+    /// metrics ledger; one relaxed load per op when neither is installed.
+    /// Shared with the backend, which emits the space-level events.
+    probe: Arc<Probe>,
     backend: Arc<dyn SpaceBackend>,
 }
 
@@ -590,10 +457,9 @@ impl std::fmt::Debug for TupleSpace {
 impl TupleSpace {
     /// Create an empty space backed by in-process sharded storage.
     pub fn new() -> Self {
-        let rec = Arc::new(RecorderSlot::default());
-        let met = Arc::new(MetricsSlot::default());
-        let backend = Arc::new(LocalBackend::new(Arc::clone(&rec), Arc::clone(&met)));
-        TupleSpace { rec, met, backend }
+        let probe = Arc::new(Probe::default());
+        let backend = Arc::new(LocalBackend::new(Arc::clone(&probe)));
+        TupleSpace { probe, backend }
     }
 
     /// Connect to an `fpdm-spaced` broker listening on the Unix-domain
@@ -601,14 +467,12 @@ impl TupleSpace {
     /// request over the socket; see [`crate::net`] for the wire protocol
     /// and `DESIGN.md` ("Backends") for the failure semantics.
     pub fn connect_unix(path: impl AsRef<std::path::Path>) -> std::io::Result<Self> {
-        let rec = Arc::new(RecorderSlot::default());
-        let met = Arc::new(MetricsSlot::default());
+        let probe = Arc::new(Probe::default());
         let backend = Arc::new(crate::net::SocketBackend::connect(
             path.as_ref(),
-            Arc::clone(&rec),
-            Arc::clone(&met),
+            Arc::clone(&probe),
         )?);
-        Ok(TupleSpace { rec, met, backend })
+        Ok(TupleSpace { probe, backend })
     }
 
     /// Short name of the backend this space runs over (`"local"`,
@@ -631,66 +495,46 @@ impl TupleSpace {
 
     /// Install (or, with `None`, remove) a [`MetricsRegistry`]. While
     /// installed, every Linda operation updates global and per-partition
-    /// metrics; when absent the cost is a single relaxed atomic load per
-    /// operation (see the `out_inp_cycle_metrics` bench).
+    /// metrics; with neither a registry nor a recorder installed the cost
+    /// is a single relaxed atomic load per operation (see the
+    /// `out_inp_cycle_metrics` bench).
     pub fn set_metrics(&self, reg: Option<MetricsRegistry>) {
-        self.met.set(reg);
+        self.probe.set_metrics(reg);
     }
 
     /// Clone of the installed metrics registry, if any.
     pub fn metrics(&self) -> Option<MetricsRegistry> {
-        self.met.get()
+        self.probe.metrics()
     }
 
     /// Is a metrics registry currently installed? One relaxed load.
     pub fn metrics_enabled(&self) -> bool {
-        self.met.enabled()
-    }
-
-    /// Run `f` against the installed metrics registry, if any
-    /// (crate-internal: `Process`, `Runtime`, farm, and channels fold
-    /// their metrics into the same registry as the space ops).
-    ///
-    /// Lock-order rule: callers may hold partition locks, so `f` must
-    /// never re-enter the tuple space — compute any space-derived values
-    /// (e.g. channel depths) *before* this call.
-    #[inline]
-    pub(crate) fn metric(&self, f: impl FnOnce(&MetricsRegistry)) {
-        self.met.with(f);
+        self.probe.metrics_enabled()
     }
 
     /// Install (or, with `None`, remove) a trace [`Recorder`]. Every Linda
     /// operation on this space is appended to the recorder's trace; the
-    /// `plinda::check` checkers analyse the result. Recording is a single
-    /// atomic load per operation when disabled.
+    /// `plinda::check` checkers analyse the result. The recorder shares
+    /// the metrics registry's fast path: one relaxed load per operation
+    /// while neither is installed.
     pub fn set_recorder(&self, rec: Option<Recorder>) {
-        self.rec.set(rec);
+        self.probe.set_recorder(rec);
     }
 
-    /// Is a trace recorder currently installed?
-    pub fn recording(&self) -> bool {
-        self.rec.is_enabled()
-    }
-
-    /// Record a trace event if a recorder is installed (crate-internal:
-    /// used by `Process`, `Runtime`, and the interleaving explorer to add
-    /// transaction / lifecycle events to the same trace as the space ops).
+    /// Hand one instrumentation event to the installed recorder and
+    /// ledger (crate-internal: `Process`, `Runtime`, the channels, and the
+    /// interleaving explorer emit into the same stream as the space ops).
+    /// Returns whether any sink was installed.
     #[inline]
-    pub(crate) fn record(&self, ev: impl FnOnce() -> TraceEvent) {
-        self.rec.record(ev);
+    pub(crate) fn emit(&self, ev: Event<'_>) -> bool {
+        self.probe.emit(ev)
     }
 
     /// `out`: make `t` visible to every process. Never blocks. On the
     /// local backend, wakes only waiters parked on `t`'s signature
     /// partition.
     pub fn out(&self, t: Tuple) {
-        self.try_out(t).unwrap_or_else(|e| Self::fail(e))
-    }
-
-    /// Fallible `out` (crate-internal: the transaction layer surfaces
-    /// transport failures as errors instead of panicking).
-    pub(crate) fn try_out(&self, t: Tuple) -> Result<(), PlindaError> {
-        self.backend.out(t)
+        self.backend.out(t).unwrap_or_else(|e| Self::fail(e))
     }
 
     /// Bulk `out`: all of `ts` become visible atomically (used by
@@ -726,52 +570,29 @@ impl TupleSpace {
 
     /// `inp`: withdraw a matching tuple if one exists, without blocking.
     pub fn inp(&self, tmpl: &Template) -> Option<Tuple> {
-        self.try_inp(tmpl).unwrap_or_else(|e| Self::fail(e))
+        self.backend.inp(tmpl).unwrap_or_else(|e| Self::fail(e))
     }
 
     /// Bulk `inp`: withdraw up to `max` matching tuples without blocking —
     /// one partition-lock acquisition locally, one round trip remotely.
     pub fn inp_batch(&self, tmpl: &Template, max: usize) -> Vec<Tuple> {
-        self.try_inp_batch(tmpl, max)
+        self.backend
+            .inp_batch(tmpl, max)
             .unwrap_or_else(|e| Self::fail(e))
-    }
-
-    pub(crate) fn try_inp_batch(
-        &self,
-        tmpl: &Template,
-        max: usize,
-    ) -> Result<Vec<Tuple>, PlindaError> {
-        self.backend.inp_batch(tmpl, max)
     }
 
     /// Bulk `in`: block until at least one match is withdrawn, then drain
     /// up to `max - 1` more. Returns between 1 and `max` tuples.
     pub fn in_batch(&self, tmpl: &Template, max: usize) -> Vec<Tuple> {
-        self.try_in_batch_cancellable(tmpl, max, None)
+        self.backend
+            .in_batch_cancellable(tmpl, max, None)
             .unwrap_or_else(|e| Self::fail(e))
             .expect("in_batch without cancel flag cannot be cancelled")
     }
 
-    pub(crate) fn try_in_batch_cancellable(
-        &self,
-        tmpl: &Template,
-        max: usize,
-        cancel: Option<&AtomicBool>,
-    ) -> Result<Option<Vec<Tuple>>, PlindaError> {
-        self.backend.in_batch_cancellable(tmpl, max, cancel)
-    }
-
-    pub(crate) fn try_inp(&self, tmpl: &Template) -> Result<Option<Tuple>, PlindaError> {
-        self.backend.inp(tmpl)
-    }
-
     /// `rdp`: copy a matching tuple if one exists, without blocking.
     pub fn rdp(&self, tmpl: &Template) -> Option<Tuple> {
-        self.try_rdp(tmpl).unwrap_or_else(|e| Self::fail(e))
-    }
-
-    pub(crate) fn try_rdp(&self, tmpl: &Template) -> Result<Option<Tuple>, PlindaError> {
-        self.backend.rdp(tmpl)
+        self.backend.rdp(tmpl).unwrap_or_else(|e| Self::fail(e))
     }
 
     /// Would `tmpl` match some visible tuple right now? A non-recording
@@ -798,37 +619,16 @@ impl TupleSpace {
     /// `in` with cancellation: returns `None` if `cancel` becomes true
     /// while waiting (the process was killed).
     pub fn in_cancellable(&self, tmpl: &Template, cancel: Option<&AtomicBool>) -> Option<Tuple> {
-        self.try_in_cancellable(tmpl, cancel)
+        self.backend
+            .in_cancellable(tmpl, cancel)
             .unwrap_or_else(|e| Self::fail(e))
-    }
-
-    pub(crate) fn try_in_cancellable(
-        &self,
-        tmpl: &Template,
-        cancel: Option<&AtomicBool>,
-    ) -> Result<Option<Tuple>, PlindaError> {
-        self.backend.in_cancellable(tmpl, cancel)
     }
 
     /// `rd` with cancellation; see [`TupleSpace::in_cancellable`].
     pub fn rd_cancellable(&self, tmpl: &Template, cancel: Option<&AtomicBool>) -> Option<Tuple> {
-        self.try_rd_cancellable(tmpl, cancel)
+        self.backend
+            .rd_cancellable(tmpl, cancel)
             .unwrap_or_else(|e| Self::fail(e))
-    }
-
-    pub(crate) fn try_rd_cancellable(
-        &self,
-        tmpl: &Template,
-        cancel: Option<&AtomicBool>,
-    ) -> Result<Option<Tuple>, PlindaError> {
-        self.backend.rd_cancellable(tmpl, cancel)
-    }
-
-    /// Wake every waiter so it re-checks its cancellation flag. On the
-    /// local backend this notifies every partition's condvar; the socket
-    /// backend's waits poll their flag, so it is a no-op there.
-    pub(crate) fn kick(&self) {
-        self.backend.kick();
     }
 
     /// Number of visible tuples.
@@ -866,12 +666,6 @@ impl TupleSpace {
         Ok(())
     }
 
-    /// Replace the space contents from already-decoded tuples
-    /// (crate-internal: the broker receives tuples, not checkpoint bytes).
-    pub(crate) fn restore_tuples(&self, tuples: Vec<Tuple>) -> Result<(), PlindaError> {
-        self.backend.restore(tuples)
-    }
-
     /// Checkpoint to a file.
     pub fn checkpoint_file(&self, path: &std::path::Path) -> std::io::Result<()> {
         std::fs::write(path, self.checkpoint_bytes())
@@ -884,38 +678,13 @@ impl TupleSpace {
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
     }
 
-    // --- transaction and continuation hooks (crate-internal) ----------
-
-    /// A process opened a transaction (remote backends start tracking its
-    /// tentative withdrawals).
-    pub(crate) fn txn_begin(&self, pid: u64) -> Result<(), PlindaError> {
-        self.backend.txn_begin(pid)
-    }
-
-    /// Atomically publish a committed transaction's outs and record its
-    /// continuation.
-    pub(crate) fn txn_commit(
-        &self,
-        pid: u64,
-        publish: Vec<Tuple>,
-        cont: Option<Tuple>,
-    ) -> Result<(), PlindaError> {
-        self.backend.txn_commit(pid, publish, cont)
-    }
-
-    /// Restore an aborted transaction's tentative withdrawals.
-    pub(crate) fn txn_abort(&self, pid: u64, restore: Vec<Tuple>) -> Result<(), PlindaError> {
-        self.backend.txn_abort(pid, restore)
-    }
-
-    /// Latest committed continuation of logical process `pid`, if any.
-    pub(crate) fn cont_get(&self, pid: u64) -> Result<Option<Tuple>, PlindaError> {
-        self.backend.cont_get(pid)
-    }
-
-    /// Drop the continuation of `pid` (process completed normally).
-    pub(crate) fn cont_clear(&self, pid: u64) -> Result<(), PlindaError> {
-        self.backend.cont_clear(pid)
+    /// The backend itself, for the crate's fallible paths: the
+    /// transaction layer, runtime and broker use the transaction and
+    /// continuation hooks, cancellable waits and `kick`, and surface
+    /// transport failures as [`PlindaError`] values instead of the panics
+    /// of the methods above.
+    pub(crate) fn backend(&self) -> &dyn SpaceBackend {
+        &*self.backend
     }
 }
 
@@ -987,7 +756,7 @@ mod tests {
         let h = std::thread::spawn(move || ts2.in_cancellable(&task_tmpl(), Some(&c2)));
         std::thread::sleep(Duration::from_millis(30));
         cancel.store(true, Ordering::SeqCst);
-        ts.kick();
+        ts.backend().kick();
         assert!(h.join().unwrap().is_none());
     }
 
@@ -1164,18 +933,54 @@ mod tests {
 
     #[test]
     fn swapping_registries_rebuilds_partition_handles() {
-        let ts = TupleSpace::new();
-        let first = crate::metrics::MetricsRegistry::new();
-        ts.set_metrics(Some(first.clone()));
-        ts.out(tup!["task", 1]);
-        let second = crate::metrics::MetricsRegistry::new();
-        ts.set_metrics(Some(second.clone()));
-        ts.out(tup!["task", 2]);
-        assert_eq!(first.snapshot().counter("space.ops.out"), 1);
-        assert_eq!(second.snapshot().counter("space.ops.out"), 1);
-        ts.set_metrics(None);
-        ts.out(tup!["task", 3]);
-        assert_eq!(second.snapshot().counter("space.ops.out"), 1);
+        // The same body over both backends: the per-signature handles the
+        // ledger caches follow a registry swap, and a recorder installed
+        // and removed beside the registry leaves the ledger counting.
+        fn body(ts: &TupleSpace) {
+            let sig = tup!["task", 1].sig();
+            let ops = format!("space.part.{sig}.ops");
+            let occupancy = format!("space.part.{sig}.occupancy");
+            // Occupancy is broker state: only the local backend reports it.
+            let local = ts.backend_kind() == "local";
+            let part = |reg: &MetricsRegistry| {
+                let snap = reg.snapshot();
+                let gauge = snap.gauge(&occupancy).map(|g| g.value);
+                (snap.counter(&ops), gauge)
+            };
+            let first = MetricsRegistry::new();
+            ts.set_metrics(Some(first.clone()));
+            ts.out(tup!["task", 1]);
+            let second = MetricsRegistry::new();
+            ts.set_metrics(Some(second.clone()));
+            ts.out(tup!["task", 2]);
+            assert_eq!(first.snapshot().counter("space.ops.out"), 1);
+            assert_eq!(second.snapshot().counter("space.ops.out"), 1);
+            assert_eq!(part(&first), (1, local.then_some(1)));
+            assert_eq!(part(&second), (1, local.then_some(2)));
+
+            let rec = Recorder::new();
+            ts.set_recorder(Some(rec.clone()));
+            assert!(ts.inp(&task_tmpl()).is_some());
+            ts.set_recorder(None);
+            assert!(ts.inp(&task_tmpl()).is_some());
+            assert_eq!(rec.len(), 1, "the recorder stops at its removal");
+            let snap = second.snapshot();
+            assert_eq!(
+                snap.counter("space.ops.take"),
+                2,
+                "the ledger keeps counting"
+            );
+            assert_eq!(part(&second), (3, local.then_some(0)));
+
+            ts.set_metrics(None);
+            ts.out(tup!["task", 3]);
+            assert_eq!(second.snapshot().counter("space.ops.out"), 1);
+            assert!(ts.inp(&task_tmpl()).is_some());
+        }
+        body(&TupleSpace::new());
+        let sock = std::env::temp_dir().join(format!("plinda-swap-{}.sock", std::process::id()));
+        let broker = crate::Broker::start(crate::BrokerConfig::new(&sock)).unwrap();
+        body(&TupleSpace::connect_unix(broker.socket()).unwrap());
     }
 
     #[test]
