@@ -11,8 +11,9 @@
 //! nodes hash the next item into buckets; leaves hold candidate lists.
 //! For each transaction the tree is descended once per viable item path,
 //! touching only candidates that share a prefix-hash with the
-//! transaction. The `bench_apriori` benchmark compares it against a flat
-//! hashmap counter (the ablation called out in DESIGN.md).
+//! transaction. `CountingMethod::FlatMap` counts with a flat hashmap
+//! instead (the ablation called out in DESIGN.md); the last measured A/B
+//! of the two is in EXPERIMENTS.md ("Retired micro-benchmarks").
 
 use crate::db::{is_subset, Item, Itemset, TransactionDb};
 use std::collections::BTreeMap;

@@ -10,19 +10,18 @@
 //!   `experiments -- t5.3` harness (invoked as a sibling binary).
 //!
 //! ```text
-//! bench_classify                      # measure fast+full+t5.3, write BENCH_classify.json
-//! bench_classify --fast               # measure and print the fast tier only
-//! bench_classify --check <baseline>   # fast tier vs baseline; exit 1 on >25% regression
+//! bench_classify                    # measure fast+full+t5.3, write BENCH_classify.json
+//! bench_classify --fast --out PATH  # measure the fast tier only, write PATH
 //! ```
 //!
-//! The baseline file is a flat JSON object (`"tier.dataset.metric": ms`)
-//! so the checker — and any future PR wanting to gate on induction cost —
-//! can parse it with a line scanner instead of a JSON library.
+//! Rows are written in the `fpdm.bench.v1` format (`fpdm::loadgen::bench`),
+//! every one gated `lower` with a 0.1 ms slack; CI compares the fast
+//! tier against the committed file with `cargo run -p xtask -- bench-gate`.
 
 use classify::tree::{DecisionTree, GrowConfig, GrowRule};
 use classify::{ColumnarIndex, Dataset, Gini};
 use datagen::benchmark;
-use std::collections::BTreeMap;
+use fpdm::loadgen::bench::{self, Better, Row, Rows};
 use std::time::Instant;
 
 const DATASETS: [&str; 7] = [
@@ -37,8 +36,9 @@ const DATASETS: [&str; 7] = [
 const DATA_SEED: u64 = 7;
 /// Row cap for the fast tier (CI smoke).
 const FAST_ROWS: usize = 600;
-/// Default regression tolerance for `--check`, in percent.
-const TOLERANCE_PCT: f64 = 25.0;
+/// Below this absolute delta a percentage regression is treated as timer
+/// noise (the smallest tracked metrics are ~10 µs).
+const SLACK_MS: f64 = 0.1;
 
 fn median_ms(reps: usize, mut f: impl FnMut()) -> f64 {
     f(); // warmup, untimed
@@ -67,8 +67,16 @@ fn rules() -> Vec<(&'static str, GrowRule<'static>)> {
     ]
 }
 
+fn row(value: f64) -> Row {
+    Row {
+        value,
+        better: Better::Lower,
+        slack: SLACK_MS,
+    }
+}
+
 /// Measure one tier into `out` under `tier.` key prefixes.
-fn measure_tier(tier: &str, row_cap: Option<usize>, reps: usize, out: &mut BTreeMap<String, f64>) {
+fn measure_tier(tier: &str, row_cap: Option<usize>, reps: usize, out: &mut Rows) {
     let cfg = GrowConfig::default();
     for name in DATASETS {
         let data: Dataset = benchmark(name, DATA_SEED);
@@ -77,7 +85,7 @@ fn measure_tier(tier: &str, row_cap: Option<usize>, reps: usize, out: &mut BTree
         let build_ms = median_ms(reps, || {
             std::hint::black_box(ColumnarIndex::build(&data));
         });
-        out.insert(format!("{tier}.{name}.index_build_ms"), build_ms);
+        out.insert(format!("{tier}.{name}.index_build_ms"), row(build_ms));
         let index = ColumnarIndex::build(&data);
         for (rule_name, rule) in rules() {
             let ms = median_ms(reps, || {
@@ -85,7 +93,7 @@ fn measure_tier(tier: &str, row_cap: Option<usize>, reps: usize, out: &mut BTree
                     &data, &index, &rows, &rule, &cfg,
                 ));
             });
-            out.insert(format!("{tier}.{name}.{rule_name}_ms"), ms);
+            out.insert(format!("{tier}.{name}.{rule_name}_ms"), row(ms));
             eprintln!("  {tier:<5} {name:<10} {rule_name:<9} {ms:9.2} ms ({n} rows)");
         }
     }
@@ -114,127 +122,42 @@ fn t53_wall_s() -> Option<f64> {
     Some(t0.elapsed().as_secs_f64())
 }
 
-fn write_json(path: &str, metrics: &BTreeMap<String, f64>) -> std::io::Result<()> {
-    let mut body = String::from("{\n  \"schema\": 1,\n");
-    for (i, (k, v)) in metrics.iter().enumerate() {
-        let sep = if i + 1 == metrics.len() { "" } else { "," };
-        body.push_str(&format!("  \"{k}\": {v:.3}{sep}\n"));
-    }
-    body.push_str("}\n");
-    std::fs::write(path, body)
-}
-
-/// Parse the flat `"key": number` pairs back out of a baseline file.
-fn read_json(path: &str) -> std::io::Result<BTreeMap<String, f64>> {
-    let text = std::fs::read_to_string(path)?;
-    let mut out = BTreeMap::new();
-    for line in text.lines() {
-        let line = line.trim().trim_end_matches(',');
-        let Some((key, value)) = line.split_once(':') else {
-            continue;
-        };
-        let key = key.trim().trim_matches('"');
-        if let Ok(v) = value.trim().parse::<f64>() {
-            out.insert(key.to_string(), v);
-        }
-    }
-    Ok(out)
-}
-
-/// Below this absolute delta a percentage regression is treated as timer
-/// noise (the smallest tracked metrics are ~10 µs).
-const SLACK_MS: f64 = 0.1;
-
-/// Compare a fresh fast-tier run against the committed baseline; returns
-/// the metrics that regressed beyond `tol_pct` (and beyond timer noise).
-fn check(
-    baseline: &BTreeMap<String, f64>,
-    fresh: &BTreeMap<String, f64>,
-    tol_pct: f64,
-) -> Vec<String> {
-    let mut failures = Vec::new();
-    for (key, &new_ms) in fresh {
-        let Some(&old_ms) = baseline.get(key) else {
-            eprintln!("  [new metric {key}: {new_ms:.2} ms, no baseline — skipped]");
-            continue;
-        };
-        let delta_pct = (new_ms - old_ms) / old_ms * 100.0;
-        let regressed = delta_pct > tol_pct && new_ms - old_ms > SLACK_MS;
-        let verdict = if regressed { "REGRESSED" } else { "ok" };
-        eprintln!("  {key:<40} {old_ms:9.2} -> {new_ms:9.2} ms  {delta_pct:+6.1}%  {verdict}");
-        if regressed {
-            failures.push(format!(
-                "{key}: {old_ms:.2} -> {new_ms:.2} ms ({delta_pct:+.1}%)"
-            ));
-        }
-    }
-    failures
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut fast_only = false;
-    let mut baseline_path: Option<String> = None;
-    let mut out_path = "BENCH_classify.json".to_string();
-    let mut tolerance = TOLERANCE_PCT;
+    let mut out_path: Option<String> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--fast" => fast_only = true,
-            "--check" => baseline_path = it.next().cloned(),
-            "--out" => out_path = it.next().cloned().unwrap_or(out_path),
-            "--tolerance" => {
-                tolerance = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(TOLERANCE_PCT)
-            }
+            "--out" => out_path = it.next().cloned(),
             other => {
-                eprintln!("usage: bench_classify [--fast] [--check BASELINE] [--out PATH] [--tolerance PCT]");
+                eprintln!("usage: bench_classify [--fast] [--out PATH]");
                 eprintln!("unknown argument: {other}");
                 std::process::exit(2);
             }
         }
     }
 
-    if let Some(path) = baseline_path {
-        let baseline = match read_json(&path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("cannot read baseline {path}: {e}");
-                std::process::exit(2);
-            }
-        };
-        eprintln!("perf smoke: fast tier vs {path} (tolerance {tolerance}%)");
-        let mut fresh = BTreeMap::new();
-        measure_tier("fast", Some(FAST_ROWS), 5, &mut fresh);
-        let failures = check(&baseline, &fresh, tolerance);
-        if failures.is_empty() {
-            eprintln!("perf smoke passed ({} metrics)", fresh.len());
-        } else {
-            eprintln!("perf smoke FAILED — regressions over {tolerance}%:");
-            for f in &failures {
-                eprintln!("  {f}");
-            }
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    let mut metrics = BTreeMap::new();
+    let mut rows = Rows::new();
     eprintln!("fast tier (rows capped at {FAST_ROWS}):");
-    measure_tier("fast", Some(FAST_ROWS), 5, &mut metrics);
+    measure_tier("fast", Some(FAST_ROWS), 5, &mut rows);
     if !fast_only {
         eprintln!("full tier (all rows):");
-        measure_tier("full", None, 5, &mut metrics);
+        measure_tier("full", None, 5, &mut rows);
         if let Some(wall) = t53_wall_s() {
             eprintln!("  full  t5.3 harness wall {wall:9.1} s");
-            metrics.insert("full.t5_3_wall_s".to_string(), wall);
+            rows.insert("full.t5_3_wall_s".to_string(), row(wall));
         }
-        if let Err(e) = write_json(&out_path, &metrics) {
-            eprintln!("cannot write {out_path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("wrote {out_path} ({} metrics)", metrics.len());
     }
+    // The full run regenerates the committed baseline by default; the
+    // fast tier alone is written only where asked, never over it.
+    let Some(path) = out_path.or_else(|| (!fast_only).then(|| "BENCH_classify.json".into())) else {
+        return;
+    };
+    if let Err(e) = bench::write(&path, &rows) {
+        eprintln!("cannot write {path}: {e}");
+        std::process::exit(1);
+    }
+    eprintln!("wrote {path} ({} rows)", rows.len());
 }

@@ -1,11 +1,9 @@
-//! # `fpdm-bench` — experiment harness and micro-benchmarks
+//! # `fpdm-bench` — experiment harness and the tree-induction benchmark
 //!
 //! The `experiments` binary regenerates every table and figure of the
 //! dissertation's evaluation (see DESIGN.md's per-experiment index);
-//! the Criterion benches under `benches/` cover the micro-level design
-//! choices (tuple-space ops, GST construction, motif matching, tree edit
-//! distance, Apriori counting structures, the optimal-split DP, tree
-//! growth).
+//! `bench_classify` writes the committed `BENCH_classify.json` baseline
+//! that CI gates with `cargo run -p xtask -- bench-gate`.
 
-/// Shared helpers for the experiment binary and benches.
+/// Shared helpers for the experiment binary.
 pub mod tables;

@@ -1,19 +1,19 @@
 //! `loadgen` — replay owner-activity request traces against the service's
 //! admission controller in virtual time.
 //!
-//!     loadgen [--profile smoke|full] [--requests N] [--tenants N]
-//!             [--seed N] [--run-slots N]
-//!             [--check BASELINE] [--out PATH] [--tolerance PCT]
+//!     loadgen [--profile smoke|full] [--requests N] [--seed N]
+//!             [--run-slots N] [--out PATH]
 //!
-//! With `--check`, replays the selected profile(s) and compares against
-//! the committed `BENCH_service.json`, exiting 1 on regression. With
-//! `--out`, writes a fresh baseline. Otherwise prints the report(s).
-//! Without `--profile`, both profiles run (that is how the committed
-//! baseline carrying both key sets is produced).
+//! Prints the report(s); with `--out`, also writes them as
+//! `fpdm.bench.v1` rows (`<profile>_*` keys) for `xtask bench-gate` to
+//! compare against the committed `BENCH_service.json`. The replay is
+//! virtual-time deterministic, so a clean tree reproduces the committed
+//! numbers exactly. Without `--profile`, both profiles run (that is how
+//! the committed baseline carrying both key sets is produced).
 
-use fpdm_loadgen::{bench, owner_activity_trace, run, LoadReport, SimConfig, TraceConfig};
+use fpdm_loadgen::bench::{self, Better, Row, Rows};
+use fpdm_loadgen::{owner_activity_trace, run, LoadReport, SimConfig, TraceConfig};
 use plinda::metrics::MetricsRegistry;
-use std::collections::BTreeMap;
 
 struct Profile {
     name: &'static str,
@@ -81,15 +81,32 @@ fn print_report(name: &str, r: &LoadReport, wall: std::time::Duration) {
     );
 }
 
+/// A profile's report as benchmark rows: p99 latency and throughput are
+/// gated (slack 0, the replay is exact); the rest are context.
+fn bench_rows(name: &str, r: &LoadReport, out: &mut Rows) {
+    let mut put = |metric: &str, value: f64, better| {
+        let row = Row {
+            value,
+            better,
+            slack: 0.0,
+        };
+        out.insert(format!("{name}_{metric}"), row);
+    };
+    put("requests", r.requests as f64, Better::None);
+    put("completed", r.completed as f64, Better::None);
+    put("p50_ns", r.p50_ns as f64, Better::None);
+    put("p99_ns", r.p99_ns as f64, Better::Lower);
+    put("throughput_rps", r.throughput_rps, Better::Higher);
+    put("shed_ppm", r.shed_ppm as f64, Better::None);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut profile_filter: Option<String> = None;
     let mut requests_override: Option<usize> = None;
     let mut seed = 1u64;
     let mut run_slots = 4usize;
-    let mut baseline_path: Option<String> = None;
     let mut out_path: Option<String> = None;
-    let mut tolerance = bench::TOLERANCE_PCT;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -99,18 +116,11 @@ fn main() {
             "--run-slots" => {
                 run_slots = it.next().and_then(|v| v.parse().ok()).unwrap_or(run_slots)
             }
-            "--check" => baseline_path = it.next().cloned(),
             "--out" => out_path = it.next().cloned(),
-            "--tolerance" => {
-                tolerance = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(bench::TOLERANCE_PCT)
-            }
             other => {
                 eprintln!(
                     "usage: loadgen [--profile smoke|full] [--requests N] [--seed N] \
-                     [--run-slots N] [--check BASELINE] [--out PATH] [--tolerance PCT]"
+                     [--run-slots N] [--out PATH]"
                 );
                 eprintln!("unknown argument: {other}");
                 std::process::exit(2);
@@ -130,42 +140,16 @@ fn main() {
         std::process::exit(2);
     }
 
-    let mut reports: Vec<(&str, LoadReport)> = Vec::new();
+    let mut rows = Rows::new();
     for p in &selected {
         let requests = requests_override.unwrap_or(p.requests);
         let t0 = std::time::Instant::now();
         let r = replay(p, seed, requests, run_slots);
         print_report(p.name, &r, t0.elapsed());
-        reports.push((p.name, r));
+        bench_rows(p.name, &r, &mut rows);
     }
-    let flat: BTreeMap<String, f64> = bench::flatten(
-        &reports
-            .iter()
-            .map(|(n, r)| (*n, r))
-            .collect::<Vec<(&str, &LoadReport)>>(),
-    );
-
-    if let Some(path) = baseline_path {
-        let baseline = match bench::read_json(&path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("cannot read baseline {path}: {e}");
-                std::process::exit(2);
-            }
-        };
-        eprintln!("service load gate: vs {path} (tolerance {tolerance}%)");
-        let failures = bench::check(&baseline, &flat, tolerance);
-        if failures.is_empty() {
-            eprintln!("service load gate: ok");
-        } else {
-            eprintln!("service load gate: {} regression(s):", failures.len());
-            for f in &failures {
-                eprintln!("  {f}");
-            }
-            std::process::exit(1);
-        }
-    } else if let Some(path) = out_path {
-        if let Err(e) = bench::write_json(&path, &flat) {
+    if let Some(path) = out_path {
+        if let Err(e) = bench::write(&path, &rows) {
             eprintln!("cannot write {path}: {e}");
             std::process::exit(2);
         }

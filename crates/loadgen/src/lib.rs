@@ -10,21 +10,21 @@
 //!   live service) and records exact per-request latencies into the
 //!   `fpdm.metrics.v1` ledger. A million requests replay in seconds with
 //!   no wall-clock reads, so every number is reproducible bit-for-bit.
-//! * [`mod@bench`] — the committed `BENCH_service.json` artefact and its CI
-//!   regression gate (p50/p99, throughput, shed rate).
+//! * [`mod@bench`] — the `fpdm.bench.v1` format every committed
+//!   `BENCH_*.json` baseline is written in, and the one regression gate
+//!   over it (`cargo run -p xtask -- bench-gate`).
 //!
 //! The `loadgen` binary ties them together:
 //!
 //! ```text
 //! loadgen --profile full --seed 1          # replay 1M requests
 //! loadgen --out BENCH_service.json         # regenerate the baseline
-//! loadgen --profile smoke --check BENCH_service.json   # CI gate
+//! loadgen --profile smoke --out target/bench/service.json   # CI: then bench-gate
 //! ```
 
 pub mod bench;
 pub mod sim;
 pub mod trace;
 
-pub use bench::TOLERANCE_PCT;
 pub use sim::{run, LoadReport, SimConfig};
 pub use trace::{owner_activity_trace, Arrival, TraceConfig, KINDS, KIND_LABELS};

@@ -552,9 +552,10 @@ fn get<'a>(obj: &'a [(String, json::Json)], key: &str) -> Result<&'a json::Json,
 /// A minimal hand-rolled JSON reader — the workspace deliberately has no
 /// serde dependency, and the snapshot schema only needs objects, arrays,
 /// strings, and integers. Public so sibling frozen schemas (the
-/// `fpdm.lint.v1` analysis report in `fpdm-analyze`) can share one parser.
+/// `fpdm.lint.v1` analysis report in `fpdm-analyze`, the `fpdm.bench.v1`
+/// baselines in `fpdm-loadgen`) can share one parser.
 pub mod json {
-    /// Parsed JSON value (integers only; the schema has no floats).
+    /// Parsed JSON value.
     pub enum Json {
         /// Object as ordered key/value pairs.
         Obj(Vec<(String, Json)>),
@@ -564,6 +565,8 @@ pub mod json {
         Str(String),
         /// Integer (i128 covers the full u64 and i64 ranges).
         Num(i128),
+        /// Number written with a fraction or an exponent.
+        Float(f64),
     }
 
     impl Json {
@@ -608,6 +611,15 @@ pub mod json {
                     i64::try_from(*n).map_err(|_| format!("{what}: {n} out of i64 range"))
                 }
                 _ => Err(format!("{what}: expected integer")),
+            }
+        }
+
+        /// Any number as `f64`, or an error naming `what`.
+        pub fn as_f64(&self, what: &str) -> Result<f64, String> {
+            match self {
+                Json::Num(n) => Ok(*n as f64),
+                Json::Float(x) => Ok(*x),
+                _ => Err(format!("{what}: expected number")),
             }
         }
     }
@@ -795,13 +807,34 @@ pub mod json {
             if self.peek() == Some(b'-') {
                 self.pos += 1;
             }
+            self.digits();
+            let mut float = false;
+            if self.peek() == Some(b'.') {
+                self.pos += 1;
+                float = true;
+                self.digits();
+            }
+            if matches!(self.peek(), Some(b'e' | b'E')) {
+                self.pos += 1;
+                float = true;
+                if matches!(self.peek(), Some(b'+' | b'-')) {
+                    self.pos += 1;
+                }
+                self.digits();
+            }
+            let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+            let bad = |e: &dyn std::fmt::Display| format!("bad number {text:?}: {e}");
+            if float {
+                text.parse::<f64>().map(Json::Float).map_err(|e| bad(&e))
+            } else {
+                text.parse::<i128>().map(Json::Num).map_err(|e| bad(&e))
+            }
+        }
+
+        fn digits(&mut self) {
             while matches!(self.peek(), Some(b'0'..=b'9')) {
                 self.pos += 1;
             }
-            let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-            text.parse::<i128>()
-                .map(Json::Num)
-                .map_err(|e| format!("bad number {text:?}: {e}"))
         }
     }
 }

@@ -496,8 +496,8 @@ impl TupleSpace {
     /// Install (or, with `None`, remove) a [`MetricsRegistry`]. While
     /// installed, every Linda operation updates global and per-partition
     /// metrics; with neither a registry nor a recorder installed the cost
-    /// is a single relaxed atomic load per operation (see the
-    /// `out_inp_cycle_metrics` bench).
+    /// is a single relaxed atomic load per operation (gated by
+    /// `xtask metrics-smoke`).
     pub fn set_metrics(&self, reg: Option<MetricsRegistry>) {
         self.probe.set_metrics(reg);
     }

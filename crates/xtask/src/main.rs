@@ -1,9 +1,10 @@
-//! Workspace task runner. Three tasks:
+//! Workspace task runner. Four tasks:
 //!
 //! ```text
 //! cargo run -p xtask -- analyze [ROOT] [--json PATH]
 //! cargo run --release -p xtask -- metrics-smoke
 //! cargo run -p xtask -- changes-check [PATH]
+//! cargo run -p xtask -- bench-gate BASELINE FRESH
 //! ```
 //!
 //! `analyze` runs the whole-workspace static analysis (`fpdm-analyze`):
@@ -29,12 +30,19 @@
 //! `- PR <n>: ...` line and the PR numbers must be contiguous `1..=max`
 //! with no duplicates, so a session that forgets (or double-writes) its
 //! changelog line fails CI instead of leaving a silent gap.
+//!
+//! `bench-gate` is the one regression gate over the committed
+//! `fpdm.bench.v1` baselines (`fpdm_loadgen::bench`): it compares every
+//! row of a fresh producer run (`bench_classify`, `backend_bench`,
+//! `loadgen`, each with `--out`) that has a baseline row, prints the
+//! table, and exits 1 on any regression and 2 on a file it cannot use.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
+use fpdm_loadgen::bench::{self, Better};
 use plinda::metrics::check_snapshot;
 use plinda::{
     field, tup, Broker, BrokerConfig, FarmConfig, MetricsRegistry, MetricsSnapshot, Recorder,
@@ -47,11 +55,13 @@ fn main() -> ExitCode {
         Some("analyze") => analyze(&args[1..]),
         Some("metrics-smoke") => metrics_smoke(),
         Some("changes-check") => changes_check(args.get(1).map(String::as_str)),
+        Some("bench-gate") if args.len() == 3 => bench_gate(&args[1], &args[2]),
         _ => {
             eprintln!(
                 "usage: cargo run -p xtask -- analyze [ROOT] [--json PATH]\n       \
                  cargo run --release -p xtask -- metrics-smoke\n       \
-                 cargo run -p xtask -- changes-check [PATH]"
+                 cargo run -p xtask -- changes-check [PATH]\n       \
+                 cargo run -p xtask -- bench-gate BASELINE FRESH"
             );
             ExitCode::from(2)
         }
@@ -368,6 +378,58 @@ fn changes_check(path: Option<&str>) -> ExitCode {
             "changes-check: {} ok — PRs 1..={max} contiguous, in order",
             path.display()
         );
+        ExitCode::SUCCESS
+    }
+}
+
+/// Gate the fresh benchmark file against the baseline: print one line
+/// per fresh row, exit 1 on any regression, 2 on an unusable file or a
+/// pair of files with no gated row in common.
+fn bench_gate(baseline_path: &str, fresh_path: &str) -> ExitCode {
+    let inputs = bench::read(baseline_path).and_then(|baseline| {
+        let fresh = bench::read(fresh_path)?;
+        let compared = bench::gate(&baseline, &fresh)?;
+        Ok((baseline, fresh, compared))
+    });
+    let (baseline, fresh, compared) = match inputs {
+        Ok(inputs) => inputs,
+        Err(e) => {
+            eprintln!("bench-gate: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    println!(
+        "bench-gate: {fresh_path} vs {baseline_path} (tolerance {}%)",
+        bench::TOLERANCE_PCT
+    );
+    for key in fresh.keys().filter(|k| !baseline.contains_key(*k)) {
+        println!("  {key:<36} no baseline row, skipped");
+    }
+    for c in &compared {
+        let delta = c.delta_pct.map_or("-".into(), |d| format!("{d:+.1}%"));
+        let verdict = match (c.baseline.better, c.regressed) {
+            (Better::None, _) => "context",
+            (_, true) => "REGRESSED",
+            (_, false) => "ok",
+        };
+        println!(
+            "  {:<36} {:>14.3} -> {:>14.3}  {delta:>8}  {verdict}",
+            c.key, c.baseline.value, c.fresh
+        );
+    }
+    let gated = compared
+        .iter()
+        .filter(|c| c.baseline.better != Better::None)
+        .count();
+    let regressed = compared.iter().filter(|c| c.regressed).count();
+    if gated == 0 {
+        eprintln!("bench-gate: no row of {fresh_path} has a gated baseline row");
+        ExitCode::from(2)
+    } else if regressed > 0 {
+        eprintln!("bench-gate: {regressed} of {gated} gated row(s) regressed");
+        ExitCode::FAILURE
+    } else {
+        println!("bench-gate: ok ({gated} gated row(s))");
         ExitCode::SUCCESS
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run --release --example backend_bench                # measure, write BENCH_backend.json
-//! cargo run --release --example backend_bench -- --check BENCH_backend.json
+//! cargo run --release --example backend_bench -- --out PATH  # measure, write PATH
 //! ```
 //!
 //! Three measurement groups, each the median of 5 runs:
@@ -19,17 +19,17 @@
 //!    identical program both ways (`with_space` is the only difference);
 //!    over the socket the farm's bulk-take prefetch kicks in.
 //!
-//! `--check` re-measures and compares the socket-path metrics against a
-//! baseline file (the committed `BENCH_backend.json`), exiting 1 on any
-//! regression over 25% beyond timer noise. The baseline is the same flat
-//! `"key": number` JSON shape as `BENCH_classify.json`, parsed with a
-//! line scanner instead of a JSON library.
+//! Rows are written in the `fpdm.bench.v1` format (`fpdm::loadgen::bench`):
+//! the socket-path rows are gated `lower` beyond timer noise (2 ms, or
+//! 500 ns for the `_ns` rows), the local-path rows are context. CI compares
+//! a fresh run against the committed file with
+//! `cargo run -p xtask -- bench-gate`.
 
 use fpdm::core::ParallelConfig;
 use fpdm::datagen::{protein_family, PlantedMotif};
+use fpdm::loadgen::bench::{self, Better, Row, Rows};
 use fpdm::plinda::{field, tup, Broker, BrokerConfig, Template, TupleSpace};
 use fpdm::seqmine::{discover_parallel, DiscoveryParams};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -39,8 +39,6 @@ const BULK_TUPLES: usize = 4_096;
 const BULK_K: usize = 32;
 const RUNS: usize = 5;
 const WORKERS: usize = 4;
-/// Default regression tolerance for `--check`, in percent.
-const TOLERANCE_PCT: f64 = 25.0;
 
 fn median(mut xs: Vec<f64>) -> f64 {
     xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -104,9 +102,26 @@ fn mining_wall(space: Option<Arc<TupleSpace>>) -> Duration {
     wall
 }
 
+/// Record `key`: socket-path rows are gated beyond an absolute slack of
+/// timer noise, per unit (the ns metrics sit in the hundreds of ns);
+/// local-path numbers are context.
+fn insert(m: &mut Rows, key: &str, value: f64) {
+    let (better, slack) = match (key.contains("socket"), key.ends_with("_ms")) {
+        (false, _) => (Better::None, 0.0),
+        (true, true) => (Better::Lower, 2.0),
+        (true, false) => (Better::Lower, 500.0),
+    };
+    let row = Row {
+        value,
+        better,
+        slack,
+    };
+    m.insert(key.into(), row);
+}
+
 /// Run every measurement group, printing as it goes.
-fn measure(broker: &Broker) -> BTreeMap<String, f64> {
-    let mut m = BTreeMap::new();
+fn measure(broker: &Broker) -> Rows {
+    let mut m = Rows::new();
 
     // --- out_inp_cycle ------------------------------------------------
     let local = TupleSpace::new();
@@ -121,8 +136,8 @@ fn measure(broker: &Broker) -> BTreeMap<String, f64> {
         "  socket  {socket_ns:8.0} ns/cycle  ({:.0}x, 2 round trips)",
         socket_ns / local_ns
     );
-    m.insert("out_inp.local_ns".into(), local_ns);
-    m.insert("out_inp.socket_ns".into(), socket_ns);
+    insert(&mut m, "out_inp.local_ns", local_ns);
+    insert(&mut m, "out_inp.socket_ns", socket_ns);
 
     // --- bulk throughput over the socket ------------------------------
     bulk_batched_ns(&socket); // warm-up
@@ -134,8 +149,8 @@ fn measure(broker: &Broker) -> BTreeMap<String, f64> {
         "  batched   {batched:8.0} ns/tuple  (deferred outs + inp_batch x{BULK_K}, {:.1}x faster)",
         unbatched / batched
     );
-    m.insert("bulk.socket_unbatched_ns".into(), unbatched);
-    m.insert("bulk.socket_batched_ns".into(), batched);
+    insert(&mut m, "bulk.socket_unbatched_ns", unbatched);
+    insert(&mut m, "bulk.socket_batched_ns", batched);
 
     // --- PLET-LB wall clock -------------------------------------------
     let local_wall = median(
@@ -157,126 +172,28 @@ fn measure(broker: &Broker) -> BTreeMap<String, f64> {
         "  socket  {socket_wall:8.1} ms  ({:.1}x)",
         socket_wall / local_wall
     );
-    m.insert("plet_lb.local_ms".into(), local_wall);
-    m.insert("plet_lb.socket_ms".into(), socket_wall);
+    insert(&mut m, "plet_lb.local_ms", local_wall);
+    insert(&mut m, "plet_lb.socket_ms", socket_wall);
     m
-}
-
-fn write_json(path: &str, metrics: &BTreeMap<String, f64>) -> std::io::Result<()> {
-    let mut body = String::from("{\n  \"schema\": 1,\n");
-    for (i, (k, v)) in metrics.iter().enumerate() {
-        let sep = if i + 1 == metrics.len() { "" } else { "," };
-        body.push_str(&format!("  \"{k}\": {v:.3}{sep}\n"));
-    }
-    body.push_str("}\n");
-    std::fs::write(path, body)
-}
-
-/// Parse the flat `"key": number` pairs back out of a baseline file.
-fn read_json(path: &str) -> std::io::Result<BTreeMap<String, f64>> {
-    let text = std::fs::read_to_string(path)?;
-    let mut out = BTreeMap::new();
-    for line in text.lines() {
-        let line = line.trim().trim_end_matches(',');
-        let Some((key, value)) = line.split_once(':') else {
-            continue;
-        };
-        let key = key.trim().trim_matches('"');
-        if let Ok(v) = value.trim().parse::<f64>() {
-            out.insert(key.to_string(), v);
-        }
-    }
-    Ok(out)
-}
-
-/// Absolute slack below which a percentage delta is timer noise, per
-/// metric unit (the ns metrics sit in the hundreds-of-ns range).
-fn slack(key: &str) -> f64 {
-    if key.ends_with("_ms") {
-        2.0
-    } else {
-        500.0
-    }
-}
-
-/// Compare the socket-path metrics of a fresh run against the committed
-/// baseline; returns the metrics that regressed beyond `tol_pct`.
-fn check(
-    baseline: &BTreeMap<String, f64>,
-    fresh: &BTreeMap<String, f64>,
-    tol_pct: f64,
-) -> Vec<String> {
-    let mut failures = Vec::new();
-    for (key, &new) in fresh {
-        if !key.contains("socket") {
-            continue; // local-path numbers are context, not a gate
-        }
-        let Some(&old) = baseline.get(key) else {
-            eprintln!("  [new metric {key}: {new:.1}, no baseline — skipped]");
-            continue;
-        };
-        let delta_pct = (new - old) / old * 100.0;
-        let regressed = delta_pct > tol_pct && new - old > slack(key);
-        let verdict = if regressed { "REGRESSED" } else { "ok" };
-        eprintln!("  {key:<28} {old:10.1} -> {new:10.1}  {delta_pct:+6.1}%  {verdict}");
-        if regressed {
-            failures.push(format!("{key}: {old:.1} -> {new:.1} ({delta_pct:+.1}%)"));
-        }
-    }
-    failures
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut baseline_path: Option<String> = None;
-    let mut out_path = "BENCH_backend.json".to_string();
-    let mut tolerance = TOLERANCE_PCT;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--check" => baseline_path = it.next().cloned(),
-            "--out" => out_path = it.next().cloned().unwrap_or(out_path),
-            "--tolerance" => {
-                tolerance = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(TOLERANCE_PCT)
-            }
-            other => {
-                eprintln!("usage: backend_bench [--check BASELINE] [--out PATH] [--tolerance PCT]");
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
+    let out_path = match args.as_slice() {
+        [] => "BENCH_backend.json".to_string(),
+        [flag, path] if flag == "--out" => path.clone(),
+        _ => {
+            eprintln!("usage: backend_bench [--out PATH]");
+            std::process::exit(2);
         }
-    }
+    };
 
     let sock = std::env::temp_dir().join(format!("fpdm-bench-{}.sock", std::process::id()));
     let broker = Broker::start(BrokerConfig::new(&sock)).expect("start broker");
-    let metrics = measure(&broker);
-
-    if let Some(path) = baseline_path {
-        let baseline = match read_json(&path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("cannot read baseline {path}: {e}");
-                std::process::exit(2);
-            }
-        };
-        eprintln!("perf smoke: socket-path metrics vs {path} (tolerance {tolerance}%)");
-        let failures = check(&baseline, &metrics, tolerance);
-        if failures.is_empty() {
-            eprintln!("perf smoke: ok");
-        } else {
-            eprintln!("perf smoke: {} regression(s):", failures.len());
-            for f in &failures {
-                eprintln!("  {f}");
-            }
-            std::process::exit(1);
-        }
-    } else if let Err(e) = write_json(&out_path, &metrics) {
+    let rows = measure(&broker);
+    if let Err(e) = bench::write(&out_path, &rows) {
         eprintln!("cannot write {out_path}: {e}");
         std::process::exit(2);
-    } else {
-        println!("wrote {out_path}");
     }
+    println!("wrote {out_path}");
 }
