@@ -31,7 +31,11 @@
 //! Theorems 1–4 of the dissertation state that all of these produce the
 //! same good patterns, with the EDT forms testing the minimal pattern set;
 //! the unit, integration, and property tests of this workspace check those
-//! statements mechanically.
+//! statements mechanically. `tests/explore_drivers.rs` also runs every
+//! parallel driver — the real code, on a scheduled space handed in through
+//! [`ParallelConfig::with_space`] — under `plinda::check::explore`, with a
+//! worker killed at every commit boundary, and requires the sequential
+//! outcome from every schedule.
 //!
 //! [`strategy`] replays recorded traversals ([`strategy::CostTree`])
 //! through the [`nowsim`] discrete-event simulator to study the
@@ -59,7 +63,6 @@
 
 pub mod edag;
 pub mod etree;
-pub mod farmcheck;
 pub mod parallel;
 pub mod problem;
 pub mod render;

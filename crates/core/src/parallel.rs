@@ -229,7 +229,7 @@ const NORMAL: i64 = 0;
 
 /// Which patterns of a level a level-synchronous traversal tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Pruning {
+enum Pruning {
     /// E-tree: every child of a good pattern.
     Parent,
     /// E-dag (Definition 2): only patterns whose immediate subpatterns are
@@ -241,7 +241,7 @@ impl Pruning {
     /// Does this rule test `p`, given every good pattern found so far?
     /// Immediate subpatterns sit one level up (or are the root, which is
     /// always good), so `good` holding earlier levels too changes nothing.
-    pub(crate) fn admits<P: MiningProblem>(
+    fn admits<P: MiningProblem>(
         self,
         problem: &P,
         p: &P::Pattern,

@@ -223,11 +223,18 @@ impl MiningRequest {
             }
             2 => {
                 let dataset = cur.string()?;
+                let window = u32::try_from(cur.u64()?)
+                    .map_err(|_| "episode window out of range".to_string())?;
+                // `EpisodeMiningProblem::new` asserts a non-empty window;
+                // an executor must never reach that assert. The miners
+                // assert nothing about any other decoded parameter.
+                if window == 0 {
+                    return Err("episode window must be at least 1".into());
+                }
                 MiningRequest::Episodes {
                     dataset,
                     params: EpisodeParams {
-                        window: u32::try_from(cur.u64()?)
-                            .map_err(|_| "episode window out of range".to_string())?,
+                        window,
                         min_windows: cur.usize()?,
                         min_length: cur.usize()?,
                         max_length: cur.usize()?,

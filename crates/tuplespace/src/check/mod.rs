@@ -12,10 +12,14 @@
 //!   transaction atomicity ([`check_atomicity`]), tuple leaks at
 //!   quiescence ([`check_leaks`]), and wait-for-graph deadlock /
 //!   lost-wakeup detection ([`check_deadlock`]).
-//! * [`explore()`] — a deterministic interleaving explorer (a loom-style
-//!   mini model checker sized to the farm protocols) that replays small
-//!   programs under seeded schedules, with kill placement at every commit
-//!   boundary, asserting the checkers plus sequential equivalence on each.
+//! * [`explore()`] — a deterministic interleaving explorer (loom's idea
+//!   sized to the Linda op). It runs your real program over a scheduled
+//!   space, where every space operation waits for a baton the scheduler
+//!   hands to one runnable thread per step, under seeded schedules and a
+//!   kill at every commit boundary through the runtime's own kill path,
+//!   and asserts the checkers plus sequential equivalence on each run.
+//!   To verify a program, write it as `|space| -> R` over the space it is
+//!   given, e.g. `ParallelConfig::with_space` or [`crate::Runtime::with_space`].
 //!
 //! The static counterpart — cross-checking every `Template` signature
 //! matched against every signature produced across the workspace, plus
@@ -30,7 +34,5 @@ pub use checkers::{
     check_atomicity, check_deadlock, check_leaks, check_trace, leftover_by_signature,
     AtomicityViolation, CheckReport, DeadlockReport, Leak,
 };
-pub use explore::{
-    explore, Action, ExploreConfig, ExploreReport, KillPoint, Reply, RunFailure, VirtualProgram,
-};
+pub use explore::{explore, ExploreConfig, ExploreReport, KillPoint, RunFailure};
 pub use trace::{OpKind, Recorder, Trace, TraceEvent};

@@ -84,9 +84,7 @@ pub enum TraceEvent {
         /// The unmatched template.
         template: Template,
     },
-    /// A blocking operation parked on its partition's condition variable
-    /// (or, in the interleaving explorer, a virtual process became
-    /// unrunnable on this template).
+    /// A blocking operation parked on its partition's condition variable.
     Block {
         /// Blocked actor.
         actor: u64,
@@ -182,7 +180,7 @@ pub enum TraceEvent {
         pid: u64,
     },
     /// The process was killed (workstation owner returned / injected
-    /// failure / explorer kill placement).
+    /// failure / the explorer's commit-boundary kill).
     Kill {
         /// Killed process.
         pid: u64,
@@ -426,7 +424,6 @@ impl Recorder {
             Event::Kill { pid } => TraceEvent::Kill { pid },
             Event::Respawn { pid } => TraceEvent::Respawn { pid },
             Event::Done { pid, .. } => TraceEvent::Done { pid },
-            Event::Virtual(ev) => ev,
             Event::Spawn | Event::Flush { .. } | Event::Chan { .. } => return,
         };
         events.push(ev);

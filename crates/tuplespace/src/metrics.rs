@@ -1129,10 +1129,7 @@ impl Ledger {
                 self.reg.gauge(&format!("chan.{name}.depth")).set(depth);
                 return;
             }
-            Event::BufferedOut { .. }
-            | Event::TentativeIn { .. }
-            | Event::SelfIn { .. }
-            | Event::Virtual(_) => return,
+            Event::BufferedOut { .. } | Event::TentativeIn { .. } | Event::SelfIn { .. } => return,
         };
         self.add(name, n);
     }

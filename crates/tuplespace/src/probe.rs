@@ -19,7 +19,7 @@
 //!   touched the space could deadlock. Values that need the space, such as
 //!   a channel's depth, are computed by the site before it emits.
 
-use crate::check::trace::{OpKind, Recorder, TraceEvent};
+use crate::check::trace::{OpKind, Recorder};
 use crate::metrics::{Ledger, MetricsRegistry};
 use crate::template::Template;
 use crate::value::Tuple;
@@ -124,9 +124,6 @@ pub(crate) enum Event<'a> {
         n: u64,
         depth: i64,
     },
-    /// A trace event with no operation behind it (the interleaving
-    /// explorer's virtual block/wake/kill transitions).
-    Virtual(TraceEvent),
 }
 
 const RECORDER: u8 = 1;

@@ -241,15 +241,6 @@ impl Process {
         trace::with_actor(self.pid, || f(&self.space))
     }
 
-    /// Would an `in`/`rd` be satisfied from the open transaction's own
-    /// outbox? Used by the interleaving explorer to decide enabledness
-    /// without executing the operation.
-    pub(crate) fn outbox_matches(&self, tmpl: &Template) -> bool {
-        self.txn
-            .as_ref()
-            .is_some_and(|t| t.outbox.iter().any(|x| tmpl.matches(x)))
-    }
-
     /// Logical process id (stable across re-spawns).
     pub fn pid(&self) -> u64 {
         self.pid
@@ -445,6 +436,11 @@ impl Process {
     /// guarantee.
     pub fn xcommit(&mut self, continuation: Option<Tuple>) -> Result<(), PlindaError> {
         let txn = self.txn.take().ok_or(PlindaError::NoTransaction)?;
+        if self.space.schedule().is_some_and(|s| s.commit_point()) {
+            // The interleaving explorer's kill for this commit boundary.
+            self.state.kill();
+            self.space.emit(Event::Kill { pid: self.pid });
+        }
         if self.state.is_killed() {
             // The failure happened before commit: abort. A transport
             // failure here is survivable: the broker restores a dead

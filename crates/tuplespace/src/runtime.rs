@@ -30,6 +30,8 @@ struct Registry {
     /// Display names per logical pid.
     names: HashMap<u64, String>,
     handles: Vec<JoinHandle<()>>,
+    /// Schedule seats of the spawned threads (scheduled spaces only).
+    seats: Vec<usize>,
 }
 
 /// The PLinda runtime (server + daemons).
@@ -65,6 +67,7 @@ impl Runtime {
                 procs: HashMap::new(),
                 names: HashMap::new(),
                 handles: Vec::new(),
+                seats: Vec::new(),
             }),
             next_pid: AtomicU64::new(1),
             respawns: Arc::new(AtomicU64::new(0)),
@@ -110,9 +113,15 @@ impl Runtime {
         let respawns = Arc::clone(&self.respawns);
         let shutdown = Arc::clone(&self.shutdown);
         let name = name.to_owned();
+        // On the explorer's scheduled space the thread takes its seat here,
+        // in the spawning thread, so schedule choice never races its
+        // start-up; it leaves the schedule when the seat drops on exit.
+        let seat = space.schedule().map(|s| s.register());
+        let seat_id = seat.as_ref().map(|s| s.id());
         let handle = std::thread::Builder::new()
             .name(format!("plinda-{name}-{pid}"))
             .spawn(move || {
+                let _seat = seat.map(|s| s.entered());
                 space.emit(Event::Spawn);
                 let protocol_error = loop {
                     let mut proc = Process::new(pid, Arc::clone(&space), Arc::clone(&thread_state));
@@ -159,6 +168,7 @@ impl Runtime {
         reg.procs.insert(pid, state);
         reg.names.insert(pid, name);
         reg.handles.push(handle);
+        reg.seats.extend(seat_id);
         pid
     }
 
@@ -197,6 +207,11 @@ impl Runtime {
     /// (the standard Linda idiom).
     pub fn join(&self) {
         self.ckpt_stop.store(true, Ordering::SeqCst);
+        if let Some(sched) = self.space.schedule() {
+            // Joining is not a runnable step: park off the baton until
+            // every thread of this runtime has exited.
+            sched.join(self.registry.lock().seats.clone());
+        }
         loop {
             let handle = { self.registry.lock().handles.pop() };
             match handle {

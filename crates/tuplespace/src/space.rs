@@ -27,6 +27,7 @@
 //! lock graph is acyclic.
 
 use crate::backend::SpaceBackend;
+use crate::check::explore::ScheduledBackend;
 use crate::check::trace::{OpKind, Recorder};
 use crate::codec;
 use crate::metrics::MetricsRegistry;
@@ -438,6 +439,10 @@ pub struct TupleSpace {
     /// Shared with the backend, which emits the space-level events.
     probe: Arc<Probe>,
     backend: Arc<dyn SpaceBackend>,
+    /// The backend again, when it is the interleaving explorer's
+    /// scheduled space: the runtime seats its threads in the schedule and
+    /// the transaction layer takes its commit-boundary step there.
+    schedule: Option<Arc<ScheduledBackend>>,
 }
 
 impl Default for TupleSpace {
@@ -459,7 +464,28 @@ impl TupleSpace {
     pub fn new() -> Self {
         let probe = Arc::new(Probe::default());
         let backend = Arc::new(LocalBackend::new(Arc::clone(&probe)));
-        TupleSpace { probe, backend }
+        TupleSpace {
+            probe,
+            backend,
+            schedule: None,
+        }
+    }
+
+    /// An in-process space whose every operation waits for the
+    /// explorer's baton (see [`crate::check::explore()`]).
+    pub(crate) fn scheduled(make: impl FnOnce(LocalBackend) -> ScheduledBackend) -> Self {
+        let probe = Arc::new(Probe::default());
+        let sched = Arc::new(make(LocalBackend::new(Arc::clone(&probe))));
+        TupleSpace {
+            probe,
+            backend: Arc::clone(&sched) as Arc<dyn SpaceBackend>,
+            schedule: Some(sched),
+        }
+    }
+
+    /// The explorer's schedule, when this is a scheduled space.
+    pub(crate) fn schedule(&self) -> Option<&Arc<ScheduledBackend>> {
+        self.schedule.as_ref()
     }
 
     /// Connect to an `fpdm-spaced` broker listening on the Unix-domain
@@ -472,7 +498,11 @@ impl TupleSpace {
             path.as_ref(),
             Arc::clone(&probe),
         )?);
-        Ok(TupleSpace { probe, backend })
+        Ok(TupleSpace {
+            probe,
+            backend,
+            schedule: None,
+        })
     }
 
     /// Short name of the backend this space runs over (`"local"`,
@@ -522,8 +552,8 @@ impl TupleSpace {
     }
 
     /// Hand one instrumentation event to the installed recorder and
-    /// ledger (crate-internal: `Process`, `Runtime`, the channels, and the
-    /// interleaving explorer emit into the same stream as the space ops).
+    /// ledger (crate-internal: `Process`, `Runtime` and the channels emit
+    /// into the same stream as the space ops).
     /// Returns whether any sink was installed.
     #[inline]
     pub(crate) fn emit(&self, ev: Event<'_>) -> bool {
@@ -596,8 +626,7 @@ impl TupleSpace {
     }
 
     /// Would `tmpl` match some visible tuple right now? A non-recording
-    /// probe used by the interleaving explorer to decide enabledness
-    /// without perturbing the trace.
+    /// probe (the broker's `HasMatch` request).
     pub(crate) fn has_match(&self, tmpl: &Template) -> bool {
         self.backend
             .has_match(tmpl)

@@ -5,158 +5,72 @@
 //! poison pill per worker, and publishes the total. Every step of the master
 //! runs in its own transaction whose continuation tuple carries the loop
 //! counter and the running sum, so a kill at *any* commit boundary — master
-//! or worker — must recover to the same final space as the failure-free
-//! round-robin reference (§7.1.2). The explorer asserts that, plus the
-//! atomicity/leak/deadlock checkers, over every schedule it generates.
+//! or worker — must recover to the same result and final space as the
+//! failure-free round-robin reference (§7.1.2). Master and workers are
+//! ordinary [`Runtime`] processes; the explorer schedules their real
+//! threads and asserts the atomicity/leak/deadlock checkers over every
+//! schedule it generates.
 
-use plinda::check::{explore, Action, ExploreConfig, Reply, VirtualProgram};
-use plinda::{field, tup, Template};
+use plinda::check::{explore, ExploreConfig};
+use plinda::{field, tup, Runtime, Template};
+use std::sync::Arc;
 
 const TASKS: i64 = 6;
 const WORKERS: i64 = 3;
 /// Master iterations: out 6 tasks, in 6 results, out 3 poisons, out total.
 const MASTER_STEPS: i64 = TASKS + TASKS + WORKERS + 1;
 
-fn task_tmpl() -> Template {
-    Template::new(vec![field::val("task"), field::int(), field::int()])
+fn total_tmpl() -> Template {
+    Template::new(vec![field::val("total"), field::int()])
 }
 
-fn result_tmpl() -> Template {
-    Template::new(vec![field::val("result"), field::int(), field::int()])
-}
-
-enum MState {
-    /// Deliver the recovered continuation (or the commit ack) and decide
-    /// whether to open the next transaction or exit.
-    Resume,
-    /// Transaction open: issue this iteration's single operation.
-    Work,
-    /// Operation done: fold the reply and commit with a continuation.
-    Commit,
-}
-
-struct Master {
-    step: i64,
-    acc: i64,
-    state: MState,
-}
-
-impl Master {
-    fn new() -> Self {
-        Master {
-            step: 0,
-            acc: 0,
-            state: MState::Resume,
+fn vecadd(space: Arc<plinda::TupleSpace>) -> Option<i64> {
+    let rt = Runtime::with_space(Arc::clone(&space));
+    rt.spawn("master", |p| {
+        let (mut step, mut acc) = p.xrecover().map_or((0, 0), |c| (c.int(1), c.int(2)));
+        while step < MASTER_STEPS {
+            p.xstart()?;
+            match step {
+                s if s < TASKS => p.out(tup!["task", s, 100 - s]),
+                s if s < 2 * TASKS => {
+                    let r = p.in_(Template::new(vec![
+                        field::val("result"),
+                        field::int(),
+                        field::int(),
+                    ]))?;
+                    acc += r.int(2);
+                }
+                s if s < 2 * TASKS + WORKERS => p.out(tup!["task", -1i64, -1i64]),
+                _ => p.out(tup!["total", acc]),
+            }
+            step += 1;
+            p.xcommit(Some(tup!["mcont", step, acc]))?;
         }
-    }
-}
-
-impl VirtualProgram for Master {
-    fn next(&mut self, reply: Reply) -> Action {
-        match std::mem::replace(&mut self.state, MState::Resume) {
-            MState::Resume => {
-                if let Reply::Spawned(Some(c)) = &reply {
-                    self.step = c.int(1);
-                    self.acc = c.int(2);
-                }
-                if self.step >= MASTER_STEPS {
-                    return Action::Exit;
-                }
-                self.state = MState::Work;
-                Action::Xstart
-            }
-            MState::Work => {
-                self.state = MState::Commit;
-                match self.step {
-                    s if s < TASKS => Action::Out(tup!["task", s, 100 - s]),
-                    s if s < 2 * TASKS => Action::In(result_tmpl()),
-                    s if s < 2 * TASKS + WORKERS => Action::Out(tup!["task", -1i64, -1i64]),
-                    _ => Action::Out(tup!["total", self.acc]),
-                }
-            }
-            MState::Commit => {
-                if let Reply::Got(t) = &reply {
-                    self.acc += t.int(2);
-                }
-                self.step += 1;
-                Action::Xcommit(Some(tup!["mcont", self.step, self.acc]))
-            }
+        Ok(())
+    });
+    rt.spawn_n("adder", WORKERS as usize, |p| loop {
+        p.xstart()?;
+        let t = p.in_(Template::new(vec![
+            field::val("task"),
+            field::int(),
+            field::int(),
+        ]))?;
+        if t.int(1) < 0 {
+            // Poison pill: commit its withdrawal and stop.
+            p.xcommit(None)?;
+            return Ok(());
         }
-    }
-}
-
-enum WState {
-    Boot,
-    Started,
-    AwaitTask,
-    HaveOut,
-    Finishing { exit: bool },
-}
-
-struct Worker {
-    state: WState,
-}
-
-impl Worker {
-    fn new() -> Self {
-        Worker {
-            state: WState::Boot,
-        }
-    }
-}
-
-impl VirtualProgram for Worker {
-    fn next(&mut self, reply: Reply) -> Action {
-        match std::mem::replace(&mut self.state, WState::Boot) {
-            WState::Boot => {
-                self.state = WState::Started;
-                Action::Xstart
-            }
-            WState::Started => {
-                self.state = WState::AwaitTask;
-                Action::In(task_tmpl())
-            }
-            WState::AwaitTask => {
-                let t = match reply {
-                    Reply::Got(t) => t,
-                    other => panic!("worker expected a task, got {other:?}"),
-                };
-                if t.int(1) < 0 {
-                    // Poison pill: commit its withdrawal and stop.
-                    self.state = WState::Finishing { exit: true };
-                    Action::Xcommit(None)
-                } else {
-                    let sum = t.int(1) + t.int(2);
-                    self.state = WState::HaveOut;
-                    Action::Out(tup!["result", t.int(1), sum])
-                }
-            }
-            WState::HaveOut => {
-                self.state = WState::Finishing { exit: false };
-                Action::Xcommit(None)
-            }
-            WState::Finishing { exit } => {
-                if exit {
-                    Action::Exit
-                } else {
-                    self.state = WState::Started;
-                    Action::Xstart
-                }
-            }
-        }
-    }
+        p.out(tup!["result", t.int(1), t.int(1) + t.int(2)]);
+        p.xcommit(None)?;
+    });
+    rt.join();
+    space.rdp(&total_tmpl()).map(|t| t.int(1))
 }
 
 #[test]
 fn vecadd_survives_a_kill_at_every_commit_boundary() {
-    let mut cfg = ExploreConfig::new()
-        .program(Master::new)
-        .allow_leftover(Template::new(vec![field::val("total"), field::int()]));
-    for _ in 0..WORKERS {
-        cfg = cfg.program(Worker::new);
-    }
-
-    let report = explore(&cfg);
+    let cfg = ExploreConfig::new().allow_leftover(total_tmpl());
+    let report = explore(&cfg, vecadd);
 
     assert!(
         report.is_clean(),
@@ -167,11 +81,12 @@ fn vecadd_survives_a_kill_at_every_commit_boundary() {
     );
 
     // Failure-free reference: all tasks sum to 100, six of them.
+    assert_eq!(report.reference, Some(Some(600)));
     assert_eq!(report.reference_final, vec![tup!["total", 600i64]]);
 
     // One kill point per commit of the computation: the master's
-    // MASTER_STEPS iteration commits plus the workers' 6 task commits and
-    // 3 poison commits.
+    // MASTER_STEPS continuation commits plus the workers' 6 task commits
+    // and 3 poison commits.
     assert_eq!(
         report.kill_points.len() as i64,
         MASTER_STEPS + TASKS + WORKERS

@@ -139,30 +139,31 @@ fn metered_killed_run_accounts_for_every_respawn() {
 
 // ---------------------------------------------------------------------
 // The three farmed miners — seqmine, treemine, episodes — under the
-// PR 2 kill-schedule explorer and under real-thread kill schedules.
+// interleaving explorer and under real-thread kill schedules.
 // ---------------------------------------------------------------------
 
 mod farmed_miners {
     use super::*;
-    use fpdm::core::farmcheck::{wave_expected_final, wave_explore_config};
-    use fpdm::core::MiningProblem;
-    use fpdm::episodes::{EpisodeMiningProblem, EpisodeParams, EventSequence};
-    use fpdm::plinda::check::{explore, ExploreReport};
-    use fpdm::seqmine::{DiscoveryParams, SeqMiningProblem, Sequence};
-    use fpdm::treemine::{OrderedTree, TreeDiscoveryParams, TreeMiningProblem};
+    use fpdm::episodes::{EpisodeParams, EventSequence};
+    use fpdm::plinda::check::{explore, ExploreConfig, ExploreReport};
+    use fpdm::seqmine::{DiscoveryParams, Sequence};
+    use fpdm::treemine::{OrderedTree, TreeDiscoveryParams};
     use fpdm::{datagen, episodes, seqmine, treemine};
 
-    /// Run one miner problem through the interleaving explorer with a
-    /// kill at every commit boundary, asserting checker cleanliness and
-    /// equivalence with the sequential miner's good set.
-    fn explore_wave<P>(problem: std::sync::Arc<P>, workers: usize) -> ExploreReport
-    where
-        P: MiningProblem + fpdm::core::PatternCodec + 'static,
-    {
-        let mut cfg = wave_explore_config(std::sync::Arc::clone(&problem), workers);
+    /// Run one real farmed miner through the interleaving explorer with
+    /// a kill at every commit boundary, asserting checker cleanliness and
+    /// equivalence with the sequential miner's report on every schedule.
+    fn explore_farm<R: PartialEq + std::fmt::Debug>(
+        workers: usize,
+        sequential: R,
+        farm: impl Fn(&ParallelConfig) -> R,
+    ) -> ExploreReport<R> {
+        let mut cfg = ExploreConfig::new();
         cfg.random_schedules = 8;
         cfg.seeds_per_kill = 2;
-        let report = explore(&cfg);
+        let report = explore(&cfg, |space| {
+            farm(&ParallelConfig::load_balanced(workers).with_space(space))
+        });
         assert!(
             report.is_clean(),
             "{} of {} runs failed; first: {:#?}",
@@ -171,9 +172,9 @@ mod farmed_miners {
             report.failures.first()
         );
         assert_eq!(
-            report.reference_final,
-            wave_expected_final(&*problem),
-            "every schedule must publish exactly the sequential good set"
+            report.reference.as_ref(),
+            Some(&sequential),
+            "every schedule must report exactly the sequential result"
         );
         for (kp, fired) in &report.kills_fired {
             assert!(*fired > 0, "kill at commit {} never fired", kp.commit);
@@ -187,9 +188,11 @@ mod farmed_miners {
             .iter()
             .map(|s| Sequence::from_str(s))
             .collect();
-        let problem =
-            std::sync::Arc::new(SeqMiningProblem::new(db, DiscoveryParams::new(2, 3, 2, 0)));
-        let report = explore_wave(problem, 2);
+        let params = DiscoveryParams::new(2, 3, 2, 0);
+        let sequential = seqmine::discover::discover(db.clone(), params.clone());
+        let report = explore_farm(2, sequential, |cfg| {
+            seqmine::discover::discover_farm(db.clone(), params.clone(), cfg)
+        });
         assert!(!report.kill_points.is_empty());
     }
 
@@ -199,16 +202,16 @@ mod farmed_miners {
             .iter()
             .map(|s| OrderedTree::parse(s))
             .collect();
-        let problem = std::sync::Arc::new(TreeMiningProblem::new(
-            trees,
-            TreeDiscoveryParams {
-                min_size: 1,
-                max_size: 2,
-                min_occurrence: 3,
-                max_distance: 0,
-            },
-        ));
-        let report = explore_wave(problem, 2);
+        let params = TreeDiscoveryParams {
+            min_size: 1,
+            max_size: 2,
+            min_occurrence: 3,
+            max_distance: 0,
+        };
+        let sequential = treemine::discover::discover_tree_motifs(trees.clone(), params.clone());
+        let report = explore_farm(2, sequential, |cfg| {
+            treemine::discover::discover_tree_motifs_farm(trees.clone(), params.clone(), cfg)
+        });
         assert!(!report.kill_points.is_empty());
     }
 
@@ -224,16 +227,16 @@ mod farmed_miners {
             (9, b'C'),
             (10, b'B'),
         ]);
-        let problem = std::sync::Arc::new(EpisodeMiningProblem::new(
-            events,
-            EpisodeParams {
-                window: 4,
-                min_windows: 3,
-                min_length: 1,
-                max_length: 2,
-            },
-        ));
-        let report = explore_wave(problem, 3);
+        let params = EpisodeParams {
+            window: 4,
+            min_windows: 3,
+            min_length: 1,
+            max_length: 2,
+        };
+        let sequential = episodes::discover_episodes(&events, params.clone());
+        let report = explore_farm(3, sequential, |cfg| {
+            episodes::discover_episodes_farm(&events, params.clone(), cfg)
+        });
         assert!(!report.kill_points.is_empty());
     }
 

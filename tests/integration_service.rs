@@ -367,3 +367,66 @@ fn unknown_datasets_and_malformed_frames_answer_errors() {
     assert_eq!(snap.counter("service.requests.submitted"), 1);
     assert_eq!(snap.counter("service.requests.rejected"), 1);
 }
+
+/// Poll for `reqid`'s response for up to 30 s, so a lost response fails
+/// the test instead of hanging it.
+fn wait_bounded(space: &TupleSpace, reqid: i64) -> Option<(i64, Vec<u8>)> {
+    use fpdm::plinda::channel::KeyedChan;
+    let responses: KeyedChan<(i64, Vec<u8>)> = KeyedChan::new("svc.response");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while std::time::Instant::now() < deadline {
+        if let Some(resp) = responses.try_recv_for(space, reqid) {
+            return Some(resp);
+        }
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    None
+}
+
+#[test]
+fn zero_window_episodes_request_is_rejected_and_the_service_keeps_serving() {
+    let space = Arc::new(TupleSpace::new());
+    // One executor and one run slot: an executor lost to the bad request
+    // would strand every request after it.
+    let service = MiningService::start(
+        ServiceConfig {
+            executors: 1,
+            admission: AdmissionConfig {
+                run_slots: 1,
+                ..AdmissionConfig::default()
+            },
+            ..ServiceConfig::default()
+        },
+        Arc::new(catalog()),
+        Arc::clone(&space),
+    );
+    let client = ServiceClient::new(Arc::clone(&space), 6);
+    let valid = all_requests()[2].clone();
+    let MiningRequest::Episodes { dataset, params } = valid.clone() else {
+        unreachable!("all_requests()[2] is the episodes request")
+    };
+    let zero = MiningRequest::Episodes {
+        dataset,
+        params: fpdm::episodes::EpisodeParams {
+            window: 0,
+            ..params
+        },
+    };
+
+    let reqid = client.submit(1, &zero);
+    let (status, payload) = wait_bounded(&space, reqid).expect("window-0 request never answered");
+    assert_eq!(status, Status::Error as i64);
+    assert_eq!(
+        String::from_utf8(payload).unwrap(),
+        "episode window must be at least 1"
+    );
+    let reqid = client.submit(1, &valid);
+    let (status, _) = wait_bounded(&space, reqid).expect("valid request after it never answered");
+    assert_eq!(status, Status::Ok as i64);
+
+    let snap = service.shutdown();
+    let problems = check_snapshot(&snap);
+    assert!(problems.is_empty(), "{problems:?}");
+    assert_eq!(snap.counter("service.requests.rejected"), 1);
+    assert_eq!(snap.counter("service.requests.submitted"), 1);
+}
