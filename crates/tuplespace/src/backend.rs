@@ -168,10 +168,6 @@ pub trait SpaceBackend: Send + Sync {
     /// Count visible tuples matching `tmpl`.
     fn count(&self, tmpl: &Template) -> Result<usize, PlindaError>;
 
-    /// Would `tmpl` match some visible tuple right now? (Enabledness
-    /// probe; must not record trace events or metrics.)
-    fn has_match(&self, tmpl: &Template) -> Result<bool, PlindaError>;
-
     /// Consistent cut of every visible tuple, in deterministic
     /// (sorted-signature) order.
     fn snapshot(&self) -> Result<Vec<Tuple>, PlindaError>;

@@ -109,7 +109,8 @@ fn run(p: &mut Process) -> Result<(), PlindaError> {
 /// The batched-transport worker shape: bulk takes, one transaction per
 /// batch, and per-task deferred `("side", i)` markers. The markers sit in
 /// the connection's write-coalescing buffer until the commit flushes them
-/// (`Flush` + `TxnCommit` pipelined in one batch), so a kill between
+/// (the `TxnCommit` frame rides behind them and acknowledges them), so a
+/// kill between
 /// `took` and `committed` leaves a non-empty deferred-out queue whose
 /// tuples must never become visible.
 fn run_batched(p: &mut Process, batch: usize) -> Result<(), PlindaError> {

@@ -285,7 +285,7 @@ impl ScheduledBackend {
             let runnable: Vec<usize> = (0..b.seats.len())
                 .filter(|&i| match &b.seats[i] {
                     Seat::Ready => true,
-                    Seat::Blocked(tmpl) => self.local.has_match(tmpl) == Ok(true),
+                    Seat::Blocked(tmpl) => self.local.has_match(tmpl),
                     Seat::Joining(ids) => ids.iter().all(|&j| matches!(b.seats[j], Seat::Exited)),
                     Seat::Busy | Seat::Exited => false,
                 })
@@ -428,11 +428,6 @@ impl SpaceBackend for ScheduledBackend {
     fn count(&self, tmpl: &Template) -> Result<usize, PlindaError> {
         self.step()?;
         self.local.count(tmpl)
-    }
-
-    fn has_match(&self, tmpl: &Template) -> Result<bool, PlindaError> {
-        self.step()?;
-        self.local.has_match(tmpl)
     }
 
     fn snapshot(&self) -> Result<Vec<Tuple>, PlindaError> {

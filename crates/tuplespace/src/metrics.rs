@@ -1109,11 +1109,8 @@ impl Ledger {
                 }
                 ("runtime.done", 1)
             }
-            Event::Flush { acked, pipelined } => {
+            Event::Flush { acked } => {
                 self.add("net.deferred.acked", acked);
-                if pipelined {
-                    self.batch(2);
-                }
                 ("net.deferred.flushes", 1)
             }
             Event::Chan {
@@ -1150,9 +1147,9 @@ impl Ledger {
             .observe(v);
     }
 
-    /// One batched broker exchange carrying `k` operations or tuples. The
-    /// counter and the histogram move together, so `net.batch.ops` always
-    /// equals the sum of `net.batch.occupancy`.
+    /// One bulk take (`inp_batch`/`in_batch`) that returned `k` tuples.
+    /// The counter and the histogram move together, so `net.batch.ops`
+    /// always equals the sum of `net.batch.occupancy`.
     fn batch(&mut self, k: u64) {
         self.add("net.batch.ops", k);
         self.observe("net.batch.occupancy", k);

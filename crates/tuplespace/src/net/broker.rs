@@ -16,7 +16,18 @@
 //! stream under the same lock (lock order: `sync` → per-connection writer;
 //! writers are leaf locks, so the graph is acyclic). Throughput is bounded
 //! by this single lock; that is acceptable for a broker whose every
-//! request already costs a socket round-trip.
+//! request already costs a socket round-trip. A connection's thread is
+//! joined at the next accept after it finishes, so short-lived clients
+//! leave no thread stacks behind.
+//!
+//! ## Requests
+//!
+//! One handler answers every frame of [`super::proto`]. `Poll` and `Wait`
+//! share one retrieval path, and a `Wait` that finds nothing parks one
+//! `Waiter` shape — `take` and `max` say what it wants — which a later
+//! delivery or `restore` answers with `Tuples`. `TxnCommit` answers with
+//! the count of deferred outs applied since the last ack, exactly as
+//! `Flush` does.
 //!
 //! ## Failure semantics
 //!
@@ -34,7 +45,7 @@
 use super::frame::{encode_frame, FrameEvent, FrameReader};
 use super::proto::{Req, ReqBody, Resp, RespBody};
 use crate::process::PlindaError;
-use crate::space::TupleSpace;
+use crate::space::{write_atomically, TupleSpace};
 use crate::template::Template;
 use crate::value::Tuple;
 use parking_lot::Mutex;
@@ -84,19 +95,19 @@ struct ConnTxn {
     in_txn: bool,
     tentative: Vec<Tuple>,
     deferred: Vec<Tuple>,
-    /// Deferred tuples applied since the last `Flush` ack.
+    /// Deferred tuples applied since the last `Flush` or `TxnCommit` ack.
     applied_since_flush: u64,
 }
 
-/// A parked blocking `in`/`rd`/`in_batch` awaiting a matching tuple.
+/// A parked `Wait` awaiting a matching tuple.
 struct Waiter {
     conn: u64,
     seq: u64,
     tmpl: Template,
-    withdraw: bool,
-    /// `Some(max)` for a bulk take (`InBatch`), answered with `Tuples`;
-    /// `None` for a classic wait answered with `Tuple`.
-    bulk: Option<usize>,
+    /// Withdraw (`in`) rather than copy (`rd`).
+    take: bool,
+    /// How many tuples the answer may carry; see [`capacity`].
+    max: usize,
     writer: Arc<Mutex<UnixStream>>,
 }
 
@@ -128,44 +139,80 @@ fn send(writer: &Arc<Mutex<UnixStream>>, resp: &Resp) {
     }
 }
 
-/// Route `t` to waiters or the space; see [`deliver_all`].
-fn deliver(sync: &mut SyncState, space: &TupleSpace, t: Tuple) {
-    deliver_all(sync, space, vec![t]);
+/// How many tuples a retrieval may return: `max` for a take (a `max` of 0
+/// counts as 1), one for a read.
+fn capacity(take: bool, max: u64) -> usize {
+    if take {
+        usize::try_from(max).unwrap_or(usize::MAX).max(1)
+    } else {
+        1
+    }
 }
 
-/// Route a batch of tuples to waiters or the space. Every matching `rd`
-/// waiter gets a copy of each tuple (they read it in the instant it
-/// became visible), then the first matching `in`/`in_batch` waiter
-/// consumes it — a bulk waiter keeps absorbing matches from the same
-/// batch up to its `max` before it is answered. Whatever no waiter
-/// consumed lands in the space via one `out_all`, so each signature
-/// partition is locked once per batch, not once per tuple.
-fn deliver_all(sync: &mut SyncState, space: &TupleSpace, ts: Vec<Tuple>) {
+/// Retrieve up to `max` matches of `tmpl` from the space without blocking,
+/// recording withdrawals as tentative if `conn` is inside a transaction.
+fn grab(
+    sync: &mut SyncState,
+    space: &TupleSpace,
+    conn: u64,
+    tmpl: &Template,
+    take: bool,
+    max: usize,
+) -> Vec<Tuple> {
+    if !take {
+        return space.rdp(tmpl).into_iter().collect();
+    }
+    let got = space.inp_batch(tmpl, max);
+    record_tentative(sync, conn, &got);
+    got
+}
+
+/// Remember `taken` as tentative withdrawals of `conn`'s open transaction.
+fn record_tentative(sync: &mut SyncState, conn: u64, taken: &[Tuple]) {
+    if let Some(ct) = sync.conns.get_mut(&conn) {
+        if ct.in_txn {
+            ct.tentative.extend_from_slice(taken);
+        }
+    }
+}
+
+/// Answer waiter `w` with `ts`.
+fn answer(w: &Waiter, ts: Vec<Tuple>) {
+    send(
+        &w.writer,
+        &Resp {
+            seq: w.seq,
+            body: RespBody::Tuples(ts),
+        },
+    );
+}
+
+/// Route a batch of tuples to waiters or the space. Every matching read
+/// waiter gets a copy of each tuple (they read it in the instant it became
+/// visible), then the first matching take waiter consumes it — and keeps
+/// absorbing matches from the same batch up to its `max` before it is
+/// answered. Whatever no waiter consumed lands in the space via one
+/// `out_all`, so each signature partition is locked once per batch, not
+/// once per tuple.
+fn deliver(sync: &mut SyncState, space: &TupleSpace, ts: Vec<Tuple>) {
     if ts.is_empty() {
         return;
     }
-    // Withdrawing waiters matched by this batch, pulled off the waiter
-    // list so bulk ones can fill before being answered.
+    // Take waiters matched by this batch, pulled off the waiter list so
+    // they can fill before being answered.
     let mut filling: Vec<(Waiter, Vec<Tuple>)> = Vec::new();
     let mut rest: Vec<Tuple> = Vec::new();
     'tuples: for t in ts {
         let mut i = 0;
         while i < sync.waiters.len() {
-            if !sync.waiters[i].withdraw && sync.waiters[i].tmpl.matches(&t) {
-                let w = sync.waiters.remove(i);
-                send(
-                    &w.writer,
-                    &Resp {
-                        seq: w.seq,
-                        body: RespBody::Tuple(Some(t.clone())),
-                    },
-                );
+            if !sync.waiters[i].take && sync.waiters[i].tmpl.matches(&t) {
+                answer(&sync.waiters.remove(i), vec![t.clone()]);
             } else {
                 i += 1;
             }
         }
         for (w, got) in filling.iter_mut() {
-            if got.len() < w.bulk.unwrap_or(1) && w.tmpl.matches(&t) {
+            if got.len() < w.max && w.tmpl.matches(&t) {
                 got.push(t);
                 continue 'tuples;
             }
@@ -173,40 +220,28 @@ fn deliver_all(sync: &mut SyncState, space: &TupleSpace, ts: Vec<Tuple>) {
         if let Some(i) = sync
             .waiters
             .iter()
-            .position(|w| w.withdraw && w.tmpl.matches(&t))
+            .position(|w| w.take && w.tmpl.matches(&t))
         {
-            let w = sync.waiters.remove(i);
-            filling.push((w, vec![t]));
+            filling.push((sync.waiters.remove(i), vec![t]));
             continue;
         }
         rest.push(t);
     }
     for (w, mut got) in filling {
-        if let Some(max) = w.bulk {
-            if got.len() < max {
-                // Top a bulk waiter up from the space: tuples that were
-                // already resident still count toward its max.
-                got.extend(space.inp_batch(&w.tmpl, max - got.len()));
-            }
+        if got.len() < w.max {
+            // Top the waiter up from the space: tuples that were already
+            // resident still count toward its max.
+            got.extend(space.inp_batch(&w.tmpl, w.max - got.len()));
         }
-        if let Some(ct) = sync.conns.get_mut(&w.conn) {
-            if ct.in_txn {
-                ct.tentative.extend(got.iter().cloned());
-            }
-        }
-        let body = if w.bulk.is_some() {
-            RespBody::Tuples(got)
-        } else {
-            RespBody::Tuple(Some(got.remove(0)))
-        };
-        send(&w.writer, &Resp { seq: w.seq, body });
+        record_tentative(sync, w.conn, &got);
+        answer(&w, got);
     }
     space.out_all(rest);
 }
 
 /// Apply (make visible) every parked deferred out of `conn`, in program
-/// order. Called at the connection's flush barriers: any
-/// response-bearing request, or an explicit `Flush`.
+/// order. Called at the connection's flush barriers: every
+/// response-bearing request.
 fn apply_deferred(sync: &mut SyncState, space: &TupleSpace, conn: u64) {
     let parked = match sync.conns.get_mut(&conn) {
         Some(ct) if !ct.deferred.is_empty() => {
@@ -216,104 +251,96 @@ fn apply_deferred(sync: &mut SyncState, space: &TupleSpace, conn: u64) {
         }
         _ => return,
     };
-    deliver_all(sync, space, parked);
+    deliver(sync, space, parked);
+}
+
+/// The deferred tuples of `conn` applied since the previous ack, and
+/// reset the count: the answer of `Flush` and `TxnCommit`.
+fn ack_deferred(sync: &mut SyncState, conn: u64) -> u64 {
+    sync.conns
+        .get_mut(&conn)
+        .map(|ct| std::mem::take(&mut ct.applied_since_flush))
+        .unwrap_or(0)
 }
 
 /// After a space-wide `restore`, blocked waits must be re-evaluated against
 /// the restored contents.
 fn resatisfy(sync: &mut SyncState, space: &TupleSpace) {
-    let mut i = 0;
-    while i < sync.waiters.len() {
-        if sync.waiters[i].withdraw {
-            let max = sync.waiters[i].bulk.unwrap_or(1);
-            let got = space.inp_batch(&sync.waiters[i].tmpl, max);
-            if got.is_empty() {
-                i += 1;
-                continue;
-            }
-            let w = sync.waiters.remove(i);
-            if let Some(ct) = sync.conns.get_mut(&w.conn) {
-                if ct.in_txn {
-                    ct.tentative.extend(got.iter().cloned());
-                }
-            }
-            let body = if w.bulk.is_some() {
-                RespBody::Tuples(got)
-            } else {
-                RespBody::Tuple(got.into_iter().next())
-            };
-            send(&w.writer, &Resp { seq: w.seq, body });
+    for w in std::mem::take(&mut sync.waiters) {
+        let got = grab(sync, space, w.conn, &w.tmpl, w.take, w.max);
+        if got.is_empty() {
+            sync.waiters.push(w);
         } else {
-            match space.rdp(&sync.waiters[i].tmpl) {
-                Some(t) => {
-                    let w = sync.waiters.remove(i);
-                    send(
-                        &w.writer,
-                        &Resp {
-                            seq: w.seq,
-                            body: RespBody::Tuple(Some(t)),
-                        },
-                    );
-                }
-                None => i += 1,
-            }
+            answer(&w, got);
         }
     }
 }
 
-/// Handle one batchable request body: every operation that answers
-/// immediately without parking a waiter or writing to the stream itself.
-/// Returns `None` for bodies that cannot appear inside a [`ReqBody::Batch`]
-/// — blocking waits, cancels, deferred outs, and nested batches.
-fn handle_simple(
-    sync: &mut SyncState,
-    space: &TupleSpace,
-    conn: u64,
-    body: ReqBody,
-) -> Option<RespBody> {
-    let tentative_if_txn = |sync: &mut SyncState, t: &Tuple| {
-        if let Some(ct) = sync.conns.get_mut(&conn) {
-            if ct.in_txn {
-                ct.tentative.push(t.clone());
-            }
+/// Handle one request. `None` means no response is owed right now: a
+/// parked blocking wait, or a fire-and-forget deferred out.
+fn handle(shared: &Shared, conn: u64, writer: &Arc<Mutex<UnixStream>>, req: Req) -> Option<Resp> {
+    let space = &*shared.space;
+    let seq = req.seq;
+    let mut sync = shared.sync.lock();
+    let sync = &mut *sync;
+    // Every request but a deferred out is a flush barrier: the
+    // connection's parked deferred outs become visible first, so within one
+    // connection program order is preserved (an `inp` after an
+    // `out_deferred` always observes the deferred tuple).
+    if !matches!(req.body, ReqBody::OutDeferred(_)) {
+        apply_deferred(sync, space, conn);
+    }
+    let body = match req.body {
+        ReqBody::OutDeferred(ts) => {
+            sync.conns.entry(conn).or_default().deferred.extend(ts);
+            return None;
         }
-    };
-    Some(match body {
-        ReqBody::Out(t) => {
-            deliver(sync, space, t);
+        ReqBody::Out(ts) => {
+            deliver(sync, space, ts);
             RespBody::Ok
         }
-        ReqBody::OutAll(ts) => {
-            deliver_all(sync, space, ts);
-            RespBody::Ok
+        ReqBody::Flush => RespBody::Num(ack_deferred(sync, conn)),
+        ReqBody::Poll { tmpl, take, max } => {
+            RespBody::Tuples(grab(sync, space, conn, &tmpl, take, capacity(take, max)))
         }
-        ReqBody::Inp(tmpl) => {
-            let got = space.inp(&tmpl);
-            if let Some(t) = &got {
-                tentative_if_txn(sync, t);
-            }
-            RespBody::Tuple(got)
-        }
-        ReqBody::Rdp(tmpl) => RespBody::Tuple(space.rdp(&tmpl)),
-        ReqBody::InpBatch { tmpl, max } => {
-            let got = space.inp_batch(&tmpl, max as usize);
-            for t in &got {
-                tentative_if_txn(sync, t);
+        ReqBody::Wait { tmpl, take, max } => {
+            let max = capacity(take, max);
+            let got = grab(sync, space, conn, &tmpl, take, max);
+            if got.is_empty() {
+                sync.waiters.push(Waiter {
+                    conn,
+                    seq,
+                    tmpl,
+                    take,
+                    max,
+                    writer: Arc::clone(writer),
+                });
+                return None;
             }
             RespBody::Tuples(got)
         }
-        ReqBody::Flush => {
-            apply_deferred(sync, space, conn);
-            let n = sync
-                .conns
-                .get_mut(&conn)
-                .map(|ct| std::mem::take(&mut ct.applied_since_flush))
-                .unwrap_or(0);
-            RespBody::Num(n)
+        ReqBody::Cancel { wait_seq } => {
+            if let Some(i) = sync
+                .waiters
+                .iter()
+                .position(|w| w.conn == conn && w.seq == wait_seq)
+            {
+                sync.waiters.remove(i);
+                send(
+                    writer,
+                    &Resp {
+                        seq: wait_seq,
+                        body: RespBody::Cancelled,
+                    },
+                );
+            }
+            // Else the wait was already satisfied: its Tuples response is
+            // on the wire ahead of this Ok, and the client resolves the
+            // race.
+            RespBody::Ok
         }
         ReqBody::Len => RespBody::Num(space.len() as u64),
         ReqBody::Count(tmpl) => RespBody::Num(space.count(&tmpl) as u64),
-        ReqBody::HasMatch(tmpl) => RespBody::Bool(space.has_match(&tmpl)),
         ReqBody::Snapshot => RespBody::Tuples(space.snapshot()),
         ReqBody::Restore(ts) => match space.backend().restore(ts) {
             Ok(()) => {
@@ -337,8 +364,8 @@ fn handle_simple(
             // sync lock, so the commit is atomic for every other client.
             match space.backend().txn_commit(pid, Vec::new(), cont) {
                 Ok(()) => {
-                    deliver_all(sync, space, publish);
-                    RespBody::Ok
+                    deliver(sync, space, publish);
+                    RespBody::Num(ack_deferred(sync, conn))
                 }
                 Err(e) => RespBody::Err(e.to_string()),
             }
@@ -354,145 +381,17 @@ fn handle_simple(
                 }
                 None => Vec::new(),
             };
-            deliver_all(sync, space, tentative);
+            deliver(sync, space, tentative);
             RespBody::Ok
         }
         ReqBody::ContGet { pid } => match space.backend().cont_get(pid) {
-            Ok(c) => RespBody::Tuple(c),
+            Ok(c) => RespBody::Tuples(c.into_iter().collect()),
             Err(e) => RespBody::Err(e.to_string()),
         },
         ReqBody::ContClear { pid } => match space.backend().cont_clear(pid) {
             Ok(()) => RespBody::Ok,
             Err(e) => RespBody::Err(e.to_string()),
         },
-        ReqBody::In(_)
-        | ReqBody::Rd(_)
-        | ReqBody::InBatch { .. }
-        | ReqBody::Cancel { .. }
-        | ReqBody::OutDeferred(_)
-        | ReqBody::OutAllDeferred(_)
-        | ReqBody::Batch(_) => return None,
-    })
-}
-
-/// Handle one request. `None` means no response is owed right now: a
-/// parked blocking wait, or a fire-and-forget deferred out.
-fn handle(shared: &Shared, conn: u64, writer: &Arc<Mutex<UnixStream>>, req: Req) -> Option<Resp> {
-    let space = &*shared.space;
-    let seq = req.seq;
-    let mut sync = shared.sync.lock();
-    // Every non-deferred request is a flush barrier: the connection's
-    // parked deferred outs become visible first, so within one connection
-    // program order is preserved (an `inp` after an `out_deferred` always
-    // observes the deferred tuple).
-    match &req.body {
-        ReqBody::OutDeferred(_) | ReqBody::OutAllDeferred(_) => {}
-        _ => apply_deferred(&mut sync, space, conn),
-    }
-    let tentative_if_txn = |sync: &mut SyncState, t: &Tuple| {
-        if let Some(ct) = sync.conns.get_mut(&conn) {
-            if ct.in_txn {
-                ct.tentative.push(t.clone());
-            }
-        }
-    };
-    let body = match req.body {
-        ReqBody::OutDeferred(t) => {
-            sync.conns.entry(conn).or_default().deferred.push(t);
-            return None;
-        }
-        ReqBody::OutAllDeferred(ts) => {
-            sync.conns.entry(conn).or_default().deferred.extend(ts);
-            return None;
-        }
-        ReqBody::In(tmpl) => match space.inp(&tmpl) {
-            Some(t) => {
-                tentative_if_txn(&mut sync, &t);
-                RespBody::Tuple(Some(t))
-            }
-            None => {
-                sync.waiters.push(Waiter {
-                    conn,
-                    seq,
-                    tmpl,
-                    withdraw: true,
-                    bulk: None,
-                    writer: Arc::clone(writer),
-                });
-                return None;
-            }
-        },
-        ReqBody::Rd(tmpl) => match space.rdp(&tmpl) {
-            Some(t) => RespBody::Tuple(Some(t)),
-            None => {
-                sync.waiters.push(Waiter {
-                    conn,
-                    seq,
-                    tmpl,
-                    withdraw: false,
-                    bulk: None,
-                    writer: Arc::clone(writer),
-                });
-                return None;
-            }
-        },
-        ReqBody::InBatch { tmpl, max } => {
-            let max = (max as usize).max(1);
-            let got = space.inp_batch(&tmpl, max);
-            if got.is_empty() {
-                sync.waiters.push(Waiter {
-                    conn,
-                    seq,
-                    tmpl,
-                    withdraw: true,
-                    bulk: Some(max),
-                    writer: Arc::clone(writer),
-                });
-                return None;
-            }
-            for t in &got {
-                tentative_if_txn(&mut sync, t);
-            }
-            RespBody::Tuples(got)
-        }
-        ReqBody::Cancel { wait_seq } => {
-            if let Some(i) = sync
-                .waiters
-                .iter()
-                .position(|w| w.conn == conn && w.seq == wait_seq)
-            {
-                sync.waiters.remove(i);
-                send(
-                    writer,
-                    &Resp {
-                        seq: wait_seq,
-                        body: RespBody::Cancelled,
-                    },
-                );
-            }
-            // Else the wait was already satisfied: its Tuple (or Tuples,
-            // for a bulk wait) response is on the wire ahead of this Ok,
-            // and the client resolves the race.
-            RespBody::Ok
-        }
-        ReqBody::Batch(reqs) => {
-            // One vectored response for the whole pipeline. Each entry is
-            // handled in order under the same hold of the sync lock, so a
-            // batch is atomic with respect to other clients.
-            let mut resps = Vec::with_capacity(reqs.len());
-            for r in reqs {
-                let b = handle_simple(&mut sync, space, conn, r.body).unwrap_or_else(|| {
-                    RespBody::Err("operation not allowed inside a batch".into())
-                });
-                resps.push(Resp {
-                    seq: r.seq,
-                    body: b,
-                });
-            }
-            RespBody::Batch(resps)
-        }
-        other => handle_simple(&mut sync, space, conn, other)
-            .unwrap_or_else(|| RespBody::Err("unhandled request".into())),
     };
     Some(Resp { seq, body })
 }
@@ -518,7 +417,7 @@ fn cleanup(shared: &Shared, conn: u64, why: &str) {
                  tentative withdrawal(s)",
                 ct.tentative.len()
             );
-            deliver_all(&mut sync, &shared.space, ct.tentative);
+            deliver(&mut sync, &shared.space, ct.tentative);
         }
     }
 }
@@ -570,6 +469,20 @@ fn serve_conn(shared: Arc<Shared>, conn: u64, stream: UnixStream) {
     }
 }
 
+/// Join every finished thread in `threads`, so a short-lived client's
+/// connection thread is released when the next client connects, not held
+/// until shutdown.
+fn reap(threads: &mut Vec<JoinHandle<()>>) {
+    let mut i = 0;
+    while i < threads.len() {
+        if threads[i].is_finished() {
+            let _ = threads.swap_remove(i).join();
+        } else {
+            i += 1;
+        }
+    }
+}
+
 impl Broker {
     /// Bind the socket and start serving. The hosted space starts empty.
     pub fn start(cfg: BrokerConfig) -> std::io::Result<Broker> {
@@ -599,7 +512,9 @@ impl Broker {
                                 .name(format!("fpdm-spaced-conn-{conn}"))
                                 .spawn(move || serve_conn(conn_shared, conn, stream))
                                 .expect("failed to spawn connection handler");
-                            accept_shared.threads.lock().push(h);
+                            let mut threads = accept_shared.threads.lock();
+                            reap(&mut threads);
+                            threads.push(h);
                         }
                         Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                             std::thread::sleep(Duration::from_millis(5));
@@ -618,12 +533,13 @@ impl Broker {
                 .name("fpdm-spaced-ckpt".into())
                 .spawn(move || {
                     while !ckpt_shared.stop.load(Ordering::SeqCst) {
-                        {
-                            // Hold the sync lock so the checkpoint is a
-                            // transaction-consistent cut.
+                        // Take the cut under the sync lock, so it is
+                        // transaction-consistent; write it outside.
+                        let bytes = {
                             let _sync = ckpt_shared.sync.lock();
-                            let _ = ckpt_shared.space.checkpoint_file(&path);
-                        }
+                            ckpt_shared.space.checkpoint_bytes()
+                        };
+                        let _ = write_atomically(&path, &bytes);
                         let mut waited = Duration::ZERO;
                         while waited < interval && !ckpt_shared.stop.load(Ordering::SeqCst) {
                             let step = Duration::from_millis(10).min(interval - waited);
@@ -651,8 +567,8 @@ impl Broker {
         Arc::clone(&self.shared.space)
     }
 
-    /// Client blocking waits currently parked broker-side (`in`/`rd`/
-    /// `in_batch` with no match yet). Readiness introspection for tests:
+    /// Client blocking waits currently parked broker-side (`Wait`s with
+    /// no match yet). Readiness introspection for tests:
     /// poll this instead of sleeping a guessed interval before producing
     /// the tuple a consumer is expected to be waiting for.
     pub fn waiting(&self) -> usize {
@@ -694,5 +610,76 @@ pub fn run_forever(cfg: BrokerConfig) -> Result<(), PlindaError> {
     // SIGKILL is the expected way to stop a standalone broker.
     loop {
         std::thread::sleep(Duration::from_secs(3600));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::template::field;
+    use crate::tup;
+
+    fn start(name: &str) -> Broker {
+        let socket =
+            std::env::temp_dir().join(format!("fpdm-broker-{name}-{}.sock", std::process::id()));
+        Broker::start(BrokerConfig::new(socket)).unwrap()
+    }
+
+    /// One request-response exchange on a raw connection.
+    fn exchange(stream: &mut UnixStream, body: ReqBody) -> RespBody {
+        let req = Req { seq: 1, body };
+        stream.write_all(&encode_frame(&req.encode())).unwrap();
+        match FrameReader::new().read_from(stream).unwrap() {
+            FrameEvent::Frame(payload) => Resp::decode(&payload).unwrap().body,
+            other => panic!("no response: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn finished_connection_threads_are_joined() {
+        let broker = start("reap");
+        for _ in 0..32 {
+            // One round trip, so the broker has accepted and registered
+            // this connection before it is dropped.
+            let mut stream = UnixStream::connect(broker.socket()).unwrap();
+            assert_eq!(exchange(&mut stream, ReqBody::Len), RespBody::Num(0));
+            drop(stream);
+            while !broker.shared.sync.lock().conns.is_empty() {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        // The accept thread, the last connection's thread, and at most a
+        // few that finished after the accept that followed them.
+        let held = broker.shared.threads.lock().len();
+        assert!(held <= 4, "{held} thread handles held after 32 connections");
+    }
+
+    #[test]
+    fn every_decodable_retrieval_is_answered() {
+        // A take with `max: 0` takes one tuple; a read returns one tuple,
+        // and withdraws none, whatever its `max`.
+        let broker = start("retrieve");
+        let mut stream = UnixStream::connect(broker.socket()).unwrap();
+        let out = ReqBody::Out((0..4).map(|i: i64| tup![i]).collect());
+        assert_eq!(exchange(&mut stream, out), RespBody::Ok);
+        let tmpl = Template::new(vec![field::int()]);
+        for (wait, take, max, left) in [
+            (false, true, 0, 3),
+            (false, false, 9, 3),
+            (true, true, 0, 2),
+            (true, false, 9, 2),
+        ] {
+            let tmpl = tmpl.clone();
+            let body = if wait {
+                ReqBody::Wait { tmpl, take, max }
+            } else {
+                ReqBody::Poll { tmpl, take, max }
+            };
+            match exchange(&mut stream, body) {
+                RespBody::Tuples(ts) => assert_eq!(ts.len(), 1, "wait {wait} take {take}"),
+                other => panic!("wait {wait} take {take}: {other:?}"),
+            }
+            assert_eq!(broker.space().len(), left, "wait {wait} take {take}");
+        }
     }
 }

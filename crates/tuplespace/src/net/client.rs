@@ -9,42 +9,41 @@
 //! tentative withdrawals (see [`super::broker`]).
 //!
 //! The protocol is strict request-response per connection, except blocking
-//! waits: an `In`/`Rd` whose response is deferred is polled with a short
-//! read timeout (~20 ms) so the cancel flag — the runtime's kill signal —
-//! is observed promptly; [`SpaceBackend::kick`] is therefore a no-op here.
-//! A cancel that races an arriving tuple is resolved deterministically:
-//! the client consumes both responses, and if the wait won the race it
-//! returns the tuple to the space with a compensating `out` (or `out_all`
-//! for a bulk wait) before reporting the cancellation.
+//! waits: a `Wait` whose response is deferred is polled with a short read
+//! timeout (~20 ms) so the cancel flag — the runtime's kill signal — is
+//! observed promptly; [`SpaceBackend::kick`] is therefore a no-op here.
+//! A cancel that races an arriving answer is resolved deterministically:
+//! the client consumes both responses, and if a withdrawing wait won the
+//! race it returns the tuples to the space with one compensating `Out`
+//! before reporting the cancellation.
 //!
 //! ## Batching
 //!
-//! Three transport optimizations close most of the local/socket gap:
+//! The singular and bulk methods of [`SpaceBackend`] travel as the same
+//! frames (see [`super::proto`]), so `inp_batch` and
+//! `in_batch_cancellable` withdraw up to `max` tuples in one round trip.
 //!
-//! * **Deferred outs** (`out_deferred`/`out_all_deferred`) are encoded
-//!   into a per-connection write-coalescing buffer and cost no round-trip
-//!   and no syscall of their own: the buffered frames go to the kernel in
-//!   the same `write` as the next request. Because every request frame is
-//!   sent behind the buffered deferred frames, and the broker applies a
-//!   connection's parked outs before answering anything else, program
-//!   order is preserved structurally — a blocking wait can never overtake
-//!   this connection's own deferred outs. After `DEFER_WINDOW` unacked
-//!   tuples the client forces a `Flush` round-trip.
-//! * **Bulk takes** (`inp_batch`/`in_batch_cancellable`) withdraw up to
-//!   `max` matching tuples in one round-trip.
-//! * **Pipelined batches** (`ReqBody::Batch`) carry several
-//!   correlation-id'd requests in one frame answered by one vectored
-//!   response; `txn_commit` uses this to flush deferred outs and commit
-//!   in a single round-trip.
+//! Deferred outs (`out_deferred`/`out_all_deferred`) are encoded into a
+//! per-connection write-coalescing buffer and cost no round-trip and no
+//! syscall of their own: the buffered frames go to the kernel in the same
+//! `write` as the next request. Because every request frame is sent
+//! behind the buffered deferred frames, and the broker applies a
+//! connection's parked outs before answering anything else, program order
+//! is preserved structurally — a blocking wait can never overtake this
+//! connection's own deferred outs. After `DEFER_WINDOW` unacked tuples the
+//! client forces a `Flush` round-trip, and `txn_commit` acknowledges them
+//! in the commit's own round trip.
 //!
 //! Instrumentation events are emitted *client-side*, the same events the
 //! local backend emits, so the `fpdm.metrics.v1` ledger and the `check`
-//! analyzers see the same shape either way. Partition occupancy is broker
-//! state, so these events carry none and the ledger keeps no occupancy
-//! gauges for a socket-backed space.
+//! analyzers see the same shape either way. They follow the API call, not
+//! the frame: `in_cancellable` reports a single take although it travels
+//! as a `Wait` with `max: 1`. Partition occupancy is broker state, so
+//! these events carry none and the ledger keeps no occupancy gauges for a
+//! socket-backed space.
 
 use super::frame::{encode_frame, FrameEvent, FrameReader};
-use super::proto::{Req, ReqBody, Resp, RespBody};
+use super::proto::{Req, ReqBody, ReqOp, Resp, RespBody};
 use crate::backend::SpaceBackend;
 use crate::check::trace::OpKind;
 use crate::probe::{Event, Probe};
@@ -77,10 +76,8 @@ struct Conn {
     /// Write-coalescing buffer: deferred-out frames accumulate here and go
     /// to the kernel in one `write` together with the next request frame.
     wbuf: Vec<u8>,
-    /// Pipelined responses that arrived while waiting for a different
-    /// correlation id, keyed by seq.
-    inflight: HashMap<u64, RespBody>,
-    /// Deferred tuples sent but not yet acknowledged by a `Flush`.
+    /// Deferred tuples sent but not yet acknowledged by a `Flush` or a
+    /// `TxnCommit`.
     unacked_deferred: u64,
 }
 
@@ -137,7 +134,6 @@ impl SocketBackend {
                         reader: FrameReader::new(),
                         seq: 0,
                         wbuf: Vec::new(),
-                        inflight: HashMap::new(),
                         unacked_deferred: 0,
                     })
                 }
@@ -155,31 +151,76 @@ impl SocketBackend {
 
     /// One strict request-response exchange.
     fn rpc(&self, body: ReqBody) -> Result<RespBody, PlindaError> {
-        self.with_conn(|conn| {
-            conn.seq += 1;
-            let seq = conn.seq;
-            send_req(conn, &Req { seq, body })?;
-            let resp = recv_seq(conn, seq)?;
-            match resp {
-                RespBody::Err(msg) => Err(PlindaError::Transport(format!(
-                    "broker rejected request: {msg}"
-                ))),
-                other => Ok(other),
-            }
-        })
+        self.with_conn(|conn| exchange(conn, body))
     }
 
-    /// Blocking `in`/`rd`/`in_batch` with cancellation, over the polled
-    /// wait protocol. `bulk: Some(max)` sends
-    /// an `InBatch` answered with `Tuples`; `None` sends `In`/`Rd`
-    /// answered with `Tuple`. A successful bulk return holds 1..=max
-    /// tuples.
+    /// An exchange answered by `Ok`.
+    fn rpc_ok(&self, body: ReqBody) -> Result<(), PlindaError> {
+        let op = body.op();
+        match self.rpc(body)? {
+            RespBody::Ok => Ok(()),
+            other => Err(unexpected(op, &other)),
+        }
+    }
+
+    /// An exchange answered by `Num`.
+    fn rpc_num(&self, body: ReqBody) -> Result<u64, PlindaError> {
+        let op = body.op();
+        match self.rpc(body)? {
+            RespBody::Num(n) => Ok(n),
+            other => Err(unexpected(op, &other)),
+        }
+    }
+
+    /// An exchange answered by at most `max` tuples.
+    fn rpc_tuples(&self, body: ReqBody, max: usize) -> Result<Vec<Tuple>, PlindaError> {
+        let op = body.op();
+        tuples(op, self.rpc(body)?, 0..=max)
+    }
+
+    /// Non-blocking `inp`/`rdp`/`inp_batch` over one `Poll`, emitting
+    /// `Found`, or a `Miss` when nothing matched.
+    fn poll(
+        &self,
+        tmpl: &Template,
+        take: bool,
+        max: usize,
+        batch: bool,
+    ) -> Result<Vec<Tuple>, PlindaError> {
+        let got = self.rpc_tuples(
+            ReqBody::Poll {
+                tmpl: tmpl.clone(),
+                take,
+                max: max as u64,
+            },
+            max,
+        )?;
+        self.probe.emit(if got.is_empty() {
+            Event::Miss {
+                op: if take { OpKind::Inp } else { OpKind::Rdp },
+                template: tmpl,
+                batch,
+            }
+        } else {
+            Event::Found {
+                withdrawn: take,
+                tuples: &got,
+                occupancy: None,
+                batch,
+            }
+        });
+        Ok(got)
+    }
+
+    /// Blocking `in`/`rd`/`in_batch` with cancellation, over one `Wait`
+    /// polled for its answer. A successful return holds 1..=max tuples.
     fn blocking_wait(
         &self,
         tmpl: &Template,
         cancel: Option<&AtomicBool>,
-        withdraw: bool,
-        bulk: Option<usize>,
+        take: bool,
+        max: usize,
+        batch: bool,
     ) -> Result<Option<Vec<Tuple>>, PlindaError> {
         let cancelled = |c: Option<&AtomicBool>| c.is_some_and(|c| c.load(Ordering::SeqCst));
         if cancelled(cancel) {
@@ -188,52 +229,33 @@ impl SocketBackend {
         }
         let (mut blocked, mut block_start) = (false, None);
         let got = self.with_conn(|conn| {
-            conn.seq += 1;
-            let wait_seq = conn.seq;
-            send_req(
+            let wait_seq = send(
                 conn,
-                &Req {
-                    seq: wait_seq,
-                    body: match bulk {
-                        Some(max) => ReqBody::InBatch {
-                            tmpl: tmpl.clone(),
-                            max: max as u64,
-                        },
-                        None if withdraw => ReqBody::In(tmpl.clone()),
-                        None => ReqBody::Rd(tmpl.clone()),
-                    },
+                ReqBody::Wait {
+                    tmpl: tmpl.clone(),
+                    take,
+                    max: max as u64,
                 },
             )?;
             loop {
-                if let Some(body) = conn.inflight.remove(&wait_seq) {
-                    return finish_wait(body, bulk);
-                }
-                match conn.reader.read_from(&mut conn.stream)? {
-                    FrameEvent::Frame(payload) => {
-                        let resp = Resp::decode(&payload).map_err(PlindaError::from)?;
-                        if resp.seq != wait_seq {
-                            // A pipelined response for another exchange on
-                            // this connection; keep it for its owner.
-                            conn.inflight.insert(resp.seq, resp.body);
-                            continue;
-                        }
-                        return finish_wait(resp.body, bulk);
+                match next_resp(conn)? {
+                    Some(resp) if resp.seq == wait_seq => {
+                        return tuples(ReqOp::Wait, resp.body, 1..=max).map(Some)
                     }
-                    FrameEvent::TimedOut => {
+                    Some(resp) => return Err(stray(&resp)),
+                    None => {
                         if !blocked {
                             blocked = true;
-                            let op = if withdraw { OpKind::In } else { OpKind::Rd };
+                            let op = if take { OpKind::In } else { OpKind::Rd };
                             block_start = self
                                 .probe
                                 .emit(Event::Block { op, template: tmpl })
                                 .then(Instant::now);
                         }
                         if cancelled(cancel) {
-                            return cancel_wait(conn, wait_seq, bulk.is_some());
+                            cancel_wait(conn, wait_seq, take, max)?;
+                            return Ok(None);
                         }
-                    }
-                    FrameEvent::Eof => {
-                        return Err(PlindaError::Transport("broker closed connection".into()))
                     }
                 }
             }
@@ -247,10 +269,10 @@ impl SocketBackend {
                     self.probe.emit(Event::Wake { since: block_start });
                 }
                 self.probe.emit(Event::Found {
-                    withdrawn: withdraw,
+                    withdrawn: take,
                     tuples: &ts,
                     occupancy: None,
-                    batch: bulk.is_some(),
+                    batch,
                 });
                 Ok(Some(ts))
             }
@@ -259,25 +281,6 @@ impl SocketBackend {
                 Ok(None)
             }
         }
-    }
-
-    /// Emit the outcome of a non-blocking `inp`/`rdp`: `Found` for `got`,
-    /// or a `Miss` when it is empty.
-    fn emit_poll(&self, op: OpKind, tmpl: &Template, got: &[Tuple], batch: bool) {
-        self.probe.emit(if got.is_empty() {
-            Event::Miss {
-                op,
-                template: tmpl,
-                batch,
-            }
-        } else {
-            Event::Found {
-                withdrawn: op == OpKind::Inp,
-                tuples: got,
-                occupancy: None,
-                batch,
-            }
-        });
     }
 
     /// Emit the visibility of `tuples` before they are sent, mirroring the
@@ -294,58 +297,101 @@ impl SocketBackend {
             deferred,
         });
     }
-}
 
-/// Classify a wait response for [`SocketBackend::blocking_wait`].
-fn finish_wait(body: RespBody, bulk: Option<usize>) -> Result<Option<Vec<Tuple>>, PlindaError> {
-    match (bulk, body) {
-        (None, RespBody::Tuple(Some(t))) => Ok(Some(vec![t])),
-        (Some(_), RespBody::Tuples(ts)) if !ts.is_empty() => Ok(Some(ts)),
-        (_, other) => Err(PlindaError::Transport(format!(
-            "unexpected blocking-wait response: {other:?}"
-        ))),
+    /// Deferred `out` of a non-empty batch: one coalesced `OutDeferred`
+    /// frame, with no response to await.
+    fn defer(&self, ts: Vec<Tuple>) -> Result<(), PlindaError> {
+        // Emitted at enqueue, like `out`: within this connection the tuples
+        // are observable by every later operation (the broker applies
+        // parked outs before answering anything), and no other process can
+        // distinguish "parked" from "in flight".
+        self.emit_out(&ts, true);
+        let n = ts.len() as u64;
+        self.with_conn(|conn| {
+            queue(conn, ReqBody::OutDeferred(ts));
+            conn.unacked_deferred += n;
+            if conn.unacked_deferred >= DEFER_WINDOW {
+                flush_conn(conn, &self.probe)?;
+            }
+            Ok(())
+        })
     }
 }
 
-/// Queue `req` behind any coalesced deferred frames and write everything
-/// to the kernel in one `write`.
-fn send_req(conn: &mut Conn, req: &Req) -> Result<(), PlindaError> {
-    let frame = encode_frame(&req.encode());
+/// The tuples of a `Tuples` answer holding a count in `len`; anything
+/// else answering `op` is a protocol error.
+fn tuples(
+    op: ReqOp,
+    body: RespBody,
+    len: std::ops::RangeInclusive<usize>,
+) -> Result<Vec<Tuple>, PlindaError> {
+    match body {
+        RespBody::Tuples(ts) if len.contains(&ts.len()) => Ok(ts),
+        other => Err(unexpected(op, &other)),
+    }
+}
+
+/// Append `body`'s frame to the write-coalescing buffer, returning its
+/// seq. Nothing reaches the kernel until the next [`send`].
+fn queue(conn: &mut Conn, body: ReqBody) -> u64 {
+    conn.seq += 1;
+    let frame = encode_frame(
+        &Req {
+            seq: conn.seq,
+            body,
+        }
+        .encode(),
+    );
     conn.wbuf.extend_from_slice(&frame);
-    write_wbuf(conn)
+    conn.seq
 }
 
-fn write_wbuf(conn: &mut Conn) -> Result<(), PlindaError> {
-    if conn.wbuf.is_empty() {
-        return Ok(());
-    }
+/// Queue `body` behind any coalesced deferred frames and write everything
+/// to the kernel in one `write`, returning its seq.
+fn send(conn: &mut Conn, body: ReqBody) -> Result<u64, PlindaError> {
+    let seq = queue(conn, body);
     let res = conn
         .stream
         .write_all(&conn.wbuf)
         .map_err(|e| PlindaError::Transport(format!("write failed: {e}")));
     conn.wbuf.clear();
-    res
+    res.map(|()| seq)
 }
 
-/// Read until the response for `seq` arrives, parking responses for other
-/// correlation ids in the in-flight table (and consulting it first).
-fn recv_seq(conn: &mut Conn, seq: u64) -> Result<RespBody, PlindaError> {
-    if let Some(body) = conn.inflight.remove(&seq) {
-        return Ok(body);
+/// The next response frame, or `None` when the read timed out.
+fn next_resp(conn: &mut Conn) -> Result<Option<Resp>, PlindaError> {
+    match conn.reader.read_from(&mut conn.stream)? {
+        FrameEvent::Frame(payload) => Ok(Some(Resp::decode(&payload)?)),
+        FrameEvent::TimedOut => Ok(None),
+        FrameEvent::Eof => Err(PlindaError::Transport("broker closed connection".into())),
     }
+}
+
+/// A response no outstanding request of this connection owns.
+fn stray(resp: &Resp) -> PlindaError {
+    PlindaError::Transport(format!(
+        "response for unexpected seq {}: {:?}",
+        resp.seq, resp.body
+    ))
+}
+
+/// One strict request-response exchange on `conn`; a broker `Err` is a
+/// transport error.
+fn exchange(conn: &mut Conn, body: ReqBody) -> Result<RespBody, PlindaError> {
+    let seq = send(conn, body)?;
     loop {
-        match conn.reader.read_from(&mut conn.stream)? {
-            FrameEvent::Frame(payload) => {
-                let resp = Resp::decode(&payload).map_err(PlindaError::from)?;
-                if resp.seq == seq {
-                    return Ok(resp.body);
-                }
-                conn.inflight.insert(resp.seq, resp.body);
+        match next_resp(conn)? {
+            Some(Resp {
+                body: RespBody::Err(msg),
+                seq: s,
+            }) if s == seq => {
+                return Err(PlindaError::Transport(format!(
+                    "broker rejected request: {msg}"
+                )))
             }
-            FrameEvent::TimedOut => continue,
-            FrameEvent::Eof => {
-                return Err(PlindaError::Transport("broker closed connection".into()))
-            }
+            Some(resp) if resp.seq == seq => return Ok(resp.body),
+            Some(resp) => return Err(stray(&resp)),
+            None => continue,
         }
     }
 }
@@ -353,111 +399,47 @@ fn recv_seq(conn: &mut Conn, seq: u64) -> Result<RespBody, PlindaError> {
 /// Force a `Flush` round-trip: every parked deferred out of this
 /// connection is applied and acknowledged.
 fn flush_conn(conn: &mut Conn, probe: &Probe) -> Result<u64, PlindaError> {
-    conn.seq += 1;
-    let seq = conn.seq;
-    send_req(
-        conn,
-        &Req {
-            seq,
-            body: ReqBody::Flush,
-        },
-    )?;
-    match recv_seq(conn, seq)? {
-        RespBody::Num(n) => {
+    match exchange(conn, ReqBody::Flush)? {
+        RespBody::Num(acked) => {
             conn.unacked_deferred = 0;
-            probe.emit(Event::Flush {
-                acked: n,
-                pipelined: false,
-            });
-            Ok(n)
+            probe.emit(Event::Flush { acked });
+            Ok(acked)
         }
-        RespBody::Err(msg) => Err(PlindaError::Transport(format!(
-            "broker rejected flush: {msg}"
-        ))),
-        other => Err(unexpected("flush", &other)),
+        other => Err(unexpected(ReqOp::Flush, &other)),
     }
 }
 
-/// Revoke wait `wait_seq`. Returns `None` if the cancellation landed; if
-/// the wait won the race the tuples are returned to the space with an
-/// *awaited* compensating `out`/`out_all` — deferred compensation could be
-/// discarded with a dying connection, losing tuples — and `None` is still
-/// returned (the caller is being killed and must not consume them). Never
-/// returns `Some` today, but keeps the tuple-flow explicit for the reader.
-fn cancel_wait(
-    conn: &mut Conn,
-    wait_seq: u64,
-    bulk: bool,
-) -> Result<Option<Vec<Tuple>>, PlindaError> {
-    conn.seq += 1;
-    let cancel_seq = conn.seq;
-    send_req(
-        conn,
-        &Req {
-            seq: cancel_seq,
-            body: ReqBody::Cancel { wait_seq },
-        },
-    )?;
-    let mut wait_outcome: Option<Option<Vec<Tuple>>> = None;
-    let mut cancel_acked = false;
-    while wait_outcome.is_none() || !cancel_acked {
-        if wait_outcome.is_none() {
-            if let Some(body) = conn.inflight.remove(&wait_seq) {
-                wait_outcome = Some(resolve_wait(body, bulk)?);
-                continue;
-            }
-        }
-        if !cancel_acked && conn.inflight.remove(&cancel_seq).is_some() {
-            cancel_acked = true;
-            continue;
-        }
-        match conn.reader.read_from(&mut conn.stream)? {
-            FrameEvent::Frame(payload) => {
-                let resp = Resp::decode(&payload).map_err(PlindaError::from)?;
-                if resp.seq == wait_seq {
-                    wait_outcome = Some(resolve_wait(resp.body, bulk)?);
-                } else if resp.seq == cancel_seq {
-                    cancel_acked = true;
-                } else {
-                    conn.inflight.insert(resp.seq, resp.body);
-                }
-            }
-            FrameEvent::TimedOut => continue,
-            FrameEvent::Eof => {
-                return Err(PlindaError::Transport("broker closed connection".into()))
-            }
-        }
-    }
-    if let Some(Some(mut ts)) = wait_outcome {
-        // The wait won the race: compensate by putting the tuples back.
-        conn.seq += 1;
-        let seq = conn.seq;
-        send_req(
-            conn,
-            &Req {
+/// Revoke wait `wait_seq`, consuming its resolution and the cancel's `Ok`
+/// in either order. If a withdrawing wait won the race, its tuples go back
+/// to the space with an *awaited* compensating `Out` — deferred
+/// compensation could be discarded with a dying connection, losing
+/// tuples — and the caller, which is being killed, never sees them. A
+/// read that won took nothing, so there is nothing to put back.
+fn cancel_wait(conn: &mut Conn, wait_seq: u64, take: bool, max: usize) -> Result<(), PlindaError> {
+    let cancel_seq = send(conn, ReqBody::Cancel { wait_seq })?;
+    let (mut won, mut resolved, mut acked) = (None, false, false);
+    while !(resolved && acked) {
+        match next_resp(conn)? {
+            Some(Resp {
                 seq,
-                body: if bulk {
-                    ReqBody::OutAll(ts)
-                } else {
-                    ReqBody::Out(ts.remove(0))
-                },
-            },
-        )?;
-        recv_seq(conn, seq)?;
+                body: RespBody::Cancelled,
+            }) if seq == wait_seq && !resolved => resolved = true,
+            Some(Resp { seq, body }) if seq == wait_seq && !resolved => {
+                won = Some(tuples(ReqOp::Wait, body, 1..=max)?);
+                resolved = true;
+            }
+            Some(Resp {
+                seq,
+                body: RespBody::Ok,
+            }) if seq == cancel_seq && !acked => acked = true,
+            Some(resp) => return Err(stray(&resp)),
+            None => continue,
+        }
     }
-    Ok(None)
-}
-
-/// Classify the resolution frame of a cancelled wait.
-fn resolve_wait(body: RespBody, bulk: bool) -> Result<Option<Vec<Tuple>>, PlindaError> {
-    match (bulk, body) {
-        (_, RespBody::Cancelled) => Ok(None),
-        (false, RespBody::Tuple(Some(t))) => Ok(Some(vec![t])),
-        (true, RespBody::Tuples(ts)) if !ts.is_empty() => Ok(Some(ts)),
-        (_, other) => Err(PlindaError::Transport(format!(
-            "unexpected wait resolution: {other:?}"
-        ))),
+    if let Some(ts) = won.filter(|_| take) {
+        exchange(conn, ReqBody::Out(ts))?;
     }
+    Ok(())
 }
 
 impl SpaceBackend for SocketBackend {
@@ -467,10 +449,7 @@ impl SpaceBackend for SocketBackend {
 
     fn out(&self, t: Tuple) -> Result<(), PlindaError> {
         self.emit_out(std::slice::from_ref(&t), false);
-        match self.rpc(ReqBody::Out(t))? {
-            RespBody::Ok => Ok(()),
-            other => Err(unexpected("out", &other)),
-        }
+        self.rpc_ok(ReqBody::Out(vec![t]))
     }
 
     fn out_all(&self, ts: Vec<Tuple>) -> Result<(), PlindaError> {
@@ -478,30 +457,15 @@ impl SpaceBackend for SocketBackend {
             return Ok(());
         }
         self.emit_out(&ts, false);
-        match self.rpc(ReqBody::OutAll(ts))? {
-            RespBody::Ok => Ok(()),
-            other => Err(unexpected("out_all", &other)),
-        }
+        self.rpc_ok(ReqBody::Out(ts))
     }
 
     fn inp(&self, tmpl: &Template) -> Result<Option<Tuple>, PlindaError> {
-        match self.rpc(ReqBody::Inp(tmpl.clone()))? {
-            RespBody::Tuple(got) => {
-                self.emit_poll(OpKind::Inp, tmpl, got.as_slice(), false);
-                Ok(got)
-            }
-            other => Err(unexpected("inp", &other)),
-        }
+        Ok(self.poll(tmpl, true, 1, false)?.pop())
     }
 
     fn rdp(&self, tmpl: &Template) -> Result<Option<Tuple>, PlindaError> {
-        match self.rpc(ReqBody::Rdp(tmpl.clone()))? {
-            RespBody::Tuple(got) => {
-                self.emit_poll(OpKind::Rdp, tmpl, got.as_slice(), false);
-                Ok(got)
-            }
-            other => Err(unexpected("rdp", &other)),
-        }
+        Ok(self.poll(tmpl, false, 1, false)?.pop())
     }
 
     fn in_cancellable(
@@ -510,7 +474,7 @@ impl SpaceBackend for SocketBackend {
         cancel: Option<&AtomicBool>,
     ) -> Result<Option<Tuple>, PlindaError> {
         Ok(self
-            .blocking_wait(tmpl, cancel, true, None)?
+            .blocking_wait(tmpl, cancel, true, 1, false)?
             .and_then(|mut got| got.pop()))
     }
 
@@ -520,53 +484,19 @@ impl SpaceBackend for SocketBackend {
         cancel: Option<&AtomicBool>,
     ) -> Result<Option<Tuple>, PlindaError> {
         Ok(self
-            .blocking_wait(tmpl, cancel, false, None)?
+            .blocking_wait(tmpl, cancel, false, 1, false)?
             .and_then(|mut got| got.pop()))
     }
 
     fn out_deferred(&self, t: Tuple) -> Result<(), PlindaError> {
-        // Emitted at enqueue, like `out`: within this connection the tuple
-        // is observable by every later operation (the broker applies
-        // parked outs before answering anything), and no other process can
-        // distinguish "parked" from "in flight".
-        self.emit_out(std::slice::from_ref(&t), true);
-        self.with_conn(|conn| {
-            conn.seq += 1;
-            let seq = conn.seq;
-            let req = Req {
-                seq,
-                body: ReqBody::OutDeferred(t),
-            };
-            // Fire and forget: coalesce into wbuf, no response to await.
-            conn.wbuf.extend_from_slice(&encode_frame(&req.encode()));
-            conn.unacked_deferred += 1;
-            if conn.unacked_deferred >= DEFER_WINDOW {
-                flush_conn(conn, &self.probe)?;
-            }
-            Ok(())
-        })
+        self.defer(vec![t])
     }
 
     fn out_all_deferred(&self, ts: Vec<Tuple>) -> Result<(), PlindaError> {
         if ts.is_empty() {
             return Ok(());
         }
-        self.emit_out(&ts, true);
-        let n = ts.len() as u64;
-        self.with_conn(|conn| {
-            conn.seq += 1;
-            let seq = conn.seq;
-            let req = Req {
-                seq,
-                body: ReqBody::OutAllDeferred(ts),
-            };
-            conn.wbuf.extend_from_slice(&encode_frame(&req.encode()));
-            conn.unacked_deferred += n;
-            if conn.unacked_deferred >= DEFER_WINDOW {
-                flush_conn(conn, &self.probe)?;
-            }
-            Ok(())
-        })
+        self.defer(ts)
     }
 
     fn flush(&self) -> Result<u64, PlindaError> {
@@ -577,16 +507,7 @@ impl SpaceBackend for SocketBackend {
         if max == 0 {
             return Ok(Vec::new());
         }
-        match self.rpc(ReqBody::InpBatch {
-            tmpl: tmpl.clone(),
-            max: max as u64,
-        })? {
-            RespBody::Tuples(ts) => {
-                self.emit_poll(OpKind::Inp, tmpl, &ts, true);
-                Ok(ts)
-            }
-            other => Err(unexpected("inp_batch", &other)),
-        }
+        self.poll(tmpl, true, max, true)
     }
 
     fn in_batch_cancellable(
@@ -595,7 +516,7 @@ impl SpaceBackend for SocketBackend {
         max: usize,
         cancel: Option<&AtomicBool>,
     ) -> Result<Option<Vec<Tuple>>, PlindaError> {
-        self.blocking_wait(tmpl, cancel, true, (max > 1).then_some(max))
+        self.blocking_wait(tmpl, cancel, true, max.max(1), max > 1)
     }
 
     fn kick(&self) {
@@ -604,48 +525,26 @@ impl SpaceBackend for SocketBackend {
     }
 
     fn len(&self) -> Result<usize, PlindaError> {
-        match self.rpc(ReqBody::Len)? {
-            RespBody::Num(n) => Ok(n as usize),
-            other => Err(unexpected("len", &other)),
-        }
+        Ok(self.rpc_num(ReqBody::Len)? as usize)
     }
 
     fn count(&self, tmpl: &Template) -> Result<usize, PlindaError> {
-        match self.rpc(ReqBody::Count(tmpl.clone()))? {
-            RespBody::Num(n) => Ok(n as usize),
-            other => Err(unexpected("count", &other)),
-        }
-    }
-
-    fn has_match(&self, tmpl: &Template) -> Result<bool, PlindaError> {
-        match self.rpc(ReqBody::HasMatch(tmpl.clone()))? {
-            RespBody::Bool(b) => Ok(b),
-            other => Err(unexpected("has_match", &other)),
-        }
+        Ok(self.rpc_num(ReqBody::Count(tmpl.clone()))? as usize)
     }
 
     fn snapshot(&self) -> Result<Vec<Tuple>, PlindaError> {
-        match self.rpc(ReqBody::Snapshot)? {
-            RespBody::Tuples(ts) => Ok(ts),
-            other => Err(unexpected("snapshot", &other)),
-        }
+        self.rpc_tuples(ReqBody::Snapshot, usize::MAX)
     }
 
     fn restore(&self, tuples: Vec<Tuple>) -> Result<(), PlindaError> {
         // The broker places the tuples; this client observes only the
         // reset.
         self.probe.emit(Event::Restore { tuples: &[] });
-        match self.rpc(ReqBody::Restore(tuples))? {
-            RespBody::Ok => Ok(()),
-            other => Err(unexpected("restore", &other)),
-        }
+        self.rpc_ok(ReqBody::Restore(tuples))
     }
 
     fn txn_begin(&self, pid: u64) -> Result<(), PlindaError> {
-        match self.rpc(ReqBody::TxnBegin { pid })? {
-            RespBody::Ok => Ok(()),
-            other => Err(unexpected("txn_begin", &other)),
-        }
+        self.rpc_ok(ReqBody::TxnBegin { pid })
     }
 
     fn txn_commit(
@@ -655,95 +554,36 @@ impl SpaceBackend for SocketBackend {
         cont: Option<Tuple>,
     ) -> Result<(), PlindaError> {
         self.emit_out(&publish, false);
-        let needs_flush = self.with_conn(|conn| Ok(conn.unacked_deferred > 0))?;
-        if !needs_flush {
-            return match self.rpc(ReqBody::TxnCommit { pid, publish, cont })? {
-                RespBody::Ok => Ok(()),
-                other => Err(unexpected("txn_commit", &other)),
-            };
-        }
-        // Unacknowledged deferred outs ride ahead of the commit: pipeline
-        // the flush and the commit as one batch frame, one round-trip.
-        let (acked, commit_body) = self.with_conn(|conn| {
-            conn.seq += 1;
-            let flush_seq = conn.seq;
-            conn.seq += 1;
-            let commit_seq = conn.seq;
-            conn.seq += 1;
-            let batch_seq = conn.seq;
-            send_req(
-                conn,
-                &Req {
-                    seq: batch_seq,
-                    body: ReqBody::Batch(vec![
-                        Req {
-                            seq: flush_seq,
-                            body: ReqBody::Flush,
-                        },
-                        Req {
-                            seq: commit_seq,
-                            body: ReqBody::TxnCommit { pid, publish, cont },
-                        },
-                    ]),
-                },
-            )?;
-            match recv_seq(conn, batch_seq)? {
-                RespBody::Batch(resps) => {
-                    let (mut acked, mut commit_body) = (0, None);
-                    for resp in resps {
-                        if resp.seq == flush_seq {
-                            if let RespBody::Num(n) = resp.body {
-                                conn.unacked_deferred = 0;
-                                acked = n;
-                            }
-                        } else if resp.seq == commit_seq {
-                            commit_body = Some(resp.body);
-                        }
-                    }
-                    let commit_body = commit_body.ok_or_else(|| {
-                        PlindaError::Transport("batch response missing commit entry".into())
-                    })?;
-                    Ok((acked, commit_body))
-                }
-                RespBody::Err(msg) => Err(PlindaError::Transport(format!(
-                    "broker rejected request: {msg}"
-                ))),
-                other => Err(unexpected("txn_commit", &other)),
+        // The broker applies this connection's parked deferred outs before
+        // it commits, and answers how many it applied since the last ack:
+        // the commit is also the flush of the deferred outs ahead of it.
+        let (carried, acked) = self.with_conn(|conn| {
+            let carried = std::mem::take(&mut conn.unacked_deferred) > 0;
+            match exchange(conn, ReqBody::TxnCommit { pid, publish, cont })? {
+                RespBody::Num(acked) => Ok((carried, acked)),
+                other => Err(unexpected(ReqOp::TxnCommit, &other)),
             }
         })?;
-        self.probe.emit(Event::Flush {
-            acked,
-            pipelined: true,
-        });
-        match commit_body {
-            RespBody::Ok => Ok(()),
-            other => Err(unexpected("txn_commit", &other)),
+        if carried {
+            self.probe.emit(Event::Flush { acked });
         }
+        Ok(())
     }
 
     fn txn_abort(&self, pid: u64, restore: Vec<Tuple>) -> Result<(), PlindaError> {
         self.emit_out(&restore, false);
-        match self.rpc(ReqBody::TxnAbort { pid, restore })? {
-            RespBody::Ok => Ok(()),
-            other => Err(unexpected("txn_abort", &other)),
-        }
+        self.rpc_ok(ReqBody::TxnAbort { pid, restore })
     }
 
     fn cont_get(&self, pid: u64) -> Result<Option<Tuple>, PlindaError> {
-        match self.rpc(ReqBody::ContGet { pid })? {
-            RespBody::Tuple(t) => Ok(t),
-            other => Err(unexpected("cont_get", &other)),
-        }
+        Ok(self.rpc_tuples(ReqBody::ContGet { pid }, 1)?.pop())
     }
 
     fn cont_clear(&self, pid: u64) -> Result<(), PlindaError> {
-        match self.rpc(ReqBody::ContClear { pid })? {
-            RespBody::Ok => Ok(()),
-            other => Err(unexpected("cont_clear", &other)),
-        }
+        self.rpc_ok(ReqBody::ContClear { pid })
     }
 }
 
-fn unexpected(op: &str, got: &RespBody) -> PlindaError {
-    PlindaError::Transport(format!("unexpected response to {op}: {got:?}"))
+fn unexpected(op: ReqOp, got: &RespBody) -> PlindaError {
+    PlindaError::Transport(format!("unexpected response to {}: {got:?}", op.name()))
 }

@@ -9,32 +9,34 @@
 //! which is how a client polling for a blocking-wait reply distinguishes
 //! it from the reply to a later `Cancel`.
 //!
-//! Blocking waits are asymmetric: an `In`/`Rd` request that cannot be
-//! satisfied immediately gets *no* response until a matching tuple
-//! arrives; the client may send `Cancel { wait_seq }` at any time, after
-//! which the broker responds `Cancelled { seq: wait_seq }` (wait revoked)
-//! or has already sent `Tuple { seq: wait_seq }` (the wait won the race —
-//! the client re-`out`s the tuple if it no longer wants it). The `Cancel`
-//! itself is always answered with `Ok`.
+//! ## Vocabulary
 //!
-//! Three frame families amortize round trips:
+//! One frame per Linda operation family: 15 request frames ([`ReqOp`])
+//! and 5 response frames ([`RespOp`]), each declared once with its wire
+//! code. A singular operation and its bulk form share a frame. `Out`
+//! carries one tuple or many. `Poll { tmpl, take, max }` is `inp`, `rdp`
+//! and `inp_batch`, and `Wait { tmpl, take, max }` is `in`, `rd` and
+//! `in_batch`. Every retrieval is answered with `Tuples`: possibly empty
+//! for a `Poll`, never empty for a `Wait`. A take returns at most `max`
+//! tuples (a `max` of 0 counts as 1), and a read (`take: false`) returns
+//! at most one, whatever its `max`.
 //!
-//! - **Deferred outs** — `OutDeferred`/`OutAllDeferred` are fire-and-
-//!   forget: the broker parks them per connection and applies them, in
-//!   program order, immediately before the connection's next response-
-//!   bearing request (every such request is a flush barrier). `Flush`
-//!   forces application and answers `Num(n)`, the number of deferred
-//!   tuples applied since the previous ack. Parked tuples of a dead
-//!   connection were never visible and are discarded.
-//! - **Bulk take** — `InBatch { tmpl, max }` blocks like `In` but drains
-//!   up to `max` matching tuples in one round trip, answered with
-//!   `Tuples` (and cancellable exactly like `In`, the winning resolution
-//!   being `Tuples` instead of `Tuple`). `InpBatch` is its non-blocking
-//!   sibling and may answer an empty `Tuples`.
-//! - **Batch container** — `Batch` carries whole encoded sub-requests
-//!   (each with its own correlation seq) and is answered by a single
-//!   vectored `Batch` response. Blocking, cancelling, deferred, and
-//!   nested-batch bodies are rejected per entry with `Err`.
+//! Blocking waits are asymmetric: a `Wait` that cannot be satisfied
+//! immediately gets *no* response until a matching tuple arrives; the
+//! client may send `Cancel { wait_seq }` at any time, after which the
+//! broker responds `Cancelled { seq: wait_seq }` (wait revoked) or has
+//! already sent `Tuples { seq: wait_seq }` (the wait won the race — the
+//! client re-`Out`s the tuples it took). The `Cancel` itself is always
+//! answered with `Ok`.
+//!
+//! `OutDeferred` is fire-and-forget: the broker parks its tuples per
+//! connection and applies them, in program order, immediately before the
+//! connection's next response-bearing request (every such request is a
+//! flush barrier). `Flush` forces application and answers `Num(n)`, the
+//! number of deferred tuples applied since the previous ack. `TxnCommit`
+//! answers the same count, so a commit acknowledges the deferred outs
+//! that rode ahead of it in its own round trip. Parked tuples of a dead
+//! connection were never visible and are discarded.
 
 use crate::codec::{
     decode_template, decode_tuple, decode_tuples, encode_template, encode_tuple, encode_tuples,
@@ -42,6 +44,94 @@ use crate::codec::{
 };
 use crate::template::Template;
 use crate::value::{Tuple, Value};
+
+/// Declare a frame vocabulary, one `Name = wire code` line per frame. The
+/// enum's discriminants are the codes, and `ALL`, `name` and `from_code`
+/// are generated from the same lines, so encode, decode and
+/// [`super::spec`]'s alphabet read one statement of each frame.
+macro_rules! vocabulary {
+    ($(#[$meta:meta])* $ty:ident { $($(#[$vmeta:meta])* $op:ident = $code:literal,)+ }) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum $ty {
+            $($(#[$vmeta])* $op = $code,)+
+        }
+
+        impl $ty {
+            /// Every frame of the vocabulary, in declaration order.
+            pub const ALL: &'static [$ty] = &[$($ty::$op),+];
+
+            /// The frame's name, which is also its letter in the
+            /// protocol spec's alphabet.
+            pub const fn name(self) -> &'static str {
+                match self {
+                    $($ty::$op => stringify!($op),)+
+                }
+            }
+
+            fn from_code(code: i64) -> Option<$ty> {
+                Self::ALL.iter().copied().find(|op| *op as i64 == code)
+            }
+        }
+    };
+}
+
+vocabulary! {
+    /// The request frames and their wire codes. Codes of retired frames
+    /// (1, 3–6, 10, 18, 21–23) are never reused, so a peer speaking an
+    /// older vocabulary gets a typed error, not a misread frame.
+    ReqOp {
+        /// `out`/`out_all`: make the tuples visible, atomically.
+        Out = 2,
+        /// Fire-and-forget `out`, parked until the next flush barrier.
+        OutDeferred = 19,
+        /// Apply the parked deferred outs; answers `Num(acked)`.
+        Flush = 20,
+        /// Non-blocking `inp`/`rdp`/`inp_batch`; answers `Tuples`.
+        Poll = 24,
+        /// Blocking `in`/`rd`/`in_batch`; answered with non-empty
+        /// `Tuples` once satisfied, or `Cancelled`.
+        Wait = 25,
+        /// Revoke a pending `Wait`; answers `Ok`.
+        Cancel = 7,
+        /// Visible tuple count; answers `Num`.
+        Len = 8,
+        /// Count matches of a template; answers `Num`.
+        Count = 9,
+        /// Consistent cut of the visible space; answers `Tuples`.
+        Snapshot = 11,
+        /// Replace the visible space (rollback recovery); answers `Ok`.
+        Restore = 12,
+        /// Open a transaction on this connection; answers `Ok`.
+        TxnBegin = 13,
+        /// Atomic commit: publish and record the continuation in one
+        /// step; answers `Num(acked)` like `Flush`.
+        TxnCommit = 14,
+        /// Abort: restore tentative withdrawals; answers `Ok`.
+        TxnAbort = 15,
+        /// Latest continuation of a pid; answers `Tuples` (0 or 1).
+        ContGet = 16,
+        /// Drop the continuation of a pid; answers `Ok`.
+        ContClear = 17,
+    }
+}
+
+vocabulary! {
+    /// The response frames and their wire codes. Codes of retired frames
+    /// (2, 4, 8) are never reused.
+    RespOp {
+        /// Success, no payload.
+        Ok = 1,
+        /// A count.
+        Num = 3,
+        /// Retrieved tuples, a snapshot or a continuation.
+        Tuples = 5,
+        /// A pending wait was revoked by `Cancel`.
+        Cancelled = 6,
+        /// The broker rejected the request.
+        Err = 7,
+    }
+}
 
 /// A client request: `seq` echoes back on the matching response.
 #[derive(Debug, Clone)]
@@ -52,43 +142,53 @@ pub struct Req {
     pub body: ReqBody,
 }
 
-/// Request operations — one per [`crate::backend::SpaceBackend`] method,
-/// plus `Cancel` (the wire form of the cancellation flag).
+/// A request frame with its operands; see [`ReqOp`] for each frame's
+/// meaning and answer.
 #[derive(Debug, Clone)]
 pub enum ReqBody {
-    /// `out`.
-    Out(Tuple),
-    /// Atomic bulk `out`.
-    OutAll(Vec<Tuple>),
-    /// Non-blocking withdraw.
-    Inp(Template),
-    /// Non-blocking read.
-    Rdp(Template),
-    /// Blocking withdraw (response deferred until satisfied/cancelled).
-    In(Template),
-    /// Blocking read (response deferred until satisfied/cancelled).
-    Rd(Template),
-    /// Revoke a pending `In`/`Rd` wait.
+    /// The tuples to publish.
+    Out(Vec<Tuple>),
+    /// The tuples to park.
+    OutDeferred(Vec<Tuple>),
+    /// No operands.
+    Flush,
+    /// A non-blocking retrieval.
+    Poll {
+        /// Template every returned tuple matches.
+        tmpl: Template,
+        /// Withdraw the tuples (`inp`) rather than copy one (`rdp`).
+        take: bool,
+        /// Upper bound on tuples withdrawn.
+        max: u64,
+    },
+    /// A blocking retrieval.
+    Wait {
+        /// Template every returned tuple matches.
+        tmpl: Template,
+        /// Withdraw the tuples (`in`) rather than copy one (`rd`).
+        take: bool,
+        /// Upper bound on tuples withdrawn.
+        max: u64,
+    },
+    /// Revoke a pending wait.
     Cancel {
-        /// The `seq` of the wait being revoked.
+        /// The `seq` of the `Wait` being revoked.
         wait_seq: u64,
     },
-    /// Visible tuple count.
+    /// No operands.
     Len,
-    /// Count matches of a template.
+    /// The template to count.
     Count(Template),
-    /// Enabledness probe.
-    HasMatch(Template),
-    /// Consistent cut of the visible space.
+    /// No operands.
     Snapshot,
-    /// Replace the visible space (rollback recovery).
+    /// The new contents of the space.
     Restore(Vec<Tuple>),
-    /// Open a transaction for logical process `pid` on this connection.
+    /// Open a transaction for logical process `pid`.
     TxnBegin {
         /// Logical process id.
         pid: u64,
     },
-    /// Atomic commit: publish + continuation in one step.
+    /// Commit `pid`'s transaction.
     TxnCommit {
         /// Logical process id.
         pid: u64,
@@ -97,7 +197,7 @@ pub enum ReqBody {
         /// Continuation to record, if any.
         cont: Option<Tuple>,
     },
-    /// Abort: restore tentative withdrawals.
+    /// Abort `pid`'s transaction.
     TxnAbort {
         /// Logical process id.
         pid: u64,
@@ -105,42 +205,39 @@ pub enum ReqBody {
         /// tracking is authoritative; this rides along for diagnostics).
         restore: Vec<Tuple>,
     },
-    /// Latest continuation of `pid`.
+    /// Ask for `pid`'s continuation.
     ContGet {
         /// Logical process id.
         pid: u64,
     },
-    /// Drop the continuation of `pid`.
+    /// Drop `pid`'s continuation.
     ContClear {
         /// Logical process id.
         pid: u64,
     },
-    /// Fire-and-forget `out`: parked per connection, applied at the next
-    /// flush barrier (any response-bearing request) or explicit `Flush`.
-    OutDeferred(Tuple),
-    /// Fire-and-forget bulk `out` through the same deferred queue.
-    OutAllDeferred(Vec<Tuple>),
-    /// Force application of this connection's parked deferred outs;
-    /// answered with `Num(n)`, the tuples applied since the last ack.
-    Flush,
-    /// Blocking bulk withdraw: up to `max` matching tuples in one round
-    /// trip (response deferred until ≥ 1 tuple is available).
-    InBatch {
-        /// Template every drained tuple must match.
-        tmpl: Template,
-        /// Upper bound on tuples returned.
-        max: u64,
-    },
-    /// Non-blocking bulk withdraw; the `Tuples` answer may be empty.
-    InpBatch {
-        /// Template every drained tuple must match.
-        tmpl: Template,
-        /// Upper bound on tuples returned.
-        max: u64,
-    },
-    /// Pipelined container: whole sub-requests, each with its own
-    /// correlation seq, answered by one vectored `Batch` response.
-    Batch(Vec<Req>),
+}
+
+impl ReqBody {
+    /// The frame this body travels as.
+    pub fn op(&self) -> ReqOp {
+        match self {
+            ReqBody::Out(_) => ReqOp::Out,
+            ReqBody::OutDeferred(_) => ReqOp::OutDeferred,
+            ReqBody::Flush => ReqOp::Flush,
+            ReqBody::Poll { .. } => ReqOp::Poll,
+            ReqBody::Wait { .. } => ReqOp::Wait,
+            ReqBody::Cancel { .. } => ReqOp::Cancel,
+            ReqBody::Len => ReqOp::Len,
+            ReqBody::Count(_) => ReqOp::Count,
+            ReqBody::Snapshot => ReqOp::Snapshot,
+            ReqBody::Restore(_) => ReqOp::Restore,
+            ReqBody::TxnBegin { .. } => ReqOp::TxnBegin,
+            ReqBody::TxnCommit { .. } => ReqOp::TxnCommit,
+            ReqBody::TxnAbort { .. } => ReqOp::TxnAbort,
+            ReqBody::ContGet { .. } => ReqOp::ContGet,
+            ReqBody::ContClear { .. } => ReqOp::ContClear,
+        }
+    }
 }
 
 /// A broker response; `seq` matches the request it answers.
@@ -152,71 +249,31 @@ pub struct Resp {
     pub body: RespBody,
 }
 
-/// Response payloads.
+/// A response frame with its operands; see [`RespOp`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum RespBody {
-    /// Success, no payload.
+    /// No operands.
     Ok,
-    /// Result of `inp`/`rdp`/`in`/`rd`/`cont_get`.
-    Tuple(Option<Tuple>),
-    /// Result of `len`/`count`.
+    /// The count.
     Num(u64),
-    /// Result of `has_match`.
-    Bool(bool),
-    /// Result of `snapshot`.
+    /// The tuples.
     Tuples(Vec<Tuple>),
-    /// A pending wait was revoked by `Cancel`.
+    /// No operands.
     Cancelled,
-    /// The broker rejected the request.
+    /// Why the request was rejected.
     Err(String),
-    /// Vectored answer to a `Batch` request, one `Resp` per sub-request.
-    Batch(Vec<Resp>),
 }
 
-const OP_OUT: i64 = 1;
-const OP_OUT_ALL: i64 = 2;
-const OP_INP: i64 = 3;
-const OP_RDP: i64 = 4;
-const OP_IN: i64 = 5;
-const OP_RD: i64 = 6;
-const OP_CANCEL: i64 = 7;
-const OP_LEN: i64 = 8;
-const OP_COUNT: i64 = 9;
-const OP_HAS_MATCH: i64 = 10;
-const OP_SNAPSHOT: i64 = 11;
-const OP_RESTORE: i64 = 12;
-const OP_TXN_BEGIN: i64 = 13;
-const OP_TXN_COMMIT: i64 = 14;
-const OP_TXN_ABORT: i64 = 15;
-const OP_CONT_GET: i64 = 16;
-const OP_CONT_CLEAR: i64 = 17;
-const OP_OUT_DEFERRED: i64 = 18;
-const OP_OUT_ALL_DEFERRED: i64 = 19;
-const OP_FLUSH: i64 = 20;
-const OP_IN_BATCH: i64 = 21;
-const OP_INP_BATCH: i64 = 22;
-const OP_BATCH: i64 = 23;
-
-const RESP_OK: i64 = 1;
-const RESP_TUPLE: i64 = 2;
-const RESP_NUM: i64 = 3;
-const RESP_BOOL: i64 = 4;
-const RESP_TUPLES: i64 = 5;
-const RESP_CANCELLED: i64 = 6;
-const RESP_ERR: i64 = 7;
-const RESP_BATCH: i64 = 8;
-
-fn opt_to_vec(t: &Option<Tuple>) -> Vec<Tuple> {
-    t.iter().cloned().collect()
-}
-
-fn vec_to_opt(mut ts: Vec<Tuple>, what: &str) -> Result<Option<Tuple>, CodecError> {
-    match ts.len() {
-        0 => Ok(None),
-        1 => Ok(Some(ts.remove(0))),
-        n => Err(CodecError(format!(
-            "{what}: expected 0 or 1 tuples, got {n}"
-        ))),
+impl RespBody {
+    /// The frame this body travels as.
+    pub fn op(&self) -> RespOp {
+        match self {
+            RespBody::Ok => RespOp::Ok,
+            RespBody::Num(_) => RespOp::Num,
+            RespBody::Tuples(_) => RespOp::Tuples,
+            RespBody::Cancelled => RespOp::Cancelled,
+            RespBody::Err(_) => RespOp::Err,
+        }
     }
 }
 
@@ -224,138 +281,96 @@ impl Req {
     /// Encode as a frame payload (a codec-encoded tuple).
     pub fn encode(&self) -> Vec<u8> {
         use Value::{Bytes, Int};
-        let seq = Int(self.seq as i64);
-        let fields = match &self.body {
-            ReqBody::Out(t) => vec![Int(OP_OUT), seq, Bytes(encode_tuple(t))],
-            ReqBody::OutAll(ts) => vec![Int(OP_OUT_ALL), seq, Bytes(encode_tuples(ts))],
-            ReqBody::Inp(t) => vec![Int(OP_INP), seq, Bytes(encode_template(t))],
-            ReqBody::Rdp(t) => vec![Int(OP_RDP), seq, Bytes(encode_template(t))],
-            ReqBody::In(t) => vec![Int(OP_IN), seq, Bytes(encode_template(t))],
-            ReqBody::Rd(t) => vec![Int(OP_RD), seq, Bytes(encode_template(t))],
-            ReqBody::Cancel { wait_seq } => vec![Int(OP_CANCEL), seq, Int(*wait_seq as i64)],
-            ReqBody::Len => vec![Int(OP_LEN), seq],
-            ReqBody::Count(t) => vec![Int(OP_COUNT), seq, Bytes(encode_template(t))],
-            ReqBody::HasMatch(t) => vec![Int(OP_HAS_MATCH), seq, Bytes(encode_template(t))],
-            ReqBody::Snapshot => vec![Int(OP_SNAPSHOT), seq],
-            ReqBody::Restore(ts) => vec![Int(OP_RESTORE), seq, Bytes(encode_tuples(ts))],
-            ReqBody::TxnBegin { pid } => vec![Int(OP_TXN_BEGIN), seq, Int(*pid as i64)],
-            ReqBody::TxnCommit { pid, publish, cont } => vec![
-                Int(OP_TXN_COMMIT),
-                seq,
+        let mut f = vec![Int(self.body.op() as i64), Int(self.seq as i64)];
+        match &self.body {
+            ReqBody::Out(ts) | ReqBody::OutDeferred(ts) | ReqBody::Restore(ts) => {
+                f.push(Bytes(encode_tuples(ts)))
+            }
+            ReqBody::Flush | ReqBody::Len | ReqBody::Snapshot => {}
+            ReqBody::Poll { tmpl, take, max } | ReqBody::Wait { tmpl, take, max } => f.extend([
+                Bytes(encode_template(tmpl)),
+                Int(i64::from(*take)),
+                Int(*max as i64),
+            ]),
+            ReqBody::Count(tmpl) => f.push(Bytes(encode_template(tmpl))),
+            ReqBody::Cancel { wait_seq: n }
+            | ReqBody::TxnBegin { pid: n }
+            | ReqBody::ContGet { pid: n }
+            | ReqBody::ContClear { pid: n } => f.push(Int(*n as i64)),
+            ReqBody::TxnCommit { pid, publish, cont } => f.extend([
                 Int(*pid as i64),
                 Bytes(encode_tuples(publish)),
-                Bytes(encode_tuples(&opt_to_vec(cont))),
-            ],
-            ReqBody::TxnAbort { pid, restore } => vec![
-                Int(OP_TXN_ABORT),
-                seq,
-                Int(*pid as i64),
-                Bytes(encode_tuples(restore)),
-            ],
-            ReqBody::ContGet { pid } => vec![Int(OP_CONT_GET), seq, Int(*pid as i64)],
-            ReqBody::ContClear { pid } => vec![Int(OP_CONT_CLEAR), seq, Int(*pid as i64)],
-            ReqBody::OutDeferred(t) => vec![Int(OP_OUT_DEFERRED), seq, Bytes(encode_tuple(t))],
-            ReqBody::OutAllDeferred(ts) => {
-                vec![Int(OP_OUT_ALL_DEFERRED), seq, Bytes(encode_tuples(ts))]
+                Bytes(encode_tuples(cont.as_slice())),
+            ]),
+            ReqBody::TxnAbort { pid, restore } => {
+                f.extend([Int(*pid as i64), Bytes(encode_tuples(restore))])
             }
-            ReqBody::Flush => vec![Int(OP_FLUSH), seq],
-            ReqBody::InBatch { tmpl, max } => vec![
-                Int(OP_IN_BATCH),
-                seq,
-                Bytes(encode_template(tmpl)),
-                Int(*max as i64),
-            ],
-            ReqBody::InpBatch { tmpl, max } => vec![
-                Int(OP_INP_BATCH),
-                seq,
-                Bytes(encode_template(tmpl)),
-                Int(*max as i64),
-            ],
-            ReqBody::Batch(reqs) => {
-                let mut fields = vec![Int(OP_BATCH), seq];
-                fields.extend(reqs.iter().map(|r| Bytes(r.encode())));
-                fields
-            }
-        };
-        encode_tuple(&Tuple::new(fields))
+        }
+        encode_tuple(&Tuple::new(f))
     }
 
     /// Decode a frame payload produced by [`Req::encode`].
     pub fn decode(payload: &[u8]) -> Result<Req, CodecError> {
-        Self::decode_at(payload, 0)
-    }
-
-    /// Depth-bounded decoder: a `Batch` may only appear at the top level,
-    /// which keeps decode recursion flat on adversarial input.
-    fn decode_at(payload: &[u8], depth: u32) -> Result<Req, CodecError> {
         let t = decode_tuple(payload)?;
         let f = &t.0;
-        let op = int_at(f, 0, "request op")?;
+        let code = int_at(f, 0, "request op")?;
         let seq = int_at(f, 1, "request seq")? as u64;
+        let op = ReqOp::from_code(code)
+            .ok_or_else(|| CodecError(format!("unknown request op {code}")))?;
+        let what = op.name();
+        let retrieval = || -> Result<(Template, bool, u64), CodecError> {
+            Ok((
+                decode_template(bytes_at(f, 2, what)?)?,
+                int_at(f, 3, what)? != 0,
+                int_at(f, 4, what)? as u64,
+            ))
+        };
         let body = match op {
-            OP_OUT => ReqBody::Out(decode_tuple(bytes_at(f, 2, "out tuple")?)?),
-            OP_OUT_ALL => ReqBody::OutAll(decode_tuples(bytes_at(f, 2, "out_all tuples")?)?),
-            OP_INP => ReqBody::Inp(decode_template(bytes_at(f, 2, "inp template")?)?),
-            OP_RDP => ReqBody::Rdp(decode_template(bytes_at(f, 2, "rdp template")?)?),
-            OP_IN => ReqBody::In(decode_template(bytes_at(f, 2, "in template")?)?),
-            OP_RD => ReqBody::Rd(decode_template(bytes_at(f, 2, "rd template")?)?),
-            OP_CANCEL => ReqBody::Cancel {
-                wait_seq: int_at(f, 2, "cancel wait_seq")? as u64,
-            },
-            OP_LEN => ReqBody::Len,
-            OP_COUNT => ReqBody::Count(decode_template(bytes_at(f, 2, "count template")?)?),
-            OP_HAS_MATCH => {
-                ReqBody::HasMatch(decode_template(bytes_at(f, 2, "has_match template")?)?)
+            ReqOp::Out => ReqBody::Out(tuples_at(f, 2, what)?),
+            ReqOp::OutDeferred => ReqBody::OutDeferred(tuples_at(f, 2, what)?),
+            ReqOp::Flush => ReqBody::Flush,
+            ReqOp::Poll => {
+                let (tmpl, take, max) = retrieval()?;
+                ReqBody::Poll { tmpl, take, max }
             }
-            OP_SNAPSHOT => ReqBody::Snapshot,
-            OP_RESTORE => ReqBody::Restore(decode_tuples(bytes_at(f, 2, "restore tuples")?)?),
-            OP_TXN_BEGIN => ReqBody::TxnBegin {
-                pid: int_at(f, 2, "txn_begin pid")? as u64,
-            },
-            OP_TXN_COMMIT => ReqBody::TxnCommit {
-                pid: int_at(f, 2, "txn_commit pid")? as u64,
-                publish: decode_tuples(bytes_at(f, 3, "txn_commit publish")?)?,
-                cont: vec_to_opt(
-                    decode_tuples(bytes_at(f, 4, "txn_commit cont")?)?,
-                    "txn_commit cont",
-                )?,
-            },
-            OP_TXN_ABORT => ReqBody::TxnAbort {
-                pid: int_at(f, 2, "txn_abort pid")? as u64,
-                restore: decode_tuples(bytes_at(f, 3, "txn_abort restore")?)?,
-            },
-            OP_CONT_GET => ReqBody::ContGet {
-                pid: int_at(f, 2, "cont_get pid")? as u64,
-            },
-            OP_CONT_CLEAR => ReqBody::ContClear {
-                pid: int_at(f, 2, "cont_clear pid")? as u64,
-            },
-            OP_OUT_DEFERRED => {
-                ReqBody::OutDeferred(decode_tuple(bytes_at(f, 2, "out_deferred tuple")?)?)
+            ReqOp::Wait => {
+                let (tmpl, take, max) = retrieval()?;
+                ReqBody::Wait { tmpl, take, max }
             }
-            OP_OUT_ALL_DEFERRED => {
-                ReqBody::OutAllDeferred(decode_tuples(bytes_at(f, 2, "out_all_deferred tuples")?)?)
-            }
-            OP_FLUSH => ReqBody::Flush,
-            OP_IN_BATCH => ReqBody::InBatch {
-                tmpl: decode_template(bytes_at(f, 2, "in_batch template")?)?,
-                max: int_at(f, 3, "in_batch max")? as u64,
+            ReqOp::Cancel => ReqBody::Cancel {
+                wait_seq: int_at(f, 2, what)? as u64,
             },
-            OP_INP_BATCH => ReqBody::InpBatch {
-                tmpl: decode_template(bytes_at(f, 2, "inp_batch template")?)?,
-                max: int_at(f, 3, "inp_batch max")? as u64,
+            ReqOp::Len => ReqBody::Len,
+            ReqOp::Count => ReqBody::Count(decode_template(bytes_at(f, 2, what)?)?),
+            ReqOp::Snapshot => ReqBody::Snapshot,
+            ReqOp::Restore => ReqBody::Restore(tuples_at(f, 2, what)?),
+            ReqOp::TxnBegin => ReqBody::TxnBegin {
+                pid: int_at(f, 2, what)? as u64,
             },
-            OP_BATCH => {
-                if depth > 0 {
-                    return Err(CodecError("nested batch request".into()));
+            ReqOp::TxnCommit => {
+                let mut cont = tuples_at(f, 4, what)?;
+                if cont.len() > 1 {
+                    return Err(CodecError(format!(
+                        "{what}: expected at most 1 continuation, got {}",
+                        cont.len()
+                    )));
                 }
-                let mut reqs = Vec::with_capacity(f.len().saturating_sub(2));
-                for i in 2..f.len() {
-                    reqs.push(Req::decode_at(bytes_at(f, i, "batch entry")?, depth + 1)?);
+                ReqBody::TxnCommit {
+                    pid: int_at(f, 2, what)? as u64,
+                    publish: tuples_at(f, 3, what)?,
+                    cont: cont.pop(),
                 }
-                ReqBody::Batch(reqs)
             }
-            op => return Err(CodecError(format!("unknown request op {op}"))),
+            ReqOp::TxnAbort => ReqBody::TxnAbort {
+                pid: int_at(f, 2, what)? as u64,
+                restore: tuples_at(f, 3, what)?,
+            },
+            ReqOp::ContGet => ReqBody::ContGet {
+                pid: int_at(f, 2, what)? as u64,
+            },
+            ReqOp::ContClear => ReqBody::ContClear {
+                pid: int_at(f, 2, what)? as u64,
+            },
         };
         Ok(Req { seq, body })
     }
@@ -365,60 +380,38 @@ impl Resp {
     /// Encode as a frame payload (a codec-encoded tuple).
     pub fn encode(&self) -> Vec<u8> {
         use Value::{Bytes, Int, Str};
-        let seq = Int(self.seq as i64);
-        let fields = match &self.body {
-            RespBody::Ok => vec![Int(RESP_OK), seq],
-            RespBody::Tuple(t) => vec![Int(RESP_TUPLE), seq, Bytes(encode_tuples(&opt_to_vec(t)))],
-            RespBody::Num(n) => vec![Int(RESP_NUM), seq, Int(*n as i64)],
-            RespBody::Bool(b) => vec![Int(RESP_BOOL), seq, Int(i64::from(*b))],
-            RespBody::Tuples(ts) => vec![Int(RESP_TUPLES), seq, Bytes(encode_tuples(ts))],
-            RespBody::Cancelled => vec![Int(RESP_CANCELLED), seq],
-            RespBody::Err(msg) => vec![Int(RESP_ERR), seq, Str(msg.clone())],
-            RespBody::Batch(resps) => {
-                let mut fields = vec![Int(RESP_BATCH), seq];
-                fields.extend(resps.iter().map(|r| Bytes(r.encode())));
-                fields
-            }
-        };
-        encode_tuple(&Tuple::new(fields))
+        let mut f = vec![Int(self.body.op() as i64), Int(self.seq as i64)];
+        match &self.body {
+            RespBody::Ok | RespBody::Cancelled => {}
+            RespBody::Num(n) => f.push(Int(*n as i64)),
+            RespBody::Tuples(ts) => f.push(Bytes(encode_tuples(ts))),
+            RespBody::Err(msg) => f.push(Str(msg.clone())),
+        }
+        encode_tuple(&Tuple::new(f))
     }
 
     /// Decode a frame payload produced by [`Resp::encode`].
     pub fn decode(payload: &[u8]) -> Result<Resp, CodecError> {
-        Self::decode_at(payload, 0)
-    }
-
-    /// Depth-bounded decoder; see [`Req::decode_at`].
-    fn decode_at(payload: &[u8], depth: u32) -> Result<Resp, CodecError> {
         let t = decode_tuple(payload)?;
         let f = &t.0;
         let code = int_at(f, 0, "response code")?;
         let seq = int_at(f, 1, "response seq")? as u64;
-        let body = match code {
-            RESP_OK => RespBody::Ok,
-            RESP_TUPLE => RespBody::Tuple(vec_to_opt(
-                decode_tuples(bytes_at(f, 2, "response tuple")?)?,
-                "response tuple",
-            )?),
-            RESP_NUM => RespBody::Num(int_at(f, 2, "response num")? as u64),
-            RESP_BOOL => RespBody::Bool(int_at(f, 2, "response bool")? != 0),
-            RESP_TUPLES => RespBody::Tuples(decode_tuples(bytes_at(f, 2, "response tuples")?)?),
-            RESP_CANCELLED => RespBody::Cancelled,
-            RESP_ERR => RespBody::Err(str_at(f, 2, "response error")?.to_owned()),
-            RESP_BATCH => {
-                if depth > 0 {
-                    return Err(CodecError("nested batch response".into()));
+        let op = RespOp::from_code(code)
+            .ok_or_else(|| CodecError(format!("unknown response code {code}")))?;
+        let what = op.name();
+        let body = match op {
+            RespOp::Ok => RespBody::Ok,
+            RespOp::Num => RespBody::Num(int_at(f, 2, what)? as u64),
+            RespOp::Tuples => RespBody::Tuples(tuples_at(f, 2, what)?),
+            RespOp::Cancelled => RespBody::Cancelled,
+            RespOp::Err => match f.get(2) {
+                Some(Value::Str(s)) => RespBody::Err(s.clone()),
+                other => {
+                    return Err(CodecError(format!(
+                        "{what}: expected string, got {other:?}"
+                    )))
                 }
-                let mut resps = Vec::with_capacity(f.len().saturating_sub(2));
-                for i in 2..f.len() {
-                    resps.push(Resp::decode_at(
-                        bytes_at(f, i, "batch response entry")?,
-                        depth + 1,
-                    )?);
-                }
-                RespBody::Batch(resps)
-            }
-            code => return Err(CodecError(format!("unknown response code {code}"))),
+            },
         };
         Ok(Resp { seq, body })
     }
@@ -438,13 +431,8 @@ fn bytes_at<'a>(f: &'a [Value], i: usize, what: &str) -> Result<&'a [u8], CodecE
     }
 }
 
-fn str_at<'a>(f: &'a [Value], i: usize, what: &str) -> Result<&'a str, CodecError> {
-    match f.get(i) {
-        Some(Value::Str(s)) => Ok(s),
-        other => Err(CodecError(format!(
-            "{what}: expected string, got {other:?}"
-        ))),
-    }
+fn tuples_at(f: &[Value], i: usize, what: &str) -> Result<Vec<Tuple>, CodecError> {
+    decode_tuples(bytes_at(f, i, what)?)
 }
 
 #[cfg(test)]
@@ -457,12 +445,23 @@ mod tests {
     fn request_roundtrips() {
         let tmpl = Template::new(vec![field::val("task"), field::int()]);
         let reqs = vec![
-            ReqBody::Out(tup!["a", 1]),
-            ReqBody::OutAll(vec![tup![1], tup![2.5]]),
-            ReqBody::Inp(tmpl.clone()),
-            ReqBody::In(tmpl.clone()),
+            ReqBody::Out(vec![tup!["a", 1]]),
+            ReqBody::Out(vec![tup![1], tup![2.5]]),
+            ReqBody::OutDeferred(vec![tup!["d", 5], tup!["d", 6]]),
+            ReqBody::Flush,
+            ReqBody::Poll {
+                tmpl: tmpl.clone(),
+                take: true,
+                max: 64,
+            },
+            ReqBody::Wait {
+                tmpl: tmpl.clone(),
+                take: false,
+                max: 1,
+            },
             ReqBody::Cancel { wait_seq: 9 },
             ReqBody::Len,
+            ReqBody::Count(tmpl),
             ReqBody::Snapshot,
             ReqBody::Restore(vec![tup!["x"]]),
             ReqBody::TxnBegin { pid: 3 },
@@ -477,28 +476,10 @@ mod tests {
             },
             ReqBody::ContGet { pid: 3 },
             ReqBody::ContClear { pid: 3 },
-            ReqBody::OutDeferred(tup!["d", 4]),
-            ReqBody::OutAllDeferred(vec![tup!["d", 5], tup!["d", 6]]),
-            ReqBody::Flush,
-            ReqBody::InBatch {
-                tmpl: tmpl.clone(),
-                max: 8,
-            },
-            ReqBody::InpBatch {
-                tmpl: tmpl.clone(),
-                max: 64,
-            },
-            ReqBody::Batch(vec![
-                Req {
-                    seq: 41,
-                    body: ReqBody::Len,
-                },
-                Req {
-                    seq: 42,
-                    body: ReqBody::Out(tup!["inner", 1]),
-                },
-            ]),
         ];
+        let mut ops: Vec<ReqOp> = reqs.iter().map(ReqBody::op).collect();
+        ops.dedup();
+        assert_eq!(ops, ReqOp::ALL, "one body per frame, in vocabulary order");
         for (i, body) in reqs.into_iter().enumerate() {
             let req = Req {
                 seq: i as u64,
@@ -515,23 +496,11 @@ mod tests {
     fn response_roundtrips() {
         let resps = vec![
             RespBody::Ok,
-            RespBody::Tuple(None),
-            RespBody::Tuple(Some(tup!["r", 2])),
             RespBody::Num(17),
-            RespBody::Bool(true),
-            RespBody::Tuples(vec![tup![1], tup![2]]),
+            RespBody::Tuples(Vec::new()),
+            RespBody::Tuples(vec![tup![1], tup!["r", 2]]),
             RespBody::Cancelled,
             RespBody::Err("boom".into()),
-            RespBody::Batch(vec![
-                Resp {
-                    seq: 41,
-                    body: RespBody::Num(3),
-                },
-                Resp {
-                    seq: 42,
-                    body: RespBody::Ok,
-                },
-            ]),
         ];
         for (i, body) in resps.into_iter().enumerate() {
             let resp = Resp {
@@ -554,33 +523,28 @@ mod tests {
     }
 
     #[test]
-    fn nested_batches_are_rejected_flat() {
-        let inner = Req {
-            seq: 1,
-            body: ReqBody::Batch(vec![Req {
-                seq: 2,
-                body: ReqBody::Len,
-            }]),
-        };
-        let outer = Req {
-            seq: 0,
-            body: ReqBody::Batch(vec![inner]),
-        };
-        let err = Req::decode(&outer.encode()).unwrap_err();
-        assert!(err.0.contains("nested batch"), "{err:?}");
-
-        let inner = Resp {
-            seq: 1,
-            body: RespBody::Batch(vec![Resp {
-                seq: 2,
-                body: RespBody::Ok,
-            }]),
-        };
-        let outer = Resp {
-            seq: 0,
-            body: RespBody::Batch(vec![inner]),
-        };
-        let err = Resp::decode(&outer.encode()).unwrap_err();
-        assert!(err.0.contains("nested batch"), "{err:?}");
+    fn retired_codes_are_typed_errors() {
+        // Shaped like the retired frames' operands, so only the code can
+        // be what rejects them.
+        let tmpl = Value::Bytes(encode_template(&Template::new(vec![field::int()])));
+        for code in [1, 3, 4, 5, 6, 10, 18, 21, 22, 23] {
+            let frame = encode_tuple(&Tuple::new(vec![
+                Value::Int(code),
+                Value::Int(1),
+                tmpl.clone(),
+                Value::Int(8),
+            ]));
+            let err = Req::decode(&frame).unwrap_err();
+            assert!(err.0.contains("unknown request op"), "{code}: {err:?}");
+        }
+        for code in [2, 4, 8] {
+            let frame = encode_tuple(&Tuple::new(vec![
+                Value::Int(code),
+                Value::Int(1),
+                Value::Int(1),
+            ]));
+            let err = Resp::decode(&frame).unwrap_err();
+            assert!(err.0.contains("unknown response code"), "{code}: {err:?}");
+        }
     }
 }

@@ -2,124 +2,50 @@
 //! small-scope duality checker that proves them compatible.
 //!
 //! [`super::proto`] defines the frame *vocabulary* and [`super::client`] /
-//! [`super::broker`] each implement one *half* of the conversation — but
-//! until this module, the two halves were only ever checked against each
-//! other dynamically, one executed trace at a time. Here both halves are
-//! extracted into explicit transition tables ([`client_machine`],
-//! [`broker_machine`]) over an abstract frame alphabet, and
-//! [`check_duality`] exhaustively enumerates every interleaving of sends,
-//! receives, and deliveries the pair can reach within a small scope
-//! (FIFO queues of depth [`DEFAULT_QUEUE_BOUND`] per direction, one
-//! outstanding blocking wait — exactly the protocol's own invariant).
-//! A **duality violation** is a reachable configuration in which the frame
-//! at the head of a machine's incoming queue has no `recv` transition from
-//! its current state: the peer emitted something this side cannot handle.
+//! [`super::broker`] each implement one *half* of the conversation. Here
+//! both halves are extracted into explicit transition tables
+//! ([`client_machine`], [`broker_machine`]) over an abstract frame
+//! alphabet, and [`check_duality`] exhaustively enumerates every
+//! interleaving of sends, receives, and deliveries the pair can reach
+//! within a small scope (FIFO queues of depth [`DEFAULT_QUEUE_BOUND`] per
+//! direction, one outstanding blocking wait — exactly the protocol's own
+//! invariant). A **duality violation** is a reachable configuration in
+//! which the frame at the head of a machine's incoming queue has no `recv`
+//! transition from its current state: the peer emitted something this side
+//! cannot handle.
 //!
-//! The tables are kept honest two ways:
-//!
-//! * [`req_frame_name`] / [`resp_frame_name`] map the concrete
-//!   [`ReqBody`] / [`RespBody`] enums onto the abstract alphabet with
-//!   exhaustive `match`es — adding a protocol operation without extending
-//!   the spec is a compile error.
-//! * Unit tests assert every request frame is emitted somewhere by the
-//!   client machine and received somewhere by the broker machine (and
-//!   dually for responses), and that [`check_duality`] over the real pair
-//!   is clean.
+//! The alphabet is the vocabulary itself: a request letter is
+//! [`ReqOp::name`] and a response letter is [`RespOp::name`], except that
+//! an empty `Tuples` is the letter [`NO_TUPLES`] — a blocking wait may only
+//! be answered non-empty, and the split lets the checker say so. The
+//! machines name their frames through the vocabulary, never by string, and
+//! unit tests assert every request frame is emitted somewhere by the
+//! client machine and received somewhere by the broker machine (and
+//! dually for responses), and that [`check_duality`] over the real pair is
+//! clean.
 //!
 //! `fpdm-analyze` (driven by `cargo run -p xtask -- analyze`) runs the
 //! same checker as its protocol-duality pass, and also feeds it seeded
 //! mismatch fixtures parsed from `proto.machines` files.
 
-use super::proto::{ReqBody, RespBody};
+use super::proto::{ReqOp, RespBody, RespOp};
 use std::collections::HashSet;
 use std::fmt;
 
-/// Abstract request-frame alphabet: one name per [`ReqBody`] variant.
-pub const REQ_FRAMES: [&str; 23] = [
-    "Out",
-    "OutAll",
-    "Inp",
-    "Rdp",
-    "In",
-    "Rd",
-    "Cancel",
-    "Len",
-    "Count",
-    "HasMatch",
-    "Snapshot",
-    "Restore",
-    "TxnBegin",
-    "TxnCommit",
-    "TxnAbort",
-    "ContGet",
-    "ContClear",
-    "OutDeferred",
-    "OutAllDeferred",
-    "Flush",
-    "InBatch",
-    "InpBatch",
-    "Batch",
-];
+/// The abstract letter of an empty `Tuples` answer.
+pub const NO_TUPLES: &str = "NoTuples";
 
-/// Abstract response-frame alphabet. `Tuple(Option<Tuple>)` splits into
-/// `TupleSome`/`TupleNone` because the two are handled differently (a
-/// blocking wait can only ever be answered with `TupleSome`).
-pub const RESP_FRAMES: [&str; 9] = [
-    "Ok",
-    "TupleSome",
-    "TupleNone",
-    "Num",
-    "Bool",
-    "Tuples",
-    "Cancelled",
-    "Err",
-    "Batch",
-];
+const OK: &str = RespOp::Ok.name();
+const NUM: &str = RespOp::Num.name();
+const TUPLES: &str = RespOp::Tuples.name();
+const CANCELLED: &str = RespOp::Cancelled.name();
+const ERR: &str = RespOp::Err.name();
 
-/// The abstract frame a concrete request encodes to. Exhaustive by
-/// construction: extending [`ReqBody`] without extending the spec tables
-/// fails to compile here.
-pub fn req_frame_name(body: &ReqBody) -> &'static str {
+/// The abstract letter a concrete response travels as.
+pub fn resp_letter(body: &RespBody) -> &'static str {
     match body {
-        ReqBody::Out(_) => "Out",
-        ReqBody::OutAll(_) => "OutAll",
-        ReqBody::Inp(_) => "Inp",
-        ReqBody::Rdp(_) => "Rdp",
-        ReqBody::In(_) => "In",
-        ReqBody::Rd(_) => "Rd",
-        ReqBody::Cancel { .. } => "Cancel",
-        ReqBody::Len => "Len",
-        ReqBody::Count(_) => "Count",
-        ReqBody::HasMatch(_) => "HasMatch",
-        ReqBody::Snapshot => "Snapshot",
-        ReqBody::Restore(_) => "Restore",
-        ReqBody::TxnBegin { .. } => "TxnBegin",
-        ReqBody::TxnCommit { .. } => "TxnCommit",
-        ReqBody::TxnAbort { .. } => "TxnAbort",
-        ReqBody::ContGet { .. } => "ContGet",
-        ReqBody::ContClear { .. } => "ContClear",
-        ReqBody::OutDeferred(_) => "OutDeferred",
-        ReqBody::OutAllDeferred(_) => "OutAllDeferred",
-        ReqBody::Flush => "Flush",
-        ReqBody::InBatch { .. } => "InBatch",
-        ReqBody::InpBatch { .. } => "InpBatch",
-        ReqBody::Batch(_) => "Batch",
-    }
-}
-
-/// The abstract frame a concrete response encodes to (see
-/// [`req_frame_name`]).
-pub fn resp_frame_name(body: &RespBody) -> &'static str {
-    match body {
-        RespBody::Ok => "Ok",
-        RespBody::Tuple(Some(_)) => "TupleSome",
-        RespBody::Tuple(None) => "TupleNone",
-        RespBody::Num(_) => "Num",
-        RespBody::Bool(_) => "Bool",
-        RespBody::Tuples(_) => "Tuples",
-        RespBody::Cancelled => "Cancelled",
-        RespBody::Err(_) => "Err",
-        RespBody::Batch(_) => "Batch",
+        RespBody::Tuples(ts) if ts.is_empty() => NO_TUPLES,
+        other => other.op().name(),
     }
 }
 
@@ -165,12 +91,28 @@ pub struct Machine {
 }
 
 impl Machine {
+    fn new(name: &str, initial: &str) -> Machine {
+        Machine {
+            name: name.into(),
+            initial: initial.into(),
+            trans: Vec::new(),
+        }
+    }
+
     fn push(&mut self, from: &str, act: Act, to: &str) {
         self.trans.push(Trans {
             from: from.into(),
             act,
             to: to.into(),
         });
+    }
+
+    fn send(&mut self, from: &str, frame: &str, to: &str) {
+        self.push(from, Act::Send(frame.into()), to);
+    }
+
+    fn recv(&mut self, from: &str, frame: &str, to: &str) {
+        self.push(from, Act::Recv(frame.into()), to);
     }
 
     /// Distinct state names, in first-seen order.
@@ -219,97 +161,70 @@ impl Machine {
     }
 }
 
+/// The client state awaiting the answer to `op`.
+fn awaiting(op: ReqOp) -> String {
+    format!("Await{}", op.name())
+}
+
 /// The client connection machine, extracted from
 /// [`super::client::SocketBackend`]: strict request/response, except a
-/// blocking `In`/`Rd` wait (`Waiting`) which may be revoked by `Cancel`.
-/// The cancel race is resolved exactly as `cancel_wait` does: the client
-/// accepts the wait's resolution (`Cancelled` or `TupleSome`) and the
+/// blocking `Wait` (`Waiting`) which may be revoked by `Cancel`. The
+/// cancel race is resolved exactly as `cancel_wait` does: the client
+/// accepts the wait's resolution (`Cancelled` or `Tuples`) and the
 /// cancel's own `Ok` in either order, and compensates a won race by
-/// `out`-ing the tuple back (`Compensate`).
+/// `Out`-ing the tuples back (`Compensate`) — or, for a read that took
+/// nothing, returns straight to `Idle`.
 pub fn client_machine() -> Machine {
-    let mut m = Machine {
-        name: "client".into(),
-        initial: "Idle".into(),
-        trans: Vec::new(),
-    };
-    // Simple RPCs: Idle --send op--> AwaitOp --recv result--> Idle.
+    let mut m = Machine::new("client", "Idle");
+    // Simple RPCs: Idle --send op--> Await<op> --recv result--> Idle.
     // Every exchange may instead be answered with Err (broker rejection),
-    // which rpc() surfaces as a transport error after consuming the frame.
-    let simple: [(&str, &[&str]); 18] = [
-        ("Out", &["Ok"]),
-        ("OutAll", &["Ok"]),
-        ("Inp", &["TupleSome", "TupleNone"]),
-        ("Rdp", &["TupleSome", "TupleNone"]),
-        ("Len", &["Num"]),
-        ("Count", &["Num"]),
-        ("HasMatch", &["Bool"]),
-        ("Snapshot", &["Tuples"]),
-        ("Restore", &["Ok"]),
-        ("TxnBegin", &["Ok"]),
-        ("TxnCommit", &["Ok"]),
-        ("TxnAbort", &["Ok"]),
-        ("ContGet", &["TupleSome", "TupleNone"]),
-        ("ContClear", &["Ok"]),
-        ("Flush", &["Num"]),
-        ("InpBatch", &["Tuples"]),
-        ("Batch", &["Batch"]),
-        ("Cancel", &[]), // sent only from Waiting; listed for vocabulary
+    // which the client surfaces as a transport error after consuming the
+    // frame.
+    let simple: [(ReqOp, &[&str]); 12] = [
+        (ReqOp::Out, &[OK]),
+        (ReqOp::Flush, &[NUM]),
+        (ReqOp::Poll, &[TUPLES, NO_TUPLES]),
+        (ReqOp::Len, &[NUM]),
+        (ReqOp::Count, &[NUM]),
+        (ReqOp::Snapshot, &[TUPLES, NO_TUPLES]),
+        (ReqOp::Restore, &[OK]),
+        (ReqOp::TxnBegin, &[OK]),
+        (ReqOp::TxnCommit, &[NUM]),
+        (ReqOp::TxnAbort, &[OK]),
+        (ReqOp::ContGet, &[TUPLES, NO_TUPLES]),
+        (ReqOp::ContClear, &[OK]),
     ];
     for (op, results) in simple {
-        if op == "Cancel" {
-            continue;
+        let await_state = awaiting(op);
+        m.send("Idle", op.name(), &await_state);
+        for r in results.iter().chain([&ERR]) {
+            m.recv(&await_state, r, "Idle");
         }
-        let await_state = format!("Await{op}");
-        m.push("Idle", Act::Send(op.into()), &await_state);
-        for r in results {
-            m.push(&await_state, Act::Recv((*r).into()), "Idle");
-        }
-        m.push(&await_state, Act::Recv("Err".into()), "Idle");
     }
-    // Blocking waits: In/Rd defer the response until a tuple arrives.
-    m.push("Idle", Act::Send("In".into()), "Waiting");
-    m.push("Idle", Act::Send("Rd".into()), "Waiting");
-    m.push("Waiting", Act::Recv("TupleSome".into()), "Idle");
+    // Blocking waits defer the response until a tuple arrives.
+    m.send("Idle", ReqOp::Wait.name(), "Waiting");
+    m.recv("Waiting", TUPLES, "Idle");
     // Cancellation: after `send Cancel` the wait resolution (Cancelled or
-    // a racing TupleSome) and the cancel ack (Ok) arrive in either order.
-    m.push("Waiting", Act::Send("Cancel".into()), "CancelSent");
-    m.push("CancelSent", Act::Recv("Cancelled".into()), "NeedAck");
-    m.push("CancelSent", Act::Recv("TupleSome".into()), "WonNeedAck");
-    m.push("CancelSent", Act::Recv("Ok".into()), "NeedResolution");
-    m.push("NeedAck", Act::Recv("Ok".into()), "Idle");
-    m.push("WonNeedAck", Act::Recv("Ok".into()), "Compensate");
-    m.push("NeedResolution", Act::Recv("Cancelled".into()), "Idle");
-    m.push(
-        "NeedResolution",
-        Act::Recv("TupleSome".into()),
-        "Compensate",
-    );
-    // A won race is compensated with an Out returning the tuple; the
-    // compensation's response is accepted whatever it is (recv_seq does
-    // not inspect the body).
-    m.push("Compensate", Act::Send("Out".into()), "AwaitCompOut");
-    m.push("AwaitCompOut", Act::Recv("Ok".into()), "Idle");
-    m.push("AwaitCompOut", Act::Recv("Err".into()), "Idle");
+    // a racing Tuples) and the cancel ack (Ok) arrive in either order.
+    m.send("Waiting", ReqOp::Cancel.name(), "CancelSent");
+    m.recv("CancelSent", CANCELLED, "NeedAck");
+    m.recv("CancelSent", TUPLES, "WonNeedAck");
+    m.recv("CancelSent", OK, "NeedResolution");
+    m.recv("NeedAck", OK, "Idle");
+    m.recv("NeedResolution", CANCELLED, "Idle");
+    // The wait won: a take compensates, a read (which took nothing)
+    // returns straight to Idle.
+    for (won, last) in [("WonNeedAck", OK), ("NeedResolution", TUPLES)] {
+        m.recv(won, last, "Compensate");
+        m.recv(won, last, "Idle");
+    }
+    // A won take is compensated with one Out returning the tuples, an
+    // ordinary Out exchange.
+    m.send("Compensate", ReqOp::Out.name(), &awaiting(ReqOp::Out));
     // Deferred outs are fire-and-forget: emitted from Idle with no
     // response, so no await state. The flush-before-blocking invariant is
     // visible here as the *absence* of deferred sends from any wait state.
-    m.push("Idle", Act::Send("OutDeferred".into()), "Idle");
-    m.push("Idle", Act::Send("OutAllDeferred".into()), "Idle");
-    // Bulk blocking withdraw: like In/Rd, but resolved with Tuples, and a
-    // won cancel race is compensated with an OutAll returning every tuple.
-    m.push("Idle", Act::Send("InBatch".into()), "WaitingB");
-    m.push("WaitingB", Act::Recv("Tuples".into()), "Idle");
-    m.push("WaitingB", Act::Send("Cancel".into()), "CancelSentB");
-    m.push("CancelSentB", Act::Recv("Cancelled".into()), "NeedAckB");
-    m.push("CancelSentB", Act::Recv("Tuples".into()), "WonNeedAckB");
-    m.push("CancelSentB", Act::Recv("Ok".into()), "NeedResolutionB");
-    m.push("NeedAckB", Act::Recv("Ok".into()), "Idle");
-    m.push("WonNeedAckB", Act::Recv("Ok".into()), "CompensateB");
-    m.push("NeedResolutionB", Act::Recv("Cancelled".into()), "Idle");
-    m.push("NeedResolutionB", Act::Recv("Tuples".into()), "CompensateB");
-    m.push("CompensateB", Act::Send("OutAll".into()), "AwaitCompOutAll");
-    m.push("AwaitCompOutAll", Act::Recv("Ok".into()), "Idle");
-    m.push("AwaitCompOutAll", Act::Recv("Err".into()), "Idle");
+    m.send("Idle", ReqOp::OutDeferred.name(), "Idle");
     m
 }
 
@@ -319,79 +234,53 @@ pub fn client_machine() -> Machine {
 /// matching tuple is delivered. A `Cancel` that finds its waiter parked is
 /// answered `Cancelled` (wait seq) then `Ok` (cancel seq); a `Cancel`
 /// whose waiter was already satisfied is answered `Ok` alone — the
-/// `TupleSome` is already on the wire ahead of it.
+/// `Tuples` is already on the wire ahead of it.
 pub fn broker_machine() -> Machine {
-    let mut m = Machine {
-        name: "broker".into(),
-        initial: "Ready".into(),
-        trans: Vec::new(),
-    };
+    let mut m = Machine::new("broker", "Ready");
     // Request-response ops, with the responses `handle` can produce.
     // Err arises only where the space can reject the operation.
-    let simple: [(&str, &[&str]); 17] = [
-        ("Out", &["Ok"]),
-        ("OutAll", &["Ok"]),
-        ("Inp", &["TupleSome", "TupleNone"]),
-        ("Rdp", &["TupleSome", "TupleNone"]),
-        ("Len", &["Num"]),
-        ("Count", &["Num"]),
-        ("HasMatch", &["Bool"]),
-        ("Snapshot", &["Tuples"]),
-        ("Restore", &["Ok", "Err"]),
-        ("TxnBegin", &["Ok"]),
-        ("TxnCommit", &["Ok", "Err"]),
-        ("TxnAbort", &["Ok"]),
-        ("ContGet", &["TupleSome", "TupleNone", "Err"]),
-        ("ContClear", &["Ok", "Err"]),
-        ("Flush", &["Num"]),
-        ("InpBatch", &["Tuples"]),
-        ("Batch", &["Batch"]),
+    let simple: [(ReqOp, &[&str]); 12] = [
+        (ReqOp::Out, &[OK]),
+        (ReqOp::Flush, &[NUM]),
+        (ReqOp::Poll, &[TUPLES, NO_TUPLES]),
+        (ReqOp::Len, &[NUM]),
+        (ReqOp::Count, &[NUM]),
+        (ReqOp::Snapshot, &[TUPLES, NO_TUPLES]),
+        (ReqOp::Restore, &[OK, ERR]),
+        (ReqOp::TxnBegin, &[OK]),
+        (ReqOp::TxnCommit, &[NUM, ERR]),
+        (ReqOp::TxnAbort, &[OK]),
+        (ReqOp::ContGet, &[TUPLES, NO_TUPLES, ERR]),
+        (ReqOp::ContClear, &[OK, ERR]),
     ];
     for (op, results) in simple {
-        let resp_state = format!("Respond{op}");
-        m.push("Ready", Act::Recv(op.into()), &resp_state);
+        let resp_state = format!("Respond{}", op.name());
+        m.recv("Ready", op.name(), &resp_state);
         for r in results {
-            m.push(&resp_state, Act::Send((*r).into()), "Ready");
+            m.send(&resp_state, r, "Ready");
         }
     }
-    // Blocking waits: an In/Rd that cannot be satisfied immediately parks
-    // a waiter; satisfying it immediately and delivering later are the
-    // same abstract transition (Parked --send TupleSome--> Ready).
-    m.push("Ready", Act::Recv("In".into()), "Parked");
-    m.push("Ready", Act::Recv("Rd".into()), "Parked");
-    m.push("Parked", Act::Send("TupleSome".into()), "Ready");
+    // Blocking waits: a Wait that cannot be satisfied immediately parks a
+    // waiter; satisfying it immediately and delivering later are the same
+    // abstract transition (Parked --send Tuples--> Ready).
+    m.recv("Ready", ReqOp::Wait.name(), "Parked");
+    m.send("Parked", TUPLES, "Ready");
     // Cancel with the waiter still parked: revoke, then ack.
-    m.push("Parked", Act::Recv("Cancel".into()), "CancelRevoking");
-    m.push(
-        "CancelRevoking",
-        Act::Send("Cancelled".into()),
-        "CancelAcking",
-    );
-    m.push("CancelAcking", Act::Send("Ok".into()), "Ready");
+    m.recv("Parked", ReqOp::Cancel.name(), "CancelRevoking");
+    m.send("CancelRevoking", CANCELLED, "CancelAcking");
+    m.send("CancelAcking", OK, "Ready");
     // Cancel after the wait was satisfied (the race): ack alone.
-    m.push("Ready", Act::Recv("Cancel".into()), "LateCancel");
-    m.push("LateCancel", Act::Send("Ok".into()), "Ready");
+    m.recv("Ready", ReqOp::Cancel.name(), "LateCancel");
+    m.send("LateCancel", OK, "Ready");
     // Deferred outs are parked and applied at the next flush barrier; the
     // frames themselves are consumed without any response.
-    m.push("Ready", Act::Recv("OutDeferred".into()), "Ready");
-    m.push("Ready", Act::Recv("OutAllDeferred".into()), "Ready");
-    // Bulk blocking withdraw: parks like In/Rd but resolves with Tuples,
-    // with the same cancel choreography.
-    m.push("Ready", Act::Recv("InBatch".into()), "ParkedB");
-    m.push("ParkedB", Act::Send("Tuples".into()), "Ready");
-    m.push("ParkedB", Act::Recv("Cancel".into()), "CancelRevokingB");
-    m.push(
-        "CancelRevokingB",
-        Act::Send("Cancelled".into()),
-        "CancelAckingB",
-    );
-    m.push("CancelAckingB", Act::Send("Ok".into()), "Ready");
+    m.recv("Ready", ReqOp::OutDeferred.name(), "Ready");
     m
 }
 
 /// Queue bound of the small-scope enumeration: at most this many frames in
 /// flight per direction. The protocol itself never exceeds two (a racing
-/// `TupleSome` plus the `Ok` acking the `Cancel` behind it); the checker
+/// `Tuples` plus the `Ok` acking the `Cancel` behind it); the checker
 /// uses three for margin.
 pub const DEFAULT_QUEUE_BOUND: usize = 3;
 
@@ -564,37 +453,45 @@ mod tests {
     use super::*;
     use crate::tup;
 
+    fn req_alphabet() -> Vec<&'static str> {
+        ReqOp::ALL.iter().map(|op| op.name()).collect()
+    }
+
+    fn resp_alphabet() -> Vec<&'static str> {
+        let mut letters: Vec<&str> = RespOp::ALL.iter().map(|op| op.name()).collect();
+        letters.push(NO_TUPLES);
+        letters
+    }
+
     #[test]
     fn vocabulary_covers_every_concrete_frame() {
-        // Compile-time exhaustiveness lives in req_frame_name /
-        // resp_frame_name; here we pin the abstract alphabets to them.
-        assert!(REQ_FRAMES.contains(&req_frame_name(&ReqBody::Len)));
-        assert!(RESP_FRAMES.contains(&resp_frame_name(&RespBody::Tuple(Some(tup![1])))));
-        assert!(RESP_FRAMES.contains(&resp_frame_name(&RespBody::Tuple(None))));
-        assert_eq!(REQ_FRAMES.len(), 23);
-        assert_eq!(RESP_FRAMES.len(), 9);
-        assert!(REQ_FRAMES.contains(&req_frame_name(&ReqBody::Flush)));
-        assert!(RESP_FRAMES.contains(&resp_frame_name(&RespBody::Batch(Vec::new()))));
+        assert_eq!(ReqOp::ALL.len(), 15);
+        assert_eq!(RespOp::ALL.len(), 5);
+        assert_eq!(resp_alphabet().len(), 6);
+        // Emptiness picks the letter of a Tuples answer.
+        assert_eq!(resp_letter(&RespBody::Tuples(vec![tup![1]])), TUPLES);
+        assert_eq!(resp_letter(&RespBody::Tuples(Vec::new())), NO_TUPLES);
+        assert_eq!(resp_letter(&RespBody::Num(3)), NUM);
     }
 
     #[test]
     fn client_emits_and_broker_receives_every_request_frame() {
         let c = client_machine();
         let b = broker_machine();
-        for f in REQ_FRAMES {
+        for f in req_alphabet() {
             assert!(c.emitted_frames().contains(&f), "client never sends {f}");
             assert!(b.received_frames().contains(&f), "broker never handles {f}");
         }
         for f in b.emitted_frames() {
             assert!(
-                RESP_FRAMES.contains(&f),
+                resp_alphabet().contains(&f),
                 "broker emits {f} outside the response alphabet"
             );
             assert!(c.received_frames().contains(&f), "client never handles {f}");
         }
         for f in c.emitted_frames() {
             assert!(
-                REQ_FRAMES.contains(&f),
+                req_alphabet().contains(&f),
                 "client emits {f} outside the request alphabet"
             );
         }
@@ -610,8 +507,8 @@ mod tests {
         );
         // Sanity: the enumeration actually explored the protocol. The
         // strict request/response discipline keeps the reachable space
-        // small (~70 configurations); what matters is that every exchange
-        // and the cancel race are in it.
+        // small; what matters is that every exchange and the cancel race
+        // are in it.
         assert!(report.configs > 50, "only {} configs", report.configs);
         assert!(
             report.deliveries > 25,
@@ -626,29 +523,42 @@ mod tests {
         let mut b = broker_machine();
         // Remove the late-cancel handler: a Cancel that races a delivered
         // tuple now reaches the broker in Ready with no transition.
+        let cancel = ReqOp::Cancel.name();
         b.trans
-            .retain(|t| !(t.from == "Ready" && t.act == Act::Recv("Cancel".into())));
+            .retain(|t| !(t.from == "Ready" && t.act == Act::Recv(cancel.into())));
         let report = check_duality(&c, &b, DEFAULT_QUEUE_BOUND);
         assert!(!report.is_clean());
         assert!(report
             .violations
             .iter()
-            .any(|v| v.receiver == "broker" && v.state == "Ready" && v.frame == "Cancel"));
+            .any(|v| v.receiver == "broker" && v.state == "Ready" && v.frame == cancel));
+    }
+
+    #[test]
+    fn a_blocking_wait_answered_empty_is_a_violation() {
+        // A broker that could answer a parked Wait with an empty Tuples
+        // breaks the client, which only accepts a non-empty answer there.
+        let c = client_machine();
+        let mut b = broker_machine();
+        b.send("Parked", NO_TUPLES, "Ready");
+        let report = check_duality(&c, &b, DEFAULT_QUEUE_BOUND);
+        assert!(report
+            .violations
+            .iter()
+            .any(|v| v.receiver == "client" && v.state == "Waiting" && v.frame == NO_TUPLES));
     }
 
     #[test]
     fn the_cancel_race_is_reachable_and_handled() {
         let report = check_duality(&client_machine(), &broker_machine(), DEFAULT_QUEUE_BOUND);
         assert!(report.is_clean());
-        // The won-race path exists: client must be able to handle a
-        // TupleSome while a cancel is in flight. We assert the states are
+        // The won-race path exists: the client must be able to handle a
+        // Tuples while a cancel is in flight. We assert the states are
         // present rather than re-deriving the trail.
         let c = client_machine();
-        assert!(c.can_recv("CancelSent", "TupleSome"));
-        assert!(c.can_recv("WonNeedAck", "Ok"));
-        // And the bulk variant resolves with Tuples instead.
-        assert!(c.can_recv("CancelSentB", "Tuples"));
-        assert!(c.can_recv("WonNeedAckB", "Ok"));
+        assert!(c.can_recv("CancelSent", TUPLES));
+        assert!(c.can_recv("WonNeedAck", OK));
+        assert!(c.can_recv("NeedResolution", TUPLES));
     }
 
     #[test]
@@ -656,27 +566,10 @@ mod tests {
         // The flush-before-blocking invariant, as seen by the spec: no
         // deferred frame is ever emitted from a state other than Idle.
         let c = client_machine();
-        for t in &c.trans {
-            if let Act::Send(f) = &t.act {
-                if f == "OutDeferred" || f == "OutAllDeferred" {
-                    assert_eq!(t.from, "Idle", "{f} sent from {}", t.from);
-                    assert_eq!(t.to, "Idle", "{f} expects a response");
-                }
-            }
+        let deferred = Act::Send(ReqOp::OutDeferred.name().into());
+        for t in c.trans.iter().filter(|t| t.act == deferred) {
+            assert_eq!(t.from, "Idle", "deferred out sent from {}", t.from);
+            assert_eq!(t.to, "Idle", "deferred out expects a response");
         }
-    }
-
-    #[test]
-    fn a_dropped_batch_handler_is_a_reported_violation() {
-        let c = client_machine();
-        let mut b = broker_machine();
-        b.trans
-            .retain(|t| !(t.from == "Ready" && t.act == Act::Recv("Batch".into())));
-        let report = check_duality(&c, &b, DEFAULT_QUEUE_BOUND);
-        assert!(!report.is_clean());
-        assert!(report
-            .violations
-            .iter()
-            .any(|v| v.receiver == "broker" && v.state == "Ready" && v.frame == "Batch"));
     }
 }

@@ -113,9 +113,9 @@ pub(crate) enum Event<'a> {
     Respawn { pid: u64 },
     /// A process finished, normally or retired on a protocol violation.
     Done { pid: u64, protocol_error: bool },
-    /// A socket `Flush` acknowledged `acked` deferred outs; `pipelined`
-    /// when it rode with a commit in one two-request batch frame.
-    Flush { acked: u64, pipelined: bool },
+    /// A socket `Flush`, or a `TxnCommit` behind deferred outs,
+    /// acknowledged `acked` deferred outs.
+    Flush { acked: u64 },
     /// `n` channel sends or receives, with the channel depth sampled by
     /// the site.
     Chan {

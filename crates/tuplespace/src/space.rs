@@ -87,6 +87,13 @@ impl LocalBackend {
         self.registry.lock().get(sig).cloned()
     }
 
+    /// Would `tmpl` match some visible tuple right now? The interleaving
+    /// explorer's enabledness probe: it records no trace event or metric.
+    pub(crate) fn has_match(&self, tmpl: &Template) -> bool {
+        self.existing(&tmpl.sig())
+            .is_some_and(|part| part.tuples.lock().iter().any(|t| tmpl.matches(t)))
+    }
+
     /// Sorted `(signature, partition)` pairs — the deterministic iteration
     /// order every multi-partition operation uses. `Sig`'s order agrees
     /// with lexicographic tag order, so this matches the order the space
@@ -331,13 +338,6 @@ impl SpaceBackend for LocalBackend {
                 .filter(|t| tmpl.matches(t))
                 .count(),
             None => 0,
-        })
-    }
-
-    fn has_match(&self, tmpl: &Template) -> Result<bool, PlindaError> {
-        Ok(match self.existing(&tmpl.sig()) {
-            Some(part) => part.tuples.lock().iter().any(|t| tmpl.matches(t)),
-            None => false,
         })
     }
 
@@ -625,14 +625,6 @@ impl TupleSpace {
         self.backend.rdp(tmpl).unwrap_or_else(|e| Self::fail(e))
     }
 
-    /// Would `tmpl` match some visible tuple right now? A non-recording
-    /// probe (the broker's `HasMatch` request).
-    pub(crate) fn has_match(&self, tmpl: &Template) -> bool {
-        self.backend
-            .has_match(tmpl)
-            .unwrap_or_else(|e| Self::fail(e))
-    }
-
     /// `in`: withdraw a matching tuple, blocking until one is available.
     pub fn in_blocking(&self, tmpl: Template) -> Tuple {
         self.in_cancellable(&tmpl, None)
@@ -695,9 +687,11 @@ impl TupleSpace {
         Ok(())
     }
 
-    /// Checkpoint to a file.
+    /// Checkpoint to a file, atomically: the bytes go to a sibling temp
+    /// file, which is synced and renamed over `path`, so a reader or a
+    /// restart after a crash mid-write never sees a torn checkpoint.
     pub fn checkpoint_file(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.checkpoint_bytes())
+        write_atomically(path, &self.checkpoint_bytes())
     }
 
     /// Restore from a file written by [`TupleSpace::checkpoint_file`].
@@ -715,6 +709,35 @@ impl TupleSpace {
     pub(crate) fn backend(&self) -> &dyn SpaceBackend {
         &*self.backend
     }
+}
+
+/// Write `bytes` to `path` atomically: they go to a sibling temp file,
+/// which is synced and then renamed over `path`, and the directory is
+/// synced so the rename survives a crash. A concurrent reader, or a
+/// restart after a crash mid-write, sees the previous file or this one,
+/// never a torn file.
+pub(crate) fn write_atomically(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
+    use std::fs::File;
+    use std::io::Write;
+    static NEXT_TMP: AtomicUsize = AtomicUsize::new(0);
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(
+        ".tmp.{}.{}",
+        std::process::id(),
+        NEXT_TMP.fetch_add(1, Ordering::Relaxed)
+    ));
+    let tmp = std::path::PathBuf::from(tmp);
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => std::path::Path::new("."),
+    };
+    let written = File::create(&tmp)
+        .and_then(|mut f| f.write_all(bytes).and_then(|()| f.sync_all()))
+        .and_then(|()| std::fs::rename(&tmp, path));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written.and_then(|()| File::open(dir)?.sync_all())
 }
 
 #[cfg(test)]
@@ -1035,5 +1058,33 @@ mod tests {
             h.join().unwrap();
         }
         assert!(ts.is_empty());
+    }
+
+    #[test]
+    fn a_concurrent_reader_never_sees_a_torn_checkpoint() {
+        let path = std::env::temp_dir().join(format!("fpdm-ckpt-torn-{}.bin", std::process::id()));
+        let space = TupleSpace::new();
+        space.out_all((0..20_000i64).map(|i| tup!["row", i, "payload"]).collect());
+        space.checkpoint_file(&path).unwrap();
+        let done = AtomicBool::new(false);
+        let (reads, torn) = std::thread::scope(|s| {
+            s.spawn(|| {
+                for _ in 0..30 {
+                    space.checkpoint_file(&path).unwrap();
+                }
+                done.store(true, Ordering::SeqCst);
+            });
+            let reader = TupleSpace::new();
+            let (mut reads, mut torn) = (0, 0);
+            while !done.load(Ordering::SeqCst) && reads < 10_000 {
+                reads += 1;
+                if reader.restore_file(&path).is_err() {
+                    torn += 1;
+                }
+            }
+            (reads, torn)
+        });
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(torn, 0, "{torn} of {reads} reads saw a torn checkpoint");
     }
 }

@@ -264,7 +264,7 @@ fn sigkill_mid_batch_rolls_back_tentative_and_deferred() {
         for i in 0..3u64 {
             let req = Req {
                 seq: i + 1,
-                body: ReqBody::OutDeferred(tup!["ghost", i as i64]),
+                body: ReqBody::OutDeferred(vec![tup!["ghost", i as i64]]),
             };
             raw.write_all(&encode_frame(&req.encode())).unwrap();
         }

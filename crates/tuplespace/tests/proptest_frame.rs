@@ -4,7 +4,7 @@
 
 use plinda::codec::{decode_tuple, encode_tuple};
 use plinda::net::frame::{encode_frame, FrameReader, MAX_FRAME};
-use plinda::net::proto::{Req, ReqBody, Resp, RespBody};
+use plinda::net::proto::{Req, ReqBody};
 use plinda::{field, PlindaError, Template, Tuple, Value};
 use proptest::prelude::*;
 
@@ -123,7 +123,7 @@ proptest! {
         }
     }
 
-    /// The batching/deferred request bodies survive encode → frame →
+    /// The bulk and deferred request bodies survive encode → frame →
     /// byte-at-a-time delivery → decode with identity (compared by
     /// re-encoding, the codec's canonical form).
     #[test]
@@ -134,17 +134,14 @@ proptest! {
     ) {
         let tmpl = arb_template_like(&ts[0]);
         let reqs = [
-            Req { seq, body: ReqBody::OutDeferred(ts[0].clone()) },
-            Req { seq: seq + 1, body: ReqBody::OutAllDeferred(ts.clone()) },
+            Req { seq, body: ReqBody::OutDeferred(vec![ts[0].clone()]) },
+            Req { seq: seq + 1, body: ReqBody::OutDeferred(ts.clone()) },
             Req { seq: seq + 2, body: ReqBody::Flush },
-            Req { seq: seq + 3, body: ReqBody::InBatch { tmpl: tmpl.clone(), max } },
-            Req { seq: seq + 4, body: ReqBody::InpBatch { tmpl, max } },
+            Req { seq: seq + 3, body: ReqBody::Wait { tmpl: tmpl.clone(), take: true, max } },
+            Req { seq: seq + 4, body: ReqBody::Poll { tmpl, take: true, max } },
             Req {
-                seq: seq + 7,
-                body: ReqBody::Batch(vec![
-                    Req { seq: seq + 5, body: ReqBody::Flush },
-                    Req { seq: seq + 6, body: ReqBody::Out(ts[0].clone()) },
-                ]),
+                seq: seq + 5,
+                body: ReqBody::TxnCommit { pid: 7, publish: ts.clone(), cont: Some(ts[0].clone()) },
             },
         ];
         let encoded: Vec<Vec<u8>> = reqs.iter().map(|r| r.encode()).collect();
@@ -163,55 +160,18 @@ proptest! {
         }
     }
 
-    /// The vectored batch response (and the bulk `Tuples`/`Num` bodies it
-    /// carries) round-trips exactly.
-    #[test]
-    fn batch_responses_roundtrip(
-        ts in prop::collection::vec(arb_tuple(), 0..4),
-        n in 0u64..1024,
-        seq in 1u64..1_000_000,
-    ) {
-        let resp = Resp {
-            seq,
-            body: RespBody::Batch(vec![
-                Resp { seq: seq + 1, body: RespBody::Num(n) },
-                Resp { seq: seq + 2, body: RespBody::Tuples(ts) },
-                Resp { seq: seq + 3, body: RespBody::Ok },
-            ]),
-        };
-        let dec = Resp::decode(&resp.encode()).unwrap();
-        // Bitwise comparison (NaN-safe) via re-encoding.
-        prop_assert_eq!(dec.encode(), resp.encode());
-    }
-
-    /// Truncating an encoded batching request at any interior byte is a
-    /// typed decode error, never a panic or a bogus request.
+    /// Truncating an encoded bulk request at any interior byte is a typed
+    /// decode error, never a panic or a bogus request.
     #[test]
     fn truncated_batching_requests_rejected(
-        t in arb_tuple(),
+        ts in prop::collection::vec(arb_tuple(), 1..4),
         cut in 1usize..64,
         seq in 1u64..1_000_000,
     ) {
-        let req = Req {
-            seq,
-            body: ReqBody::Batch(vec![
-                Req { seq: seq + 1, body: ReqBody::OutDeferred(t) },
-                Req { seq: seq + 2, body: ReqBody::Flush },
-            ]),
-        };
+        let req = Req { seq, body: ReqBody::OutDeferred(ts) };
         let payload = req.encode();
         let cut = cut.min(payload.len() - 1);
-        prop_assert!(Req::decode(&payload[..payload.len() - cut]).is_err());
-    }
-
-    /// A nested batch is rejected at decode time (the anti-recursion depth
-    /// guard), even though such bytes can be hand-constructed.
-    #[test]
-    fn nested_batch_bytes_rejected(t in arb_tuple(), seq in 1u64..1_000_000) {
-        let inner = Req { seq: seq + 2, body: ReqBody::Out(t) };
-        let mid = Req { seq: seq + 1, body: ReqBody::Batch(vec![inner]) };
-        let outer = Req { seq, body: ReqBody::Batch(vec![mid]) };
-        let err = Req::decode(&outer.encode()).unwrap_err();
+        let err = Req::decode(&payload[..payload.len() - cut]).unwrap_err();
         let typed: PlindaError = err.into();
         prop_assert!(matches!(typed, PlindaError::Codec(_)));
     }
