@@ -13,14 +13,19 @@
 //! edge from each immediate subpattern; the **E-tree** keeps only the
 //! unique-parent edges.
 //!
-//! | Traversal | Module / function | Pruning | Coordination |
-//! |---|---|---|---|
-//! | EDT    | [`edag::sequential_edt`]      | full (all subpatterns) | — |
-//! | ETT    | [`etree::sequential_ett`]     | parent only            | — |
-//! | PLED   | [`parallel::parallel_edt`]    | full                   | level barrier on PLinda |
-//! | wave   | [`parallel::parallel_wave`]   | parent only            | level barrier on PLinda |
-//! | PLET   | [`parallel::parallel_ett`]    | parent only            | none (counting termination, or optimistic subtrees) |
-//! | hybrid | [`parallel::parallel_hybrid`] | full, then parent only | level barrier, then counting termination |
+//! | Traversal | Module / function | Pruning | Coordination | Task |
+//! |---|---|---|---|---|
+//! | EDT    | [`edag::sequential_edt`]      | full (all subpatterns) | — | — |
+//! | ETT    | [`etree::sequential_ett`]     | parent only            | — | — |
+//! | PLED   | [`parallel::parallel_edt`]    | full                   | level barrier on PLinda | a chunk of one level |
+//! | wave   | [`parallel::parallel_wave`]   | parent only            | level barrier on PLinda | a chunk of one level |
+//! | PLET   | [`parallel::parallel_ett`]    | parent only            | none (counting termination, or optimistic subtrees) | one pattern (LB) or one subtree (optimistic) |
+//! | hybrid | [`parallel::parallel_hybrid`] | full, then parent only | level barrier, then counting termination | a chunk, then one pattern |
+//!
+//! A level barrier cuts each level into at most
+//! [`parallel::CHUNKS_PER_WORKER`] contiguous chunks per worker
+//! ([`parallel::wave_chunks`]), so a level costs the master a few tasks
+//! per worker however many candidates it holds.
 //!
 //! The parallel drivers share three master loops — a level-synchronous
 //! loop with a pruning rule and an optional level cap, a
@@ -72,7 +77,8 @@ pub mod toy;
 pub use edag::{sequential_edt, sequential_edt_traced, EdtTrace};
 pub use etree::{sequential_ett, sequential_ett_recorded, ENode, ETree};
 pub use parallel::{
-    parallel_edt, parallel_ett, parallel_hybrid, parallel_wave, ParallelConfig, WorkerStrategy,
+    parallel_edt, parallel_ett, parallel_hybrid, parallel_wave, wave_chunks, ParallelConfig,
+    WorkerStrategy,
 };
 pub use problem::{MiningOutcome, MiningProblem, PatternCodec};
 pub use render::{edag_dot, etree_dot};

@@ -8,9 +8,11 @@
 //! E-dag, so the drivers differ only in their pruning rule and in where
 //! the level barrier stops; they share three master loops:
 //!
-//! * a **level-synchronous loop** over a grade-only worker: dispatch one
-//!   level as one deferred burst, collect its reports in bulk, expand the
-//!   good patterns in dispatch order. [`parallel_wave`] runs it with
+//! * a **level-synchronous loop** over a grade-only worker: cut one level
+//!   into at most [`CHUNKS_PER_WORKER`] chunks per worker
+//!   ([`wave_chunks`]), dispatch them as one deferred burst, collect the
+//!   chunks' grade vectors in bulk, place them by chunk index and expand
+//!   the good patterns in dispatch order. [`parallel_wave`] runs it with
 //!   parent-only pruning; [`parallel_edt`] (PLED, Figs. 3.4/3.5) with the
 //!   E-dag rule of Definition 2 — a pattern is dispatched only once *all*
 //!   its immediate subpatterns are known good; [`parallel_hybrid`] with
@@ -38,7 +40,8 @@
 
 use crate::problem::{MiningOutcome, MiningProblem, PatternCodec};
 use plinda::{FarmConfig, Payload, TaskFarm, Value};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Worker style for [`parallel_ett`].
@@ -84,7 +87,10 @@ pub struct ParallelConfig {
     /// Optional worker task-prefetch depth, forwarded to
     /// [`plinda::FarmConfig::with_prefetch`]: how many tasks a worker takes
     /// per transaction. `None` keeps the farm default (1 in-process, 8 over
-    /// a socket backend).
+    /// a socket backend). In the level-synchronous loop (the wave, PLED,
+    /// the hybrid's first phase) a task is a chunk of up to
+    /// `ceil(len / (CHUNKS_PER_WORKER · workers))` candidates
+    /// ([`wave_chunks`]), so the depth counts chunks, not candidates.
     pub prefetch: Option<usize>,
     /// Optional per-job tag appended to the farm program name
     /// (`"<name>.<tag>"`), namespacing the task/result/counter channels.
@@ -255,18 +261,88 @@ impl Pruning {
     }
 }
 
+/// Chunks per worker in one level of the level-synchronous loop: enough
+/// that a slow chunk leaves the other workers something to take, few
+/// enough that the master's per-task cost (a tuple out, a report in, a
+/// worker transaction) stays a small share of the level.
+pub const CHUNKS_PER_WORKER: usize = 4;
+
+/// The chunks the level-synchronous loop cuts a level of `len` candidates
+/// into for `workers` workers: `min(len, CHUNKS_PER_WORKER · workers)`
+/// contiguous ranges in dispatch order, whose sizes differ by at most one
+/// (the longer ones first), so none is longer than
+/// `ceil(len / (CHUNKS_PER_WORKER · workers))`.
+///
+/// The grain is a function of the level size and the worker count alone,
+/// never of measured candidate cost: task boundaries, and with them the
+/// commit boundaries a kill can hit, are the same on every run.
+pub fn wave_chunks(len: usize, workers: usize) -> Vec<Range<usize>> {
+    let n = len.min(CHUNKS_PER_WORKER * workers.max(1));
+    let mut chunks = Vec::with_capacity(n);
+    let mut start = 0;
+    for i in 0..n {
+        let size = len / n + usize::from(i < len % n);
+        chunks.push(start..start + size);
+        start += size;
+    }
+    chunks
+}
+
+/// Pack encodings into one field: each is a little-endian `u32` length
+/// followed by its bytes.
+fn pack<E: AsRef<[u8]>>(encodings: impl IntoIterator<Item = E>) -> Vec<u8> {
+    let mut out = Vec::new();
+    for enc in encodings {
+        let enc = enc.as_ref();
+        let len = u32::try_from(enc.len()).expect("pattern encoding exceeds 4 GiB");
+        out.extend_from_slice(&len.to_le_bytes());
+        out.extend_from_slice(enc);
+    }
+    out
+}
+
+/// The encodings [`pack`] packed into `packed`, in order.
+fn unpack(mut packed: &[u8]) -> impl Iterator<Item = &[u8]> {
+    std::iter::from_fn(move || {
+        let (len, rest) = packed.split_first_chunk::<4>()?;
+        let (enc, rest) = rest.split_at(u32::from_le_bytes(*len) as usize);
+        packed = rest;
+        Some(enc)
+    })
+}
+
+/// A level's grades in dispatch order, from its `chunks` chunks'
+/// `(chunk index, grades)` replies in whatever order they arrived.
+fn grades_in_order(chunks: usize, replies: Vec<(i64, Vec<f64>)>) -> Vec<f64> {
+    let mut slots: Vec<Option<Vec<f64>>> = vec![None; chunks];
+    for (index, grades) in replies {
+        let slot = &mut slots[index as usize];
+        assert!(slot.is_none(), "chunk {index} reported twice");
+        *slot = Some(grades);
+    }
+    slots
+        .into_iter()
+        .enumerate()
+        .flat_map(|(index, grades)| {
+            grades.unwrap_or_else(|| panic!("chunk {index} never reported"))
+        })
+        .collect()
+}
+
 /// The level-synchronous master: per level, drop the patterns `pruning`
-/// rejects, emit the rest as one task wave (`send_all`, one deferred
-/// burst), collect the wave's `(encoding, goodness)` reports in bulk
-/// (`recv_upto`), and expand the good patterns' children into the next
+/// rejects, cut the rest into [`wave_chunks`], emit one task per chunk —
+/// `(chunk index, the candidates' encodings packed into one field)` — as
+/// one deferred burst (`send_all`), collect the chunks'
+/// `(chunk index, grades)` reports in bulk (`recv_upto`), slot them by
+/// chunk index, and expand the good patterns' children into the next
 /// level **in dispatch order** — report arrival order never leaks into
 /// the next level, so schedules replay deterministically. Stops after
 /// `max_levels` levels and returns the outcome with the untested
 /// frontier below them (empty when the lattice ran out first).
 ///
-/// There is no shared outstanding-work counter: the wave size is the
+/// There is no shared outstanding-work counter: the chunk count is the
 /// termination count, so workers never retire against a counter and the
-/// master blocks only on its own wave's reports.
+/// master blocks only on its own level's reports.
 fn level_sync<P>(
     name: &str,
     problem: &Arc<P>,
@@ -277,14 +353,16 @@ fn level_sync<P>(
 where
     P: MiningProblem + PatternCodec + Send + Sync + 'static,
 {
-    // Worker (Fig. 3.5): grade one candidate.
+    // Worker (Fig. 3.5): grade one chunk, in order.
     let wp = Arc::clone(problem);
-    let farm = TaskFarm::<Vec<u8>, (Vec<u8>, f64)>::start(
+    let farm = TaskFarm::<(i64, Vec<u8>), (i64, Vec<f64>)>::start(
         name,
         config.farm_config(),
-        move |scope, _flag, enc| {
-            let g = wp.goodness(&wp.decode_pattern(&enc));
-            scope.result(&(enc, g));
+        move |scope, _flag, (index, packed)| {
+            let grades = unpack(&packed)
+                .map(|enc| wp.goodness(&wp.decode_pattern(enc)))
+                .collect();
+            scope.result(&(index, grades));
             Ok(())
         },
     );
@@ -296,21 +374,26 @@ where
         if level.is_empty() {
             break;
         }
-        let order: Vec<Vec<u8>> = level.iter().map(|p| problem.encode_pattern(p)).collect();
-        farm.send_all(NORMAL, &order);
+        let tasks: Vec<(i64, Vec<u8>)> = wave_chunks(level.len(), config.workers)
+            .into_iter()
+            .enumerate()
+            .map(|(index, range)| {
+                let packed = pack(level[range].iter().map(|p| problem.encode_pattern(p)));
+                (index as i64, packed)
+            })
+            .collect();
+        farm.send_all(NORMAL, &tasks);
 
-        let mut grades: HashMap<Vec<u8>, f64> = HashMap::with_capacity(order.len());
-        let mut pending = order.len();
-        while pending > 0 {
-            let reports = farm.recv_upto(pending);
-            pending -= reports.len();
-            grades.extend(reports);
+        let mut replies = Vec::with_capacity(tasks.len());
+        while replies.len() < tasks.len() {
+            replies.extend(farm.recv_upto(tasks.len() - replies.len()));
         }
-        outcome.tested += order.len() as u64;
+        let grades = grades_in_order(tasks.len(), replies);
+        assert_eq!(grades.len(), level.len(), "one grade per candidate");
+        outcome.tested += level.len() as u64;
 
         let mut next = Vec::new();
-        for (p, enc) in level.into_iter().zip(&order) {
-            let g = grades[enc];
+        for (p, g) in level.into_iter().zip(grades) {
             if problem.is_good(&p, g) {
                 next.extend(problem.children(&p));
                 outcome.good.insert(p, g);
@@ -394,12 +477,15 @@ where
 ///
 /// This is the *candidate partitioning* of Gan et al.'s parallel
 /// sequential-pattern-mining taxonomy: the master owns the lattice
-/// frontier and emits each level's candidates as one task wave;
-/// stateless workers each grade their share of the candidates against
-/// the full database. Unlike PLED there is no subpattern-eligibility rule
-/// (parent-only pruning, like PLET), and unlike PLET there is no
-/// outstanding-work counter. Because every [`MiningProblem`] generates
-/// each pattern exactly once from its unique parent, the tested set — and
+/// frontier and emits each level's candidates as one task wave of at
+/// most [`CHUNKS_PER_WORKER`] chunks per worker ([`wave_chunks`]), each
+/// task a contiguous run of candidates; stateless workers grade a
+/// chunk's candidates in order against the full database and reply with
+/// one grade vector per chunk. Unlike PLED there is no
+/// subpattern-eligibility rule (parent-only pruning, like PLET), and
+/// unlike PLET there is no outstanding-work counter. Because every
+/// [`MiningProblem`] generates each pattern exactly once from its unique
+/// parent, and the master expands in dispatch order, the tested set — and
 /// therefore the whole [`MiningOutcome`] — is bit-identical to
 /// [`crate::etree::sequential_ett`]'s.
 pub fn parallel_wave<P>(
@@ -680,15 +766,68 @@ mod tests {
         let cfg = ParallelConfig::load_balanced(3).with_metrics(reg.clone());
         let par = parallel_wave("wave-met", Arc::clone(&p), &cfg);
         assert_eq!(sequential_ett(&*p).good, par.good);
+        // The committed-task count (one per chunk) is checked against the
+        // sequential traversal's level sizes in tests/explore_drivers.rs.
         let snap = reg.snapshot();
-        assert_eq!(
-            snap.sum_counters(|k| k.starts_with("farm.wave-met.worker.") && k.ends_with(".tasks")),
-            par.tested,
-            "every tested candidate is one committed task"
-        );
         assert_eq!(snap.counter("farm.wave-met.leaked"), 0);
         let violations = plinda::metrics::check_snapshot(&snap);
         assert!(violations.is_empty(), "{violations:?}");
+    }
+
+    #[test]
+    fn a_level_shorter_than_the_grain_is_one_candidate_per_chunk() {
+        assert_eq!(wave_chunks(5, 2), vec![0..1, 1..2, 2..3, 3..4, 4..5]);
+        assert_eq!(wave_chunks(1, 8), vec![0..1]);
+        assert_eq!(wave_chunks(0, 3), Vec::<Range<usize>>::new());
+    }
+
+    #[test]
+    fn one_worker_gets_four_chunks() {
+        assert_eq!(wave_chunks(8, 1), vec![0..2, 2..4, 4..6, 6..8]);
+        assert_eq!(wave_chunks(4, 1), vec![0..1, 1..2, 2..3, 3..4]);
+    }
+
+    #[test]
+    fn an_uneven_split_puts_the_longer_chunks_first() {
+        // 30 candidates, 2 workers: 8 chunks, 30 = 6·4 + 2·3.
+        let chunks = wave_chunks(30, 2);
+        assert_eq!(chunks.len(), 8);
+        let sizes: Vec<usize> = chunks.iter().map(ExactSizeIterator::len).collect();
+        assert_eq!(sizes, vec![4, 4, 4, 4, 4, 4, 3, 3]);
+        // Contiguous, in order, covering every candidate once, and never
+        // longer than ceil(len / (4 · workers)).
+        assert!(chunks.windows(2).all(|w| w[0].end == w[1].start));
+        assert_eq!((chunks[0].start, chunks[7].end), (0, 30));
+        for (len, workers) in [(30, 2), (461, 3), (97, 8), (13, 1)] {
+            let chunks = wave_chunks(len, workers);
+            let grain = len.div_ceil(CHUNKS_PER_WORKER * workers);
+            assert_eq!(chunks.len(), len.min(CHUNKS_PER_WORKER * workers));
+            assert_eq!(
+                chunks.iter().map(ExactSizeIterator::len).sum::<usize>(),
+                len
+            );
+            assert!(chunks.iter().all(|c| !c.is_empty() && c.len() <= grain));
+        }
+    }
+
+    #[test]
+    fn packed_encodings_unpack_in_order() {
+        let encodings: [&[u8]; 4] = [b"FR", b"", b"MRRM", &[0, 255, 7]];
+        let packed = pack(encodings);
+        assert_eq!(unpack(&packed).collect::<Vec<_>>(), encodings);
+        assert_eq!(unpack(&pack::<&[u8]>([])).count(), 0);
+    }
+
+    #[test]
+    fn replies_in_reverse_chunk_order_grade_in_dispatch_order() {
+        let replies = vec![(2, vec![5.0]), (1, vec![3.0, 4.0]), (0, vec![1.0, 2.0])];
+        assert_eq!(grades_in_order(3, replies), vec![1.0, 2.0, 3.0, 4.0, 5.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "chunk 1 never reported")]
+    fn a_missing_chunk_is_caught() {
+        grades_in_order(2, vec![(0, vec![1.0])]);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 use fpdm_core::prelude::*;
 use fpdm_core::MiningOutcome;
 use plinda::check::{explore, ExploreConfig, ExploreReport};
+use std::collections::BTreeMap;
 use std::fmt::Debug;
 use std::sync::Arc;
 
@@ -26,6 +27,52 @@ fn toy_itemsets() -> Arc<ToyItemsets> {
         ],
         2,
     ))
+}
+
+/// Level sizes of the sequential traversal whose good set is `good`:
+/// level 1 is the root's children that `admit` keeps, each next level the
+/// kept children of the previous level's good patterns.
+fn level_sizes<P: MiningProblem>(
+    p: &P,
+    good: &BTreeMap<P::Pattern, f64>,
+    admit: impl Fn(&P::Pattern) -> bool,
+) -> Vec<usize> {
+    let mut sizes = Vec::new();
+    let mut level: Vec<P::Pattern> = p.children(&p.root()).into_iter().filter(&admit).collect();
+    while !level.is_empty() {
+        sizes.push(level.len());
+        level = level
+            .iter()
+            .filter(|q| good.contains_key(*q))
+            .flat_map(|q| p.children(q))
+            .filter(&admit)
+            .collect();
+    }
+    sizes
+}
+
+/// The E-dag rule of Definition 2: every immediate subpattern is good.
+fn edag_admits<'a, P: MiningProblem>(
+    p: &'a P,
+    good: &'a BTreeMap<P::Pattern, f64>,
+) -> impl Fn(&P::Pattern) -> bool + 'a {
+    move |q| {
+        p.immediate_subpatterns(q)
+            .iter()
+            .all(|s| p.pattern_len(s) == 0 || good.contains_key(s))
+    }
+}
+
+/// Tasks of a level-synchronous run over levels of `sizes`: one per
+/// chunk, at most four per worker per level and one candidate at least.
+fn chunks(sizes: &[usize], workers: usize) -> usize {
+    sizes.iter().map(|&len| len.min(4 * workers)).sum()
+}
+
+/// Worker commits of a level-synchronous run: one per chunk plus one
+/// poison pill per worker (the master commits nothing).
+fn chunk_commits(sizes: &[usize], workers: usize) -> usize {
+    chunks(sizes, workers) + workers
 }
 
 /// Explore `driver` under `base` (with the run's scheduled space) and
@@ -62,9 +109,53 @@ fn toy_seq_wave_survives_every_commit_boundary_kill() {
         parallel_wave("wave", Arc::clone(&p), cfg)
     });
     assert_eq!(report.reference.as_ref(), Some(&seq));
-    // One kill point per worker commit: every tested candidate plus one
-    // pill per worker (the master commits nothing).
-    assert_eq!(report.kill_points.len() as u64, seq.tested + 2);
+    // One kill point per worker commit: every chunk plus one pill per
+    // worker.
+    let sizes = level_sizes(&*p, &seq.good, |_| true);
+    assert_eq!(sizes.iter().sum::<usize>() as u64, seq.tested);
+    assert_eq!(report.kill_points.len(), chunk_commits(&sizes, 2));
+}
+
+#[test]
+fn wave_ledger_counts_one_committed_task_per_chunk() {
+    let p = Arc::new(ToySeq::new(
+        vec!["FFRR", "MRRM", "MTRM", "ARRM", "FRRM"],
+        2,
+        usize::MAX,
+    ));
+    let seq = sequential_ett(&*p);
+    let sizes = level_sizes(&*p, &seq.good, |_| true);
+    assert_eq!(sizes.iter().sum::<usize>() as u64, seq.tested);
+    assert!(
+        chunks(&sizes, 3) < sizes.iter().sum::<usize>(),
+        "some level is chunked: {sizes:?}"
+    );
+    let reg = plinda::MetricsRegistry::new();
+    let cfg = ParallelConfig::load_balanced(3).with_metrics(reg.clone());
+    let par = parallel_wave("wave-met", Arc::clone(&p), &cfg);
+    assert_eq!(par.tested, seq.tested);
+    assert_eq!(
+        reg.snapshot()
+            .sum_counters(|k| k.starts_with("farm.wave-met.worker.") && k.ends_with(".tasks")),
+        chunks(&sizes, 3) as u64,
+        "every chunk of every level is one committed task"
+    );
+}
+
+#[test]
+fn toy_seq_wave_with_one_worker_commits_once_per_chunk() {
+    let p = toy_seq();
+    let seq = sequential_ett(&*p);
+    let sizes = level_sizes(&*p, &seq.good, |_| true);
+    assert!(
+        sizes.iter().any(|&len| len > 4),
+        "some level must hold more candidates than one worker's 4 chunks: {sizes:?}"
+    );
+    let report = explore_driver(ParallelConfig::load_balanced(1), 4, 2, |cfg| {
+        parallel_wave("wave", Arc::clone(&p), cfg)
+    });
+    assert_eq!(report.reference.as_ref(), Some(&seq));
+    assert_eq!(report.kill_points.len(), chunk_commits(&sizes, 1));
 }
 
 #[test]
@@ -87,9 +178,12 @@ fn toy_itemsets_pled_survives_every_commit_boundary_kill() {
     let report = explore_driver(ParallelConfig::load_balanced(2), 8, 2, |cfg| {
         parallel_edt(Arc::clone(&p), cfg)
     });
-    // Good set and tested count both equal the sequential EDT's.
+    // Good set and tested count both equal the sequential EDT's, and
+    // every chunk of every level is one kill point.
     assert_eq!(report.reference.as_ref(), Some(&seq));
-    assert_eq!(report.kill_points.len() as u64, seq.tested + 2);
+    let sizes = level_sizes(&*p, &seq.good, edag_admits(&*p, &seq.good));
+    assert_eq!(sizes.iter().sum::<usize>() as u64, seq.tested);
+    assert_eq!(report.kill_points.len(), chunk_commits(&sizes, 2));
 }
 
 #[test]

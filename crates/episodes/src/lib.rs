@@ -35,8 +35,7 @@
 #![warn(missing_docs)]
 
 use fpdm_core::{
-    parallel_ett, parallel_wave, sequential_ett, MiningOutcome, MiningProblem, ParallelConfig,
-    PatternCodec,
+    parallel_wave, sequential_ett, MiningOutcome, MiningProblem, ParallelConfig, PatternCodec,
 };
 use std::sync::Arc;
 
@@ -330,17 +329,6 @@ pub fn discover_episodes(events: &EventSequence, params: EpisodeParams) -> Vec<F
     problem.report(&outcome)
 }
 
-/// Parallel discovery on the PLinda runtime.
-pub fn discover_episodes_parallel(
-    events: &EventSequence,
-    params: EpisodeParams,
-    config: &ParallelConfig,
-) -> Vec<FrequentEpisode> {
-    let problem = Arc::new(EpisodeMiningProblem::new(events.clone(), params));
-    let outcome = parallel_ett(Arc::clone(&problem), config);
-    problem.report(&outcome)
-}
-
 /// Parallel discovery as the `"episodes"` farm program: candidate-
 /// partitioned task waves over the append-an-event lattice
 /// ([`fpdm_core::parallel_wave`]). Bit-identical to [`discover_episodes`];
@@ -359,7 +347,7 @@ pub fn discover_episodes_farm(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fpdm_core::sequential_edt;
+    use fpdm_core::{parallel_ett, sequential_edt};
 
     fn stream() -> EventSequence {
         // A..B pairs every 5 ticks; C noise.
@@ -466,11 +454,11 @@ mod tests {
         let ett = sequential_ett(&p);
         assert_eq!(edt.good, ett.good);
         assert!(edt.tested <= ett.tested);
-        let par = discover_episodes_parallel(
-            &stream(),
-            params.clone(),
+        let problem = Arc::new(EpisodeMiningProblem::new(stream(), params.clone()));
+        let par = problem.report(&parallel_ett(
+            Arc::clone(&problem),
             &ParallelConfig::load_balanced(3),
-        );
+        ));
         let seq = discover_episodes(&stream(), params);
         assert_eq!(seq, par);
     }

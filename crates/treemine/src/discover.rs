@@ -17,8 +17,7 @@
 use crate::dist::{prepared_occurrence_number, ZsTree};
 use crate::tree::OrderedTree;
 use fpdm_core::{
-    parallel_ett, parallel_wave, sequential_ett, MiningOutcome, MiningProblem, ParallelConfig,
-    PatternCodec,
+    parallel_wave, sequential_ett, MiningOutcome, MiningProblem, ParallelConfig, PatternCodec,
 };
 use std::sync::Arc;
 
@@ -183,17 +182,6 @@ pub fn discover_tree_motifs(
     problem.report(&outcome)
 }
 
-/// Parallel discovery on the PLinda runtime.
-pub fn discover_tree_motifs_parallel(
-    trees: Vec<OrderedTree>,
-    params: TreeDiscoveryParams,
-    config: &ParallelConfig,
-) -> Vec<ActiveTreeMotif> {
-    let problem = Arc::new(TreeMiningProblem::new(trees, params));
-    let outcome = parallel_ett(Arc::clone(&problem), config);
-    problem.report(&outcome)
-}
-
 /// Parallel discovery as the `"treemine"` farm program: candidate-
 /// partitioned task waves over the rightmost-extension lattice
 /// ([`fpdm_core::parallel_wave`]). Bit-identical to
@@ -212,7 +200,7 @@ pub fn discover_tree_motifs_farm(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fpdm_core::sequential_edt;
+    use fpdm_core::{parallel_ett, sequential_edt};
 
     fn t(s: &str) -> OrderedTree {
         OrderedTree::parse(s)
@@ -324,7 +312,11 @@ mod tests {
     fn parallel_agrees_with_sequential() {
         let p = params(2, 3, 1);
         let seq = discover_tree_motifs(sample_set(), p.clone());
-        let par = discover_tree_motifs_parallel(sample_set(), p, &ParallelConfig::load_balanced(3));
+        let problem = Arc::new(TreeMiningProblem::new(sample_set(), p));
+        let par = problem.report(&parallel_ett(
+            Arc::clone(&problem),
+            &ParallelConfig::load_balanced(3),
+        ));
         assert_eq!(seq, par);
     }
 

@@ -36,8 +36,8 @@ pub mod tree;
 pub mod vienna;
 
 pub use discover::{
-    discover_tree_motifs, discover_tree_motifs_farm, discover_tree_motifs_parallel,
-    ActiveTreeMotif, TreeCode, TreeDiscoveryParams, TreeMiningProblem,
+    discover_tree_motifs, discover_tree_motifs_farm, ActiveTreeMotif, TreeCode,
+    TreeDiscoveryParams, TreeMiningProblem,
 };
 pub use dist::{
     best_subtree_distance, contains_within, cut_distance, occurrence_number, tree_edit_distance,

@@ -27,9 +27,10 @@
 //! unoptimised match code.
 //!
 //! `changes-check` audits `CHANGES.md`: every entry must be a
-//! `- PR <n>: ...` line and the PR numbers must be contiguous `1..=max`
-//! with no duplicates, so a session that forgets (or double-writes) its
-//! changelog line fails CI instead of leaving a silent gap.
+//! `- PR <n>: ...` line or a `FOUND: ...` / `MENDED: ...` finding note,
+//! and the PR numbers must be contiguous `1..=max` with no duplicates, so
+//! a session that forgets (or double-writes) its changelog line fails CI
+//! instead of leaving a silent gap.
 //!
 //! `bench-gate` is the one regression gate over the committed
 //! `fpdm.bench.v1` baselines (`fpdm_loadgen::bench`): it compares every
@@ -308,8 +309,10 @@ fn metrics_smoke() -> ExitCode {
     }
 }
 
-/// Audit CHANGES.md: every non-blank line is a `- PR <n>: ...` entry and
-/// the numbers form a contiguous, duplicate-free `1..=max`. Catches the
+/// Audit CHANGES.md: every non-blank line is a `- PR <n>: ...` entry or
+/// a finding note (`FOUND: ...`, a defect seen and not yet mended, or
+/// `MENDED: ...` once a later entry mends it), and the entries' numbers
+/// form a contiguous, duplicate-free `1..=max`. Catches the
 /// failure mode this repo actually hit: a session whose changelog line
 /// went missing, leaving a silent gap in the PR history.
 fn changes_check(path: Option<&str>) -> ExitCode {
@@ -323,10 +326,29 @@ fn changes_check(path: Option<&str>) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    let problems = changes_problems(&text);
+    for problem in &problems {
+        eprintln!("changes-check: {}: {problem}", path.display());
+    }
+    if problems.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
+}
+
+/// Everything [`changes_check`] rejects in a changelog `text`.
+fn changes_problems(text: &str) -> Vec<String> {
     let mut numbers = Vec::new();
-    let mut failed = false;
+    let mut problems = Vec::new();
     for (lineno, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
+            continue;
+        }
+        let note = ["FOUND:", "MENDED:"]
+            .iter()
+            .find_map(|tag| line.strip_prefix(tag));
+        if note.is_some_and(|desc| !desc.trim().is_empty()) {
             continue;
         }
         let entry = line
@@ -335,51 +357,33 @@ fn changes_check(path: Option<&str>) -> ExitCode {
             .and_then(|(n, desc)| Some((n.trim().parse::<u64>().ok()?, desc)));
         match entry {
             Some((n, desc)) if !desc.trim().is_empty() => numbers.push((lineno + 1, n)),
-            _ => {
-                eprintln!(
-                    "changes-check: line {} is not a '- PR <n>: <description>' entry",
-                    lineno + 1
-                );
-                failed = true;
-            }
+            _ => problems.push(format!(
+                "line {} is neither a '- PR <n>: <description>' entry \
+                 nor a 'FOUND:'/'MENDED:' note",
+                lineno + 1
+            )),
         }
     }
-    if numbers.is_empty() {
-        eprintln!("changes-check: {} has no PR entries", path.display());
-        return ExitCode::FAILURE;
-    }
-    let max = numbers.iter().map(|&(_, n)| n).max().unwrap();
+    let Some(max) = numbers.iter().map(|&(_, n)| n).max() else {
+        problems.push("no PR entries".to_string());
+        return problems;
+    };
     for want in 1..=max {
         match numbers.iter().filter(|&&(_, n)| n == want).count() {
             1 => {}
-            0 => {
-                eprintln!("changes-check: PR {want} is missing (entries reach PR {max})");
-                failed = true;
-            }
-            k => {
-                eprintln!("changes-check: PR {want} appears {k} times");
-                failed = true;
-            }
+            0 => problems.push(format!("PR {want} is missing (entries reach PR {max})")),
+            k => problems.push(format!("PR {want} appears {k} times")),
         }
     }
     for pair in numbers.windows(2) {
         if pair[1].1 <= pair[0].1 {
-            eprintln!(
-                "changes-check: line {}: PR {} listed after PR {} — entries must be in order",
+            problems.push(format!(
+                "line {}: PR {} listed after PR {} — entries must be in order",
                 pair[1].0, pair[1].1, pair[0].1
-            );
-            failed = true;
+            ));
         }
     }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        println!(
-            "changes-check: {} ok — PRs 1..={max} contiguous, in order",
-            path.display()
-        );
-        ExitCode::SUCCESS
-    }
+    problems
 }
 
 /// Gate the fresh benchmark file against the baseline: print one line
@@ -443,4 +447,37 @@ fn measure_cycle_ns(ts: &TupleSpace, iters: u64) -> f64 {
         std::hint::black_box(ts.inp(&tmpl)).unwrap();
     }
     start.elapsed().as_nanos() as f64 / iters as f64
+}
+
+#[cfg(test)]
+mod tests {
+    use super::changes_problems;
+
+    #[test]
+    fn a_contiguous_log_with_finding_notes_passes() {
+        let log = "- PR 1: first\n\n- PR 2: second\nFOUND: `a.rs` leaks a thread\n\
+                   MENDED: `b.rs` double-counted a task\n";
+        assert_eq!(changes_problems(log), Vec::<String>::new());
+    }
+
+    #[test]
+    fn an_empty_or_unknown_note_is_rejected() {
+        for bad in [
+            "FOUND:",
+            "MENDED:   ",
+            "NOTE: something",
+            "found: lower case",
+        ] {
+            let problems = changes_problems(&format!("- PR 1: first\n{bad}\n"));
+            assert_eq!(problems.len(), 1, "{bad:?}: {problems:?}");
+            assert!(problems[0].starts_with("line 2 "), "{problems:?}");
+        }
+    }
+
+    #[test]
+    fn notes_do_not_stand_in_for_a_missing_entry() {
+        let problems = changes_problems("- PR 1: first\nFOUND: x\n- PR 3: third\n");
+        assert_eq!(problems, vec!["PR 2 is missing (entries reach PR 3)"]);
+        assert_eq!(changes_problems("FOUND: x\n"), vec!["no PR entries"]);
+    }
 }

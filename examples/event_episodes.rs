@@ -6,9 +6,10 @@
 //! cargo run --release -p fpdm --example event_episodes
 //! ```
 
-use fpdm::core::ParallelConfig;
+use fpdm::core::{parallel_ett, ParallelConfig};
 use fpdm::datagen::event_stream;
-use fpdm::episodes::{discover_episodes, discover_episodes_parallel, EpisodeParams, EventSequence};
+use fpdm::episodes::{discover_episodes, EpisodeMiningProblem, EpisodeParams, EventSequence};
+use std::sync::Arc;
 
 fn main() {
     // 2000 ticks of background noise over types a-f, with "x then y then
@@ -48,11 +49,11 @@ fn main() {
         "the planted episode should surface"
     );
 
-    let parallel = discover_episodes_parallel(
-        &events,
-        params,
+    let problem = Arc::new(EpisodeMiningProblem::new(events, params));
+    let parallel = problem.report(&parallel_ett(
+        Arc::clone(&problem),
         &ParallelConfig::load_balanced(4).adaptive(),
-    );
+    ));
     assert_eq!(found, parallel);
     println!(
         "\nparallel run on 4 PLinda workers agrees: {} episodes",

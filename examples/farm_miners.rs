@@ -8,15 +8,18 @@
 //! 1. **Real runs**: the farm executes on this host at several worker
 //!    counts and the output is asserted bit-identical to the sequential
 //!    miner before any time is printed.
-//! 2. **Cost replay**: the sequential traversal is recorded as a
-//!    [`CostTree`] (every tested candidate with its measured goodness
-//!    cost) and re-scheduled through the NOW simulator under the wave
-//!    farm's level-synchronous discipline at machine counts the host
-//!    does not have. The schedule is simulated; the work content is
-//!    real. Numbers land in EXPERIMENTS.md ("the farmed miners").
+//! 2. **Cost replay**: the sequential traversal is recorded level by
+//!    level in the wave's dispatch order (every tested candidate with its
+//!    measured goodness cost, and the master's measured time to expand
+//!    and encode each level) and re-scheduled through the NOW simulator
+//!    under the wave farm's level-synchronous discipline at machine
+//!    counts the host does not have: each level is cut into the same
+//!    chunks the driver sends ([`wave_chunks`]), one simulated task per
+//!    chunk costing the sum of its candidates. The schedule is
+//!    simulated; the work content is real. Numbers land in EXPERIMENTS.md
+//!    ("the farmed miners").
 
-use fpdm::core::strategy::CostTree;
-use fpdm::core::{MiningProblem, ParallelConfig};
+use fpdm::core::{wave_chunks, MiningProblem, ParallelConfig, PatternCodec};
 use fpdm::datagen::{event_stream, protein_family, rna_structures, PlantedMotif};
 use fpdm::episodes::{
     discover_episodes, discover_episodes_farm, EpisodeMiningProblem, EpisodeParams, EventSequence,
@@ -30,31 +33,78 @@ use fpdm::treemine::{
 use std::time::Instant;
 
 const REAL_WORKERS: &[usize] = &[1, 4];
-const SIM_MACHINES: &[usize] = &[1, 2, 4, 8];
+const SIM_MACHINES: &[usize] = &[1, 2, 4, 8, 16, 32, 64, 128];
 
-/// The wave farm's schedule: the whole frontier level is dispatched at
-/// once, the next level only after the last task of the current one
-/// completes (the master's collection barrier in `parallel_wave`).
-struct WaveReplay<'a> {
-    tree: &'a CostTree,
-    depth: usize,
-    remaining: usize,
+/// One level of the wave, as `parallel_wave` runs it.
+struct Level {
+    /// Each candidate's goodness cost, in dispatch order.
+    costs: Vec<f64>,
+    /// The master's serial time to build the level (the root's children,
+    /// or the previous level's good patterns' children) and encode it.
+    expand: f64,
 }
 
-impl<'a> WaveReplay<'a> {
-    fn wave(&mut self, depth: usize) -> Vec<SimTask> {
-        let ids = self.tree.at_depth(depth);
-        self.depth = depth;
-        self.remaining = ids.len();
-        ids.into_iter()
-            .map(|id| SimTask::new(id as u64, self.tree.nodes()[id].cost))
+/// Record the sequential E-tree traversal of `problem` level by level,
+/// in the order the wave dispatches it.
+fn record_levels<P: MiningProblem + PatternCodec>(problem: &P) -> Vec<Level> {
+    let build = |parents: &[P::Pattern]| {
+        let t0 = Instant::now();
+        let level: Vec<P::Pattern> = parents.iter().flat_map(|p| problem.children(p)).collect();
+        let bytes: usize = level.iter().map(|p| problem.encode_pattern(p).len()).sum();
+        std::hint::black_box(bytes);
+        (level, t0.elapsed().as_secs_f64())
+    };
+    let mut levels = Vec::new();
+    let (mut level, mut expand) = build(&[problem.root()]);
+    while !level.is_empty() {
+        let mut costs = Vec::with_capacity(level.len());
+        let mut good = Vec::new();
+        for p in level {
+            let t0 = Instant::now();
+            let g = problem.goodness(&p);
+            costs.push(t0.elapsed().as_secs_f64());
+            if problem.is_good(&p, g) {
+                good.push(p);
+            }
+        }
+        levels.push(Level { costs, expand });
+        (level, expand) = build(&good);
+    }
+    levels
+}
+
+/// The wave farm's schedule: each level is dispatched at once as the
+/// driver's chunks, the next level only after the last chunk of the
+/// current one completes (the master's collection barrier in
+/// `parallel_wave`).
+struct WaveReplay<'a> {
+    levels: &'a [Level],
+    workers: usize,
+    depth: usize,
+    remaining: usize,
+    tasks: usize,
+}
+
+impl WaveReplay<'_> {
+    fn wave(&mut self) -> Vec<SimTask> {
+        let Some(level) = self.levels.get(self.depth) else {
+            return Vec::new();
+        };
+        self.depth += 1;
+        let chunks = wave_chunks(level.costs.len(), self.workers);
+        self.remaining = chunks.len();
+        self.tasks += chunks.len();
+        chunks
+            .into_iter()
+            .enumerate()
+            .map(|(i, range)| SimTask::new(i as u64, level.costs[range].iter().sum()))
             .collect()
     }
 }
 
 impl SimProgram for WaveReplay<'_> {
     fn initial_tasks(&mut self) -> Vec<SimTask> {
-        self.wave(1)
+        self.wave()
     }
 
     fn on_complete(&mut self, _task: &SimTask) -> Vec<SimTask> {
@@ -62,7 +112,7 @@ impl SimProgram for WaveReplay<'_> {
         if self.remaining > 0 {
             return Vec::new();
         }
-        self.wave(self.depth + 1)
+        self.wave()
     }
 }
 
@@ -79,32 +129,47 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
 /// stand in the same proportion to task grain as in the dissertation.
 const PAPER_SEQ: f64 = 600.0;
 
-fn replay<P: MiningProblem>(name: &str, problem: &P) {
-    let tree = CostTree::record_timed(problem);
-    let tree = tree.scaled(PAPER_SEQ / tree.sequential_time().max(1e-9));
-    let seq = tree.sequential_time();
+fn replay<P: MiningProblem + PatternCodec>(problem: &P) {
+    let mut levels = record_levels(problem);
+    let recorded: f64 = levels.iter().flat_map(|l| &l.costs).sum();
+    let scale = PAPER_SEQ / recorded.max(1e-9);
+    for level in &mut levels {
+        level.costs.iter_mut().for_each(|c| *c *= scale);
+        level.expand *= scale;
+    }
+    let candidates: usize = levels.iter().map(|l| l.costs.len()).sum();
+    let expand: f64 = levels.iter().map(|l| l.expand).sum();
+    let lan = SimConfig::lan_default();
     println!(
-        "  cost replay ({} candidates, scaled to {:.0}s sequential work):",
-        tree.len(),
-        seq
+        "  cost replay ({candidates} candidates in {} levels, scaled to {PAPER_SEQ:.0}s \
+         sequential work; master expansion {expand:.2}s):",
+        levels.len(),
     );
-    println!("  Machines  Time(s)  Speedup");
+    println!("  Machines  Time(s)  Speedup  Tasks  Master(s)  Worker(s)  Top line");
     for &m in SIM_MACHINES {
         let mut prog = WaveReplay {
-            tree: &tree,
+            levels: &levels,
+            workers: m,
             depth: 0,
             remaining: 0,
+            tasks: 0,
         };
         let machines: Vec<MachineSpec> = (0..m).map(|_| MachineSpec::ideal()).collect();
-        let report = Simulator::run(&mut prog, &machines, &SimConfig::lan_default(), None);
+        let report = Simulator::run(&mut prog, &machines, &lan, None);
+        // The master expands a level while every worker waits at the
+        // barrier, so its expansion adds to the makespan; its per-task
+        // admission is the simulator's serial master pipe.
+        let time = report.makespan + expand;
+        let master = expand + prog.tasks as f64 * lan.master_overhead;
+        let worker = report.busy_time.iter().sum::<f64>() / m as f64;
+        let top = if master > worker { "master" } else { "workers" };
         println!(
-            "  {m:>8}  {:>7.2}  {:>7.2}",
-            report.makespan,
-            report.speedup(seq)
+            "  {m:>8}  {time:>7.2}  {:>7.2}  {:>5}  {master:>9.2}  {worker:>9.2}  {top}",
+            PAPER_SEQ / time,
+            prog.tasks,
         );
     }
     println!();
-    let _ = name;
 }
 
 fn bench_seqmine() {
@@ -131,7 +196,7 @@ fn bench_seqmine() {
         assert_eq!(reference, got, "farm output drifted from sequential");
         println!("  real farm, {w} workers: {t:.2}s (output bit-identical)");
     }
-    replay("seqmine", &SeqMiningProblem::new(db, params));
+    replay(&SeqMiningProblem::new(db, params));
 }
 
 fn bench_treemine() {
@@ -162,7 +227,7 @@ fn bench_treemine() {
         assert_eq!(reference, got, "farm output drifted from sequential");
         println!("  real farm, {w} workers: {t:.2}s (output bit-identical)");
     }
-    replay("treemine", &TreeMiningProblem::new(trees, params));
+    replay(&TreeMiningProblem::new(trees, params));
 }
 
 fn bench_episodes() {
@@ -191,7 +256,7 @@ fn bench_episodes() {
         assert_eq!(reference, got, "farm output drifted from sequential");
         println!("  real farm, {w} workers: {t:.2}s (output bit-identical)");
     }
-    replay("episodes", &EpisodeMiningProblem::new(events, params));
+    replay(&EpisodeMiningProblem::new(events, params));
 }
 
 fn main() {

@@ -4,12 +4,10 @@
 //! and worker counts.
 
 use fpdm::assoc::{apriori, parallel_apriori};
-use fpdm::core::ParallelConfig;
+use fpdm::core::{parallel_ett, ParallelConfig};
 use fpdm::datagen::{basket_db, protein_family, rna_structures, BasketSpec, PlantedMotif};
 use fpdm::seqmine::{discover, discover_parallel, DiscoveryParams};
-use fpdm::treemine::{
-    discover_tree_motifs, discover_tree_motifs_parallel, OrderedTree, TreeDiscoveryParams,
-};
+use fpdm::treemine::{discover_tree_motifs, OrderedTree, TreeDiscoveryParams, TreeMiningProblem};
 use std::sync::Arc;
 
 #[test]
@@ -42,12 +40,12 @@ fn rna_discovery_parallel_equals_sequential() {
     };
     let reference = discover_tree_motifs(trees.clone(), params.clone());
     assert!(!reference.is_empty());
+    let problem = Arc::new(TreeMiningProblem::new(trees, params));
     for workers in [2, 4] {
-        let got = discover_tree_motifs_parallel(
-            trees.clone(),
-            params.clone(),
+        let got = problem.report(&parallel_ett(
+            Arc::clone(&problem),
             &ParallelConfig::load_balanced(workers),
-        );
+        ));
         assert_eq!(reference, got, "workers={workers}");
     }
 }
@@ -85,9 +83,7 @@ fn pear_count_distribution_equals_apriori() {
 #[test]
 fn episode_discovery_parallel_equals_sequential() {
     use fpdm::datagen::event_stream;
-    use fpdm::episodes::{
-        discover_episodes, discover_episodes_parallel, EpisodeParams, EventSequence,
-    };
+    use fpdm::episodes::{discover_episodes, EpisodeMiningProblem, EpisodeParams, EventSequence};
     let stream = EventSequence::new(event_stream(5, 800, 4, 0.3, &[(b"pq", 10)]));
     let windows = stream.n_windows(6);
     let params = EpisodeParams {
@@ -98,12 +94,12 @@ fn episode_discovery_parallel_equals_sequential() {
     };
     let reference = discover_episodes(&stream, params.clone());
     assert!(reference.iter().any(|e| e.episode == b"pq".to_vec()));
+    let problem = Arc::new(EpisodeMiningProblem::new(stream, params));
     for workers in [2, 5] {
-        let got = discover_episodes_parallel(
-            &stream,
-            params.clone(),
+        let got = problem.report(&parallel_ett(
+            Arc::clone(&problem),
             &ParallelConfig::load_balanced(workers),
-        );
+        ));
         assert_eq!(reference, got, "workers={workers}");
     }
 }
