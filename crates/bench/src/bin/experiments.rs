@@ -82,7 +82,8 @@ mod ch4 {
     use super::*;
     use datagen::cyclins_substitute;
     use fpdm_core::{
-        sequential_ett, simulate_load_balanced, simulate_optimistic, CostTree, StrategyReport,
+        sequential_ett, sequential_ett_recorded, simulate_load_balanced, simulate_optimistic,
+        CostTree, StrategyReport,
     };
     use nowsim::{MachineSpec, SimConfig};
     use seqmine::{DiscoveryParams, SeqMiningProblem};
@@ -145,9 +146,17 @@ mod ch4 {
     }
 
     /// Recorded cost tree scaled so sequential time matches the paper's.
+    /// Each tested node costs what the 1998 program paid for it, a scan
+    /// of every sequence, timed here: the miner itself answers setting 1
+    /// (`Mut = 0`) from its GST, which timer noise would swamp.
     fn scaled_tree(setting: usize) -> (CostTree, f64) {
         let p = problem(setting);
-        let tree = CostTree::record_timed(&p);
+        let (_, recorded) = sequential_ett_recorded(&p);
+        let tree = CostTree::from_etree(&recorded, |pattern, _| {
+            let t0 = Instant::now();
+            std::hint::black_box(p.scanned_goodness(pattern));
+            t0.elapsed().as_secs_f64()
+        });
         let factor = PAPER_SEQ[setting - 1] / tree.sequential_time().max(1e-9);
         let tree = tree.scaled(factor);
         let seq = tree.sequential_time();

@@ -3,14 +3,14 @@
 //! The Chapter 4 experiments compare parallelisation *strategies* —
 //! optimistic vs. load-balanced workers, plain vs. adaptive master — on a
 //! LAN of up to 45 workstations. To regenerate those curves without the
-//! LAN, we record a real sequential traversal as an [`ETree`] (every
-//! tested node with its measured cost), then schedule that recorded tree
-//! through [`nowsim`] under each strategy. The schedule — which is all the
+//! LAN, we record a real sequential traversal as an [`ETree`], cost every
+//! tested node with a caller's model, typically its measured time
+//! ([`CostTree::from_etree`]), then schedule that tree through [`nowsim`]
+//! under each strategy. The schedule — which is all the
 //! machine count changes — is simulated; the work content is real.
 
 use crate::etree::ETree;
 use nowsim::{MachineSpec, SimConfig, SimProgram, SimReport, SimTask, Simulator};
-use std::time::Instant;
 
 /// An [`ETree`] with per-node execution costs (speed-1 seconds), detached
 /// from the pattern type so it can be stored and replayed cheaply.
@@ -50,44 +50,6 @@ impl CostTree {
                 .collect(),
             top_level: tree.top_level.clone(),
         }
-    }
-
-    /// Record a sequential E-tree traversal of `problem`, measuring the
-    /// wall-clock cost of each goodness evaluation.
-    pub fn record_timed<P: crate::problem::MiningProblem>(problem: &P) -> Self {
-        let mut nodes: Vec<CostNode> = Vec::new();
-        let mut top_level = Vec::new();
-        let root = problem.root();
-        let mut stack: Vec<(P::Pattern, usize, usize)> = problem
-            .children(&root)
-            .into_iter()
-            .rev()
-            .map(|c| (c, usize::MAX, 1))
-            .collect();
-        while let Some((p, parent, depth)) = stack.pop() {
-            let t0 = Instant::now();
-            let g = problem.goodness(&p);
-            let cost = t0.elapsed().as_secs_f64();
-            let good = problem.is_good(&p, g);
-            let id = nodes.len();
-            nodes.push(CostNode {
-                cost,
-                good,
-                children: Vec::new(),
-                depth,
-            });
-            if parent == usize::MAX {
-                top_level.push(id);
-            } else {
-                nodes[parent].children.push(id);
-            }
-            if good {
-                for c in problem.children(&p).into_iter().rev() {
-                    stack.push((c, id, depth + 1));
-                }
-            }
-        }
-        CostTree { nodes, top_level }
     }
 
     /// Number of recorded nodes.
@@ -357,17 +319,5 @@ mod tests {
         let tree = sample_tree();
         let scaled = tree.scaled(3.0);
         assert!((scaled.sequential_time() - 3.0 * tree.sequential_time()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn record_timed_produces_positive_costs() {
-        let p = ToySeq::new(vec!["AABB", "ABAB", "BBAA"], 2, 4);
-        let tree = CostTree::record_timed(&p);
-        assert!(!tree.is_empty());
-        assert!(tree.sequential_time() >= 0.0);
-        // Structure mirrors the recorded traversal.
-        let (out, etree) = sequential_ett_recorded(&p);
-        assert_eq!(tree.len() as u64, out.tested);
-        assert_eq!(tree.at_depth(1).len(), etree.top_level.len());
     }
 }

@@ -148,40 +148,43 @@ impl EventSequence {
         self.sweep_count(&TypeIndex::new(&self.events), w, episode)
     }
 
-    /// The window count in one sweep over the stream.
+    /// The window count in one sweep over the occurrences of the
+    /// episode's first type.
     ///
-    /// A window's scan begins at its first event at or after `t`, so the
-    /// starts in `(time[s - 1], time[s]]` all begin at index `s` (the
-    /// first event of its timestamp). From there the greedy in-order match
-    /// completes at a fixed index `c`, and the window contains the episode
-    /// iff `time[c] < t + w`. The sweep visits each distinct-time start
-    /// once and counts its qualifying starts in closed form. Greedy
-    /// completion positions only move right as `s` does, so each episode
+    /// A window's scan begins at its first event at or after `t`, and the
+    /// greedy in-order match takes the first `episode[0]` from there. So
+    /// the starts in `(time[o'], time[o]]`, for consecutive occurrences
+    /// `o' < o` of `episode[0]`, all take `o`; the starts up to the first
+    /// occurrence take it too, and the starts after the last take none.
+    /// From `o` the greedy match completes at a fixed index `c`, and the
+    /// window contains the episode iff `time[c] < t + w`. The sweep visits
+    /// each occurrence of `episode[0]` once and counts its qualifying
+    /// starts in closed form; an occurrence sharing its predecessor's
+    /// timestamp owns no start and adds nothing. Greedy completion
+    /// positions only move right as `o` does, so each later episode
     /// position keeps a cursor into its type's occurrence list that never
-    /// backs up: `O(n · |episode|)` per episode.
+    /// backs up: `O(Σ_i occ(episode[i]))` per episode, at most
+    /// `O(n · |episode|)`, whatever the window width.
     fn sweep_count(&self, index: &TypeIndex, w: u32, episode: &[u8]) -> usize {
         let Some((first, _)) = self.span() else {
             return 0;
         };
-        if episode.is_empty() {
+        let Some((&head, tail)) = episode.split_first() else {
             return self.n_windows(w);
-        }
+        };
         let w = w as i64;
-        let lists: Vec<&[u32]> = episode.iter().map(|&e| index.positions(e)).collect();
-        let mut cursors = vec![0usize; episode.len()];
-        // Last timestamp whose starts are counted; the first group's
+        let lists: Vec<&[u32]> = tail.iter().map(|&e| index.positions(e)).collect();
+        let mut cursors = vec![0usize; tail.len()];
+        // Last timestamp whose starts are counted; the first occurrence's
         // starts begin at the first window start, `first - w + 1`.
         let mut prev_time = first as i64 - w;
         let mut count = 0usize;
-        for (s, &(time, _)) in self.events.iter().enumerate() {
-            if s > 0 && self.events[s - 1].0 == time {
-                continue;
-            }
-            let time = time as i64;
-            // Greedy completion from index `s`: each episode position
+        for &o in index.positions(head) {
+            let time = self.events[o as usize].0 as i64;
+            // Greedy completion from `o`: each later episode position
             // takes the first occurrence of its type after the previous
             // match.
-            let mut next = s as u32;
+            let mut next = o + 1;
             for (list, cursor) in lists.iter().zip(cursors.iter_mut()) {
                 while *cursor < list.len() && list[*cursor] < next {
                     *cursor += 1;
@@ -372,16 +375,56 @@ mod tests {
         assert!(e.window_contains(0, 1, b""));
     }
 
+    /// The WINEPI count by definition: one containment scan per start.
+    fn brute_count(e: &EventSequence, w: u32, pat: &[u8]) -> usize {
+        let Some((first, last)) = e.span() else {
+            return 0;
+        };
+        ((first as i64 - w as i64 + 1)..=(last as i64))
+            .filter(|&t| e.window_contains(t, w, pat))
+            .count()
+    }
+
     #[test]
     fn window_count_matches_brute_force() {
-        let e = stream();
-        for pat in [b"A".as_slice(), b"AB", b"BA", b"ABC", b"AA"] {
-            let w = 6;
-            let (first, last) = e.span().unwrap();
-            let brute = ((first as i64 - w as i64 + 1)..=(last as i64))
-                .filter(|&t| e.window_contains(t, w, pat))
-                .count();
-            assert_eq!(e.window_count(w, pat), brute);
+        let one = EventSequence::new(vec![(7, b'A')]);
+        let ties = EventSequence::new(vec![
+            (2, b'A'),
+            (2, b'A'),
+            (2, b'B'),
+            (4, b'A'),
+            (4, b'B'),
+            (4, b'B'),
+            (9, b'A'),
+        ]);
+        let empty = EventSequence::new(vec![]);
+        let patterns: [&[u8]; 9] = [b"", b"A", b"B", b"AA", b"AB", b"BA", b"ABC", b"AAA", b"ABB"];
+        for e in [&stream(), &one, &ties, &empty] {
+            for w in [1, 2, 3, 6] {
+                for pat in patterns {
+                    assert_eq!(
+                        e.window_count(w, pat),
+                        brute_count(e, w, pat),
+                        "{:?} w={w} {pat:?}",
+                        e.events()
+                    );
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn window_count_equals_brute_force(
+            events in proptest::collection::vec((0u32..16, b'A'..b'D'), 0..24),
+            w in 1u32..8,
+            pat in proptest::collection::vec(b'A'..b'D', 0..4),
+        ) {
+            // Few timestamps and types: ties and repeated types are common.
+            let e = EventSequence::new(events);
+            proptest::prop_assert_eq!(e.window_count(w, &pat), brute_count(&e, w, &pat));
         }
     }
 

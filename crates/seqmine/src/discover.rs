@@ -14,6 +14,14 @@
 //! 2. **Phase 2**: evaluate candidates against all of `S`, with the
 //!    subpattern pruning `occurrence(P) ≥ occurrence(P′)` for `P ⊑ P′`.
 //!
+//! Where phase 2 needs no scan: with `Mut = 0` the occurrence number is
+//! the count of sequences containing `P` exactly, which a GST built over
+//! all of `S` ([`SeqMiningProblem::new`]) stores at every node, so
+//! goodness is one walk to `P`'s locus ([`Gst::occurrence`]). A GST over
+//! a strict sample ([`SeqMiningProblem::with_sample`]) cannot answer for
+//! the rest of `S`, and `Mut > 0` needs the mutation program; both scan
+//! every sequence ([`SeqMiningProblem::scanned_goodness`]).
+//!
 //! Phase 2 is exactly an E-dag/E-tree traversal: [`SeqMiningProblem`]
 //! implements [`MiningProblem`] with patterns = motifs, children = GST
 //! extensions, goodness = occurrence number. Any of the framework's
@@ -92,12 +100,17 @@ pub struct ActiveMotif {
 /// * Immediate subpatterns: the `(k-1)`-prefix and `(k-1)`-suffix
 ///   (Example 3.1.1).
 /// * Goodness: the occurrence number over the full set, within the
-///   mutation budget (the expensive DP of [`crate::matcher`]).
+///   mutation budget: the GST's document count when it was built over the
+///   full set and `Mut = 0`, else a scan of every sequence (the
+///   expensive DP of [`crate::matcher`]).
 /// * Good: `occurrence ≥ Occur` — motifs shorter than `Length` are "good
 ///   subpatterns" kept for extension and filtered from the report.
 pub struct SeqMiningProblem {
     sequences: Vec<Sequence>,
     gst: Gst,
+    /// Whether `gst` was built over all of `sequences`, so that its
+    /// document counts are exact occurrence numbers at `Mut = 0`.
+    gst_is_full: bool,
     params: DiscoveryParams,
 }
 
@@ -111,6 +124,7 @@ impl SeqMiningProblem {
     ) -> Self {
         SeqMiningProblem {
             gst: Gst::build(sample),
+            gst_is_full: false,
             sequences,
             params,
         }
@@ -121,6 +135,7 @@ impl SeqMiningProblem {
         let gst = Gst::build(&sequences);
         SeqMiningProblem {
             gst,
+            gst_is_full: true,
             sequences,
             params,
         }
@@ -134,6 +149,24 @@ impl SeqMiningProblem {
     /// The discovery parameters.
     pub fn params(&self) -> &DiscoveryParams {
         &self.params
+    }
+
+    /// Goodness by scanning every sequence with the matcher, as the
+    /// original program computes it for every candidate. It equals
+    /// [`MiningProblem::goodness`], which answers from the GST where it
+    /// can; the Chapter 4 cost replay times this scan as the 1998
+    /// program's per-candidate work.
+    pub fn scanned_goodness(&self, p: &[u8]) -> f64 {
+        // A motif no longer than the mutation budget matches every
+        // sequence (delete all of it), so skip the DP.
+        if p.len() <= self.params.max_mutations {
+            return self.sequences.len() as f64;
+        }
+        occurrence_number(
+            &Motif::single(p),
+            &self.sequences,
+            self.params.max_mutations,
+        ) as f64
     }
 
     /// Turn a mining outcome into the final report, applying the
@@ -196,16 +229,12 @@ impl MiningProblem for SeqMiningProblem {
     }
 
     fn goodness(&self, p: &Vec<u8>) -> f64 {
-        // A motif no longer than the mutation budget matches every
-        // sequence (delete all of it), so skip the DP.
-        if p.len() <= self.params.max_mutations {
-            return self.sequences.len() as f64;
+        // With no mutations a sequence contains `p` iff `p` is one of its
+        // substrings, and the GST over all of them counts exactly those.
+        if self.params.max_mutations == 0 && self.gst_is_full {
+            return self.gst.occurrence(p) as f64;
         }
-        occurrence_number(
-            &Motif::single(p),
-            &self.sequences,
-            self.params.max_mutations,
-        ) as f64
+        self.scanned_goodness(p)
     }
 
     fn is_good(&self, _p: &Vec<u8>, goodness: f64) -> bool {
@@ -427,6 +456,51 @@ mod tests {
         for m in &twos {
             assert!(m.occurrence >= 3);
             assert!(m.motif.len() >= 4);
+        }
+    }
+
+    /// Sequences over a 3-letter alphabet, so that short motifs recur.
+    fn arb_db() -> impl proptest::strategy::Strategy<Value = Vec<Sequence>> {
+        use proptest::prelude::*;
+        prop::collection::vec(prop::collection::vec(b'A'..b'D', 0..12), 1..8)
+            .prop_map(|v| v.into_iter().map(Sequence::new).collect())
+    }
+
+    /// Every tested node of a traversal, plus arbitrary patterns that
+    /// need not occur anywhere, graded by `goodness` and by the scan.
+    fn assert_goodness_is_scan(problem: &SeqMiningProblem, extra: &[Vec<u8>]) {
+        let (_, tree) = fpdm_core::sequential_ett_recorded(problem);
+        let patterns = tree.nodes.iter().map(|n| &n.pattern).chain(extra);
+        for p in patterns {
+            let want = occurrence_number(&Motif::single(p), problem.sequences(), 0);
+            assert_eq!(problem.goodness(p), want as f64, "pattern {p:?}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn exact_goodness_equals_the_scan(
+            db in arb_db(),
+            extra in proptest::collection::vec(
+                proptest::collection::vec(b'A'..b'E', 1..5), 0..6),
+        ) {
+            let p = DiscoveryParams::new(1, 6, 2, 0);
+            assert_goodness_is_scan(&SeqMiningProblem::new(db, p), &extra);
+        }
+
+        #[test]
+        fn sampled_problem_falls_back_to_the_scan(
+            db in arb_db(),
+            keep in 1usize..4,
+        ) {
+            // The GST over a strict sample undercounts every motif that
+            // also occurs outside it; goodness must not read it.
+            let sample = db[..keep.min(db.len())].to_vec();
+            let p = DiscoveryParams::new(1, 6, 1, 0);
+            let problem = SeqMiningProblem::with_sample(db.clone(), &sample, p);
+            assert_goodness_is_scan(&problem, &[]);
         }
     }
 

@@ -72,6 +72,11 @@ fn mutation_dp(motif: &Motif, s: &[u8], budget: usize) -> usize {
 /// first occurrence after the previous segment's match (earliest-ending
 /// is always best). Otherwise the mutation program runs only until its
 /// cost is sure to exceed `max_mut`.
+///
+/// The miner does not call this for single-segment candidates at
+/// `Mut = 0` when its GST spans the whole set: there the GST's document
+/// count is the occurrence number ([`crate::SeqMiningProblem`]). Samples,
+/// mutations and multi-segment motifs come here.
 pub fn matches_within(motif: &Motif, seq: &Sequence, max_mut: usize) -> bool {
     if max_mut > 0 {
         return mutation_dp(motif, seq.bytes(), max_mut) <= max_mut;

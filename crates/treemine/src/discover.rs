@@ -14,7 +14,7 @@
 //! of which has occurrence ≥ the motif's occurrence, which is the
 //! anti-monotonicity that powers E-dag/E-tree pruning.
 
-use crate::dist::{prepared_occurrence_number, ZsTree};
+use crate::dist::{contains_exactly, prepared_occurrence_number, ZsTree};
 use crate::tree::OrderedTree;
 use fpdm_core::{
     parallel_wave, sequential_ett, MiningOutcome, MiningProblem, ParallelConfig, PatternCodec,
@@ -154,8 +154,17 @@ impl MiningProblem for TreeMiningProblem {
     }
 
     fn goodness(&self, p: &TreeCode) -> f64 {
-        let motif = ZsTree::new(&OrderedTree::decode(p));
-        prepared_occurrence_number(&motif, &self.prepared, self.params.max_distance) as f64
+        let motif = OrderedTree::decode(p);
+        let count = match self.params.max_distance {
+            // Cut distance 0 is a top-down embedding; no DP needed.
+            0 => self
+                .trees
+                .iter()
+                .filter(|t| contains_exactly(&motif, t))
+                .count(),
+            d => prepared_occurrence_number(&ZsTree::new(&motif), &self.prepared, d),
+        };
+        count as f64
     }
 
     fn is_good(&self, _p: &TreeCode, goodness: f64) -> bool {
@@ -348,6 +357,20 @@ mod tests {
         ] {
             let farm = discover_tree_motifs_farm(sample_set(), p.clone(), &cfg);
             assert_eq!(sequential, farm);
+        }
+    }
+
+    #[test]
+    fn exact_goodness_equals_the_distance_program() {
+        // Every tested candidate, good or not, graded at Dist = 0 both
+        // ways.
+        let problem = TreeMiningProblem::new(sample_set(), params(1, 1, 0));
+        let (_, tree) = fpdm_core::sequential_ett_recorded(&problem);
+        assert!(tree.len() > 100);
+        for node in &tree.nodes {
+            let motif = OrderedTree::decode(&node.pattern);
+            let want = crate::dist::occurrence_number(&motif, problem.trees(), 0);
+            assert_eq!(node.goodness, want as f64, "motif {motif}");
         }
     }
 

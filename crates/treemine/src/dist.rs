@@ -15,6 +15,18 @@
 //! [`contains_within`] minimises the cut distance over every subtree of
 //! the data tree — which the algorithm yields for free, since the DP
 //! computes the distance for *all* node pairs.
+//!
+//! Distance 0 needs no DP. With no insertion, deletion or relabeling
+//! left, the motif must be a copy of some data node's subtree minus
+//! whole subtrees (the cuts): labels match, and the motif's children map
+//! in order onto a subsequence of the data node's children, each with
+//! the same property. [`contains_exactly`] tests that top-down from every
+//! data node, taking each motif child's leftmost matching data child;
+//! the leftmost choice leaves the most data children for the motif's
+//! later children, so it never misses an embedding. Each data node is
+//! compared with at most one motif node per root tried: `O(|T| · depth)`
+//! per tree instead of the DP's `O(|M|·|T|·min(depth, leaves)²)`. The
+//! miner takes this path at `Dist = 0` and the DP at `Dist > 0`.
 
 use crate::tree::OrderedTree;
 
@@ -174,6 +186,27 @@ pub fn contains_within(motif: &OrderedTree, data: &OrderedTree, d: usize) -> boo
     best_subtree_distance(motif, data) <= d
 }
 
+/// Does `motif` occur in `data` at cut distance 0? The same answer as
+/// `best_subtree_distance(motif, data) == 0`, without the DP: some data
+/// node roots a top-down, order-preserving copy of the motif.
+pub fn contains_exactly(motif: &OrderedTree, data: &OrderedTree) -> bool {
+    data.nodes().any(|v| embeds_at(motif, 0, data, v))
+}
+
+/// Is the motif subtree at `m` a copy of the data subtree at `v` after
+/// cuttings? Each motif child takes the leftmost remaining data child
+/// that embeds it (`any` consumes the iterator up to the match).
+fn embeds_at(motif: &OrderedTree, m: usize, data: &OrderedTree, v: usize) -> bool {
+    if motif.label(m) != data.label(v) {
+        return false;
+    }
+    let mut rest = data.children(v).iter();
+    motif
+        .children(m)
+        .iter()
+        .all(|&c| rest.any(|&d| embeds_at(motif, c, data, d)))
+}
+
 /// Occurrence number of `motif` over a set of trees (§4.1.2):
 /// `occurrence_no^d_S(M)` = number of trees containing `M` within `d`.
 pub fn occurrence_number(motif: &OrderedTree, set: &[OrderedTree], d: usize) -> usize {
@@ -236,27 +269,32 @@ mod tests {
     fn brute_best_subtree(motif: &OrderedTree, data: &OrderedTree) -> usize {
         let mut best = motif.len();
         for node in data.nodes() {
-            let code = data.subtree(node).encode();
-            // Each subset of the non-root nodes is a set of cut points;
-            // a node survives unless it or an ancestor is cut.
-            for cuts in 0u32..(1 << (code.len() - 1)) {
-                let mut kept = Vec::new();
-                let mut cut_depth = None;
-                for (i, &(depth, label)) in code.iter().enumerate() {
-                    if cut_depth.is_some_and(|d| depth > d) {
-                        continue;
-                    }
-                    cut_depth = None;
-                    if i > 0 && cuts & (1 << (i - 1)) != 0 {
-                        cut_depth = Some(depth);
-                        continue;
-                    }
-                    kept.push((depth, label));
-                }
-                best = best.min(brute_dist(motif, &OrderedTree::decode(&kept)));
+            let sub = data.subtree(node);
+            for cuts in 0u32..(1 << (sub.len() - 1)) {
+                best = best.min(brute_dist(motif, &cut(&sub, cuts)));
             }
         }
         best
+    }
+
+    /// `tree` with cuttings: bit `i` of `cuts` cuts the preorder node
+    /// `i + 1` (the root is never cut), and a node survives unless it or
+    /// an ancestor is cut.
+    fn cut(tree: &OrderedTree, cuts: u32) -> OrderedTree {
+        let mut kept = Vec::new();
+        let mut cut_depth = None;
+        for (i, &(depth, label)) in tree.encode().iter().enumerate() {
+            if cut_depth.is_some_and(|d| depth > d) {
+                continue;
+            }
+            cut_depth = None;
+            if i > 0 && cuts & (1 << (i - 1)) != 0 {
+                cut_depth = Some(depth);
+                continue;
+            }
+            kept.push((depth, label));
+        }
+        OrderedTree::decode(&kept)
     }
 
     /// The per-call distance matrix the prepared program replaced: both
@@ -378,6 +416,29 @@ mod tests {
                     .to_vec();
                 let want: Vec<usize> = td.concat();
                 prop_assert_eq!(got, want, "cuts={}", cuts);
+            }
+        }
+
+        #[test]
+        fn exact_containment_matches_the_program(
+            motif in arb_small_tree(5),
+            data in arb_small_tree(9),
+        ) {
+            prop_assert_eq!(
+                contains_exactly(&motif, &data),
+                best_subtree_distance(&motif, &data) == 0
+            );
+        }
+
+        #[test]
+        fn exact_containment_finds_every_cut_subtree(
+            data in arb_small_tree(9),
+            cuts in any::<u32>(),
+        ) {
+            // Random motifs are mostly absent; these are all present.
+            for node in data.nodes() {
+                let motif = cut(&data.subtree(node), cuts);
+                prop_assert!(contains_exactly(&motif, &data), "{} in {}", motif, data);
             }
         }
 

@@ -40,7 +40,8 @@ pub use discover::{
     TreeDiscoveryParams, TreeMiningProblem,
 };
 pub use dist::{
-    best_subtree_distance, contains_within, cut_distance, occurrence_number, tree_edit_distance,
+    best_subtree_distance, contains_exactly, contains_within, cut_distance, occurrence_number,
+    tree_edit_distance,
 };
 pub use tree::{OrderedTree, RNA_LABELS};
 pub use vienna::{parse_dot_bracket, ViennaError};

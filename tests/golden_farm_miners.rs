@@ -7,10 +7,16 @@
 //! catalog generates them, and the first case of each miner is that
 //! workload's request shape for it; the second case of each
 //! exercises the non-trivial budget (one mutation, distance one, a
-//! width-1 window over same-timestamp events). The fixtures were rendered
-//! by the per-candidate goodness kernels that the prepared kernels
-//! replaced, so any drift in a kernel's answer fails here. Both the
-//! sequential and the farmed entry point must reproduce them.
+//! width-1 window over same-timestamp events). So each miner's goodness
+//! is pinned on both of its paths: seqmine's first case is read from
+//! the GST (`Mut = 0`) and its second scans every sequence; treemine's
+//! first case is the top-down containment test (`Dist = 0`) and its
+//! second the distance program; episodes counts by the first-event
+//! sweep at widths 5 and 1. The fixtures were rendered by the
+//! per-candidate kernels that scanned every sequence, ran the distance
+//! program at every distance and counted window by window, before any
+//! of these shortcuts, so any drift in a kernel's answer fails here.
+//! Both the sequential and the farmed entry point must reproduce them.
 //!
 //! A fixture file is `tests/fixtures/farm_miners/<case>-<seed>.txt`,
 //! holding exactly the rendered report; rewrite one only for an intended
