@@ -451,84 +451,26 @@ fn is_ident_byte(b: u8) -> bool {
 pub struct OpKind {
     /// `in`/`inp` (withdraws) vs `rd`/`rdp` (copies).
     pub withdraw: bool,
-    /// Blocking (`in`, `rd`, `*_blocking`, `*_cancellable`) vs
-    /// non-blocking probe (`inp`, `rdp`).
+    /// Blocking (`in`, `rd`, `*_blocking`, `in_batch`) vs non-blocking
+    /// probe (`inp`, `rdp`, `inp_batch`).
     pub blocking: bool,
 }
 
 /// The consuming method names the scanner resolves, with their kinds.
-const OP_TABLE: [(&str, OpKind); 10] = [
-    (
-        "in_",
-        OpKind {
-            withdraw: true,
-            blocking: true,
-        },
-    ),
-    (
-        "in_blocking",
-        OpKind {
-            withdraw: true,
-            blocking: true,
-        },
-    ),
-    (
-        "in_cancellable",
-        OpKind {
-            withdraw: true,
-            blocking: true,
-        },
-    ),
-    (
-        "inp",
-        OpKind {
-            withdraw: true,
-            blocking: false,
-        },
-    ),
-    (
-        "rd",
-        OpKind {
-            withdraw: false,
-            blocking: true,
-        },
-    ),
-    (
-        "rd_blocking",
-        OpKind {
-            withdraw: false,
-            blocking: true,
-        },
-    ),
-    (
-        "rd_cancellable",
-        OpKind {
-            withdraw: false,
-            blocking: true,
-        },
-    ),
-    (
-        "try_rd_cancellable",
-        OpKind {
-            withdraw: false,
-            blocking: true,
-        },
-    ),
-    (
-        "rdp",
-        OpKind {
-            withdraw: false,
-            blocking: false,
-        },
-    ),
-    (
-        "try_rdp",
-        OpKind {
-            withdraw: false,
-            blocking: false,
-        },
-    ),
+const OP_TABLE: [(&str, OpKind); 8] = [
+    ("in_", op(true, true)),
+    ("in_blocking", op(true, true)),
+    ("in_batch", op(true, true)),
+    ("inp", op(true, false)),
+    ("inp_batch", op(true, false)),
+    ("rd", op(false, true)),
+    ("rd_blocking", op(false, true)),
+    ("rdp", op(false, false)),
 ];
+
+const fn op(withdraw: bool, blocking: bool) -> OpKind {
+    OpKind { withdraw, blocking }
+}
 
 /// A literal template construction site.
 #[derive(Debug, Clone)]

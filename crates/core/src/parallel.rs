@@ -759,6 +759,64 @@ mod tests {
         assert!(out.is_empty());
     }
 
+    /// [`ToyItemsets`] with a `goodness` that panics on one pattern.
+    struct PanicsOn(ToyItemsets, Vec<u32>);
+
+    impl MiningProblem for PanicsOn {
+        type Pattern = Vec<u32>;
+        fn root(&self) -> Vec<u32> {
+            self.0.root()
+        }
+        fn pattern_len(&self, p: &Vec<u32>) -> usize {
+            self.0.pattern_len(p)
+        }
+        fn children(&self, p: &Vec<u32>) -> Vec<Vec<u32>> {
+            self.0.children(p)
+        }
+        fn immediate_subpatterns(&self, p: &Vec<u32>) -> Vec<Vec<u32>> {
+            self.0.immediate_subpatterns(p)
+        }
+        fn goodness(&self, p: &Vec<u32>) -> f64 {
+            assert_ne!(*p, self.1, "goodness panics on {p:?}");
+            self.0.goodness(p)
+        }
+        fn is_good(&self, p: &Vec<u32>, goodness: f64) -> bool {
+            self.0.is_good(p, goodness)
+        }
+    }
+
+    impl PatternCodec for PanicsOn {
+        fn encode_pattern(&self, p: &Vec<u32>) -> Vec<u8> {
+            self.0.encode_pattern(p)
+        }
+        fn decode_pattern(&self, bytes: &[u8]) -> Vec<u32> {
+            self.0.decode_pattern(bytes)
+        }
+    }
+
+    #[test]
+    fn a_worker_panic_fails_the_wave_instead_of_hanging_it() {
+        let p = Arc::new(PanicsOn((*itemset_problem()).clone(), vec![1, 3]));
+        let (tx, rx) = std::sync::mpsc::channel();
+        // On a helper thread, so a hang fails this test, not the suite.
+        std::thread::spawn(move || {
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                parallel_wave("wave-panic", p, &ParallelConfig::load_balanced(3))
+            }));
+            let message = run.err().map(|e| {
+                e.downcast_ref::<String>()
+                    .cloned()
+                    .unwrap_or_else(|| "<non-string payload>".into())
+            });
+            let _ = tx.send(message);
+        });
+        let message = rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("the wave hung after a worker panic")
+            .expect("the wave returned although a worker panicked");
+        assert!(message.contains("goodness panics on [1, 3]"), "{message}");
+    }
+
     #[test]
     fn wave_ledger_is_consistent() {
         let p = seq_problem();

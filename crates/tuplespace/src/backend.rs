@@ -21,16 +21,20 @@
 //! Implementations must be [`Send`] + [`Sync`]; one backend instance is
 //! shared by every process of a runtime. The semantic obligations are:
 //!
-//! * **Visibility**: a tuple passed to [`SpaceBackend::out`] (or published
-//!   by [`SpaceBackend::txn_commit`]) is visible to every other process
-//!   once the call returns. Commit batches become visible atomically.
+//! * **Three retrieval shapes**: every Linda operation is one of
+//!   [`SpaceBackend::out`] (optionally deferred), [`SpaceBackend::poll`]
+//!   (non-blocking) and [`SpaceBackend::wait`] (blocking), each with a
+//!   `take` (`in`) or read (`rd`) mode and a `max` batch size — the same
+//!   three shapes the socket protocol carries as frames.
+//! * **Visibility**: a tuple passed to `out` (or published by
+//!   [`SpaceBackend::txn_commit`]) is visible to every other process
+//!   once the call returns. Batches become visible atomically.
 //! * **Exactly-once withdrawal**: a tuple is returned by at most one
-//!   withdrawing operation (`inp`, or an `in_cancellable` wait) across all
-//!   connected processes.
-//! * **Blocking waits**: `in_cancellable`/`rd_cancellable` block until a
-//!   matching tuple is available or the cancel flag becomes true. The
-//!   cancel flag is how the runtime aborts a parked process when its
-//!   "workstation owner returns"; backends must observe it promptly after
+//!   withdrawing `poll` or `wait` across all connected processes.
+//! * **Blocking waits**: `wait` blocks until a matching tuple is
+//!   available or the cancel flag becomes true. The cancel flag is how
+//!   the runtime aborts a parked process when its "workstation owner
+//!   returns"; backends must observe it promptly after
 //!   [`SpaceBackend::kick`] (local) or within a bounded poll interval
 //!   (socket).
 //! * **Transactions**: `txn_commit` atomically publishes the buffered
@@ -52,6 +56,16 @@ use crate::template::Template;
 use crate::value::Tuple;
 use std::sync::atomic::AtomicBool;
 
+/// How many tuples one retrieval may return: up to `max` for a take (a
+/// `max` of 0 counts as 1), one for a read.
+pub(crate) fn capacity(take: bool, max: usize) -> usize {
+    if take {
+        max.max(1)
+    } else {
+        1
+    }
+}
+
 /// One concrete home for the tuples of a [`crate::TupleSpace`]. See the
 /// [module docs](self) for the semantic contract.
 pub trait SpaceBackend: Send + Sync {
@@ -59,32 +73,32 @@ pub trait SpaceBackend: Send + Sync {
     /// for diagnostics.
     fn kind(&self) -> &'static str;
 
-    /// `out`: make `t` visible to every process. Never blocks.
-    fn out(&self, t: Tuple) -> Result<(), PlindaError>;
+    /// `out`: make every tuple of `ts` visible to every process, all of
+    /// them atomically. Never blocks. A `deferred` out's visibility may
+    /// lag until the backend's next flush barrier — any response-bearing
+    /// operation on the same connection, or an explicit
+    /// [`SpaceBackend::flush`] — but within one connection program order
+    /// is preserved, so a later retrieval always observes it. A deferred
+    /// tuple of a client that dies before its next barrier was never
+    /// visible and is discarded. The local backend is its own barrier: a
+    /// deferred out is an out.
+    fn out(&self, ts: Vec<Tuple>, deferred: bool) -> Result<(), PlindaError>;
 
-    /// Bulk `out`: all of `ts` become visible atomically.
-    fn out_all(&self, ts: Vec<Tuple>) -> Result<(), PlindaError>;
+    /// `inp`/`rdp`: retrieve matches of `tmpl` without blocking — with
+    /// `take`, withdraw up to `max` of them (a `max` of 0 counts as 1);
+    /// without, copy one. Returns no tuple when nothing matches.
+    fn poll(&self, tmpl: &Template, take: bool, max: usize) -> Result<Vec<Tuple>, PlindaError>;
 
-    /// `inp`: withdraw a matching tuple if one exists, without blocking.
-    fn inp(&self, tmpl: &Template) -> Result<Option<Tuple>, PlindaError>;
-
-    /// `rdp`: copy a matching tuple if one exists, without blocking.
-    fn rdp(&self, tmpl: &Template) -> Result<Option<Tuple>, PlindaError>;
-
-    /// `in` with cancellation: block until a match is withdrawn, returning
-    /// `Ok(None)` if `cancel` became true while waiting.
-    fn in_cancellable(
+    /// `in`/`rd`: as [`SpaceBackend::poll`], but block until at least one
+    /// match is retrieved, returning `Ok(None)` if `cancel` became true
+    /// while waiting. A successful return holds at least one tuple.
+    fn wait(
         &self,
         tmpl: &Template,
+        take: bool,
+        max: usize,
         cancel: Option<&AtomicBool>,
-    ) -> Result<Option<Tuple>, PlindaError>;
-
-    /// `rd` with cancellation; see [`SpaceBackend::in_cancellable`].
-    fn rd_cancellable(
-        &self,
-        tmpl: &Template,
-        cancel: Option<&AtomicBool>,
-    ) -> Result<Option<Tuple>, PlindaError>;
+    ) -> Result<Option<Vec<Tuple>>, PlindaError>;
 
     /// Threads currently parked in a blocking wait *inside this backend*.
     /// Readiness introspection for tests and services (e.g. "the consumer
@@ -95,62 +109,11 @@ pub trait SpaceBackend: Send + Sync {
         0
     }
 
-    /// Deferred `out`: visibility may lag until the backend's next flush
-    /// barrier — any response-bearing operation on the same connection, or
-    /// an explicit [`SpaceBackend::flush`]. Within one connection program
-    /// order is preserved, so a subsequent `inp`/`in` always observes the
-    /// deferred tuple. A deferred tuple of a client that dies before its
-    /// next barrier was never visible and is discarded. The local backend
-    /// is its own barrier: `out_deferred` is exactly `out`.
-    fn out_deferred(&self, t: Tuple) -> Result<(), PlindaError> {
-        self.out(t)
-    }
-
-    /// Bulk deferred `out`; see [`SpaceBackend::out_deferred`].
-    fn out_all_deferred(&self, ts: Vec<Tuple>) -> Result<(), PlindaError> {
-        self.out_all(ts)
-    }
-
     /// Force application of this connection's deferred outs, returning
     /// how many tuples were acknowledged as applied since the last flush.
     /// Immediate backends always report 0.
     fn flush(&self) -> Result<u64, PlindaError> {
         Ok(0)
-    }
-
-    /// Bulk `inp`: withdraw up to `max` matching tuples without blocking,
-    /// as one atomic drain where the backend supports it.
-    fn inp_batch(&self, tmpl: &Template, max: usize) -> Result<Vec<Tuple>, PlindaError> {
-        let mut out = Vec::new();
-        while out.len() < max {
-            match self.inp(tmpl)? {
-                Some(t) => out.push(t),
-                None => break,
-            }
-        }
-        Ok(out)
-    }
-
-    /// Bulk `in` with cancellation: block until at least one match is
-    /// withdrawn, then drain up to `max - 1` more without blocking.
-    /// Returns `Ok(None)` if `cancel` became true while waiting; a
-    /// successful return holds between 1 and `max` tuples.
-    fn in_batch_cancellable(
-        &self,
-        tmpl: &Template,
-        max: usize,
-        cancel: Option<&AtomicBool>,
-    ) -> Result<Option<Vec<Tuple>>, PlindaError> {
-        match self.in_cancellable(tmpl, cancel)? {
-            Some(first) => {
-                let mut got = vec![first];
-                if max > 1 {
-                    got.extend(self.inp_batch(tmpl, max - 1)?);
-                }
-                Ok(Some(got))
-            }
-            None => Ok(None),
-        }
     }
 
     /// Wake every blocked wait so it re-checks its cancel flag. Local
@@ -204,4 +167,80 @@ pub trait SpaceBackend: Send + Sync {
 
     /// Drop the continuation of `pid` (process completed normally).
     fn cont_clear(&self, pid: u64) -> Result<(), PlindaError>;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::capacity;
+    use crate::check::{explore, ExploreConfig};
+    use crate::template::field;
+    use crate::{tup, Broker, BrokerConfig, Template, Tuple, TupleSpace};
+
+    /// One retrieval shape's name, what it returned (sorted) and the
+    /// snapshot it left.
+    type Outcome = (String, Vec<String>, Vec<String>);
+
+    fn sorted(ts: &[Tuple]) -> Vec<String> {
+        let mut v: Vec<String> = ts.iter().map(|t| format!("{t:?}")).collect();
+        v.sort();
+        v
+    }
+
+    /// Run every `poll`/`wait` shape — take and read, `max` 0, 1 and 3,
+    /// against fewer, as many and more matches than the shape may
+    /// return — each on a space restored to the same contents, which
+    /// include a non-matching tuple of the template's signature and one
+    /// of another signature. A `wait` with nothing to match is left out:
+    /// it would park forever.
+    fn shapes(space: &TupleSpace) -> Vec<Outcome> {
+        let backend = space.backend();
+        let tmpl = Template::new(vec![field::val("m"), field::int()]);
+        let mut outcomes = Vec::new();
+        for take in [true, false] {
+            for max in [0, 1, 3] {
+                let cap = capacity(take, max);
+                for matches in [cap - 1, cap, cap + 2] {
+                    let mut contents: Vec<Tuple> =
+                        (0..matches).map(|i| tup!["m", i as i64]).collect();
+                    contents.extend([tup!["n", 0], tup!["m", 0, 0]]);
+                    for block in [false, true].into_iter().filter(|&b| !b || matches > 0) {
+                        backend.restore(contents.clone()).unwrap();
+                        let got = if block {
+                            backend.wait(&tmpl, take, max, None).unwrap().unwrap()
+                        } else {
+                            backend.poll(&tmpl, take, max).unwrap()
+                        };
+                        let shape = format!(
+                            "{} take={take} max={max} matches={matches}",
+                            if block { "wait" } else { "poll" }
+                        );
+                        assert_eq!(got.len(), matches.min(cap), "{shape}");
+                        outcomes.push((shape, sorted(&got), sorted(&backend.snapshot().unwrap())));
+                    }
+                }
+            }
+        }
+        outcomes
+    }
+
+    #[test]
+    fn local_socket_and_scheduled_backends_agree_on_every_retrieval_shape() {
+        let local = shapes(&TupleSpace::new());
+        let socket_path = std::env::temp_dir().join(format!(
+            "fpdm-test-{}-backends-agree.sock",
+            std::process::id()
+        ));
+        let broker = Broker::start(BrokerConfig::new(socket_path)).unwrap();
+        let socket = shapes(&TupleSpace::connect_unix(broker.socket()).unwrap());
+        let cfg = ExploreConfig {
+            random_schedules: 0,
+            ..ExploreConfig::new()
+        };
+        let scheduled = explore(&cfg, |space| shapes(&space))
+            .reference
+            .expect("the scheduled run completed");
+        assert_eq!(local.len(), 31);
+        assert_eq!(socket, local);
+        assert_eq!(scheduled, local);
+    }
 }

@@ -34,6 +34,7 @@ use crate::space::TupleSpace;
 use crate::template::{field, Field, Template};
 use crate::value::{Tuple, TypeTag, Value};
 use std::marker::PhantomData;
+use std::sync::atomic::AtomicBool;
 
 /// A single tuple field that knows how to cross the tuple space.
 ///
@@ -381,9 +382,7 @@ impl<T: Payload> Chan<T> {
 
     /// Blocking withdrawal of the next payload.
     pub fn recv(&self, space: &TupleSpace) -> T {
-        let got = self.unwrap(&space.in_blocking(self.template()));
-        self.note(space, "recv");
-        got
+        self.recv_upto(space, 1).swap_remove(0)
     }
 
     /// Non-blocking withdrawal.
@@ -399,13 +398,26 @@ impl<T: Payload> Chan<T> {
     /// one `in_batch` round trip over a socket backend instead of `max`
     /// individual `recv`s.
     pub fn recv_upto(&self, space: &TupleSpace, max: usize) -> Vec<T> {
+        self.take(space, &self.template(), max, None)
+            .expect("a wait without a cancel flag cannot be cancelled")
+    }
+
+    /// Blocking withdrawal of up to `max` payloads matching `tmpl`, or
+    /// `None` once `cancel` is raised.
+    pub(crate) fn take(
+        &self,
+        space: &TupleSpace,
+        tmpl: &Template,
+        max: usize,
+        cancel: Option<&AtomicBool>,
+    ) -> Option<Vec<T>> {
         let got: Vec<T> = space
-            .in_batch(&self.template(), max)
+            .wait(tmpl, true, max, cancel)?
             .iter()
             .map(|t| self.unwrap(t))
             .collect();
         self.note_n(space, "recv", got.len());
-        got
+        Some(got)
     }
 
     /// Withdraw every currently available payload, in bulk (`inp_batch`)
@@ -432,9 +444,9 @@ impl<T: Payload> Chan<T> {
 
     /// Blocking withdrawal of a tuple carrying exactly `payload`.
     pub fn recv_eq(&self, space: &TupleSpace, payload: &T) -> T {
-        let got = self.unwrap(&space.in_blocking(self.template_eq(payload)));
-        self.note(space, "recv");
-        got
+        self.take(space, &self.template_eq(payload), 1, None)
+            .expect("a wait without a cancel flag cannot be cancelled")
+            .swap_remove(0)
     }
 
     // ---- process-side (workers, inside transactions) ----

@@ -35,6 +35,7 @@ use super::checkers::check_trace;
 use super::trace::{Recorder, Trace};
 use crate::backend::SpaceBackend;
 use crate::process::PlindaError;
+use crate::runtime::panic_message;
 use crate::space::{LocalBackend, TupleSpace};
 use crate::template::Template;
 use crate::value::Tuple;
@@ -363,57 +364,25 @@ impl SpaceBackend for ScheduledBackend {
         self.local.kind()
     }
 
-    fn out(&self, t: Tuple) -> Result<(), PlindaError> {
+    fn out(&self, ts: Vec<Tuple>, deferred: bool) -> Result<(), PlindaError> {
         self.step()?;
-        self.local.out(t)
+        self.local.out(ts, deferred)
     }
 
-    fn out_all(&self, ts: Vec<Tuple>) -> Result<(), PlindaError> {
+    fn poll(&self, tmpl: &Template, take: bool, max: usize) -> Result<Vec<Tuple>, PlindaError> {
         self.step()?;
-        self.local.out_all(ts)
+        self.local.poll(tmpl, take, max)
     }
 
-    fn inp(&self, tmpl: &Template) -> Result<Option<Tuple>, PlindaError> {
-        self.step()?;
-        self.local.inp(tmpl)
-    }
-
-    fn rdp(&self, tmpl: &Template) -> Result<Option<Tuple>, PlindaError> {
-        self.step()?;
-        self.local.rdp(tmpl)
-    }
-
-    fn in_cancellable(
+    fn wait(
         &self,
         tmpl: &Template,
-        cancel: Option<&AtomicBool>,
-    ) -> Result<Option<Tuple>, PlindaError> {
-        self.step_when(tmpl)?;
-        self.local.in_cancellable(tmpl, cancel)
-    }
-
-    fn rd_cancellable(
-        &self,
-        tmpl: &Template,
-        cancel: Option<&AtomicBool>,
-    ) -> Result<Option<Tuple>, PlindaError> {
-        self.step_when(tmpl)?;
-        self.local.rd_cancellable(tmpl, cancel)
-    }
-
-    fn inp_batch(&self, tmpl: &Template, max: usize) -> Result<Vec<Tuple>, PlindaError> {
-        self.step()?;
-        self.local.inp_batch(tmpl, max)
-    }
-
-    fn in_batch_cancellable(
-        &self,
-        tmpl: &Template,
+        take: bool,
         max: usize,
         cancel: Option<&AtomicBool>,
     ) -> Result<Option<Vec<Tuple>>, PlindaError> {
         self.step_when(tmpl)?;
-        self.local.in_batch_cancellable(tmpl, max, cancel)
+        self.local.wait(tmpl, take, max, cancel)
     }
 
     fn kick(&self) {
@@ -501,14 +470,7 @@ fn run_once<R>(
     let result = match (b.failure.take(), result) {
         (Some(why), _) => Err(why),
         (None, Ok(r)) => Ok(r),
-        (None, Err(panic)) => Err(format!(
-            "program panicked: {}",
-            panic
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| panic.downcast_ref::<&str>().copied())
-                .unwrap_or("<non-string payload>")
-        )),
+        (None, Err(panic)) => Err(format!("program panicked: {}", panic_message(&*panic))),
     };
     RunOutcome {
         result,

@@ -501,13 +501,21 @@ impl<T: Payload + 'static, R: Payload + 'static> TaskFarm<T, R> {
 
     /// Blocking withdrawal of the next result.
     pub fn recv(&self) -> R {
-        self.results.recv(&self.space)
+        self.recv_upto(1).swap_remove(0)
     }
 
     /// Blocking bulk withdrawal: at least one result, at most `max`, in
     /// one bulk-take round trip.
     pub fn recv_upto(&self, max: usize) -> Vec<R> {
-        self.results.recv_upto(&self.space, max)
+        self.master_take(&self.results, &self.results.template(), max)
+    }
+
+    /// A master wait on `chan`. A worker panic cancels it and is
+    /// re-raised here, on the caller's thread: the results the dead
+    /// worker owed would otherwise never arrive.
+    fn master_take<P: Payload>(&self, chan: &Chan<P>, tmpl: &Template, max: usize) -> Vec<P> {
+        chan.take(&self.space, tmpl, max, Some(self.rt.panicked()))
+            .unwrap_or_else(|| self.rt.raise_worker_panic())
     }
 
     /// Non-blocking withdrawal of a result.
@@ -531,7 +539,7 @@ impl<T: Payload + 'static, R: Payload + 'static> TaskFarm<T, R> {
     /// Block until the work counter reaches zero, withdrawing the zero
     /// tuple (so the counter channel ends empty).
     pub fn await_quiescent(&self) {
-        self.counter.recv_eq(&self.space, &0);
+        self.master_take(&self.counter, &self.counter.template_eq(&0), 1);
     }
 
     /// Failures detected (and re-spawns performed) so far.
@@ -564,6 +572,9 @@ impl<T: Payload + 'static, R: Payload + 'static> TaskFarm<T, R> {
             self.space.out(self.tasks.tuple(key, POISON, &pill));
         }
         self.rt.join();
+        if self.rt.panicked().load(Ordering::SeqCst) {
+            self.rt.raise_worker_panic();
+        }
         let finished = self.epoch.elapsed().as_nanos() as u64;
         let worker_stats: Vec<WorkerStats> = self
             .stats

@@ -1147,9 +1147,10 @@ impl Ledger {
             .observe(v);
     }
 
-    /// One bulk take (`inp_batch`/`in_batch`) that returned `k` tuples.
-    /// The counter and the histogram move together, so `net.batch.ops`
-    /// always equals the sum of `net.batch.occupancy`.
+    /// One batched exchange with a broker that returned `k` tuples: a
+    /// socket `poll` or `wait` that is a take with `max > 1`, whatever
+    /// facade call made it. The counter and the histogram move together,
+    /// so `net.batch.ops` always equals the sum of `net.batch.occupancy`.
     fn batch(&mut self, k: u64) {
         self.add("net.batch.ops", k);
         self.observe("net.batch.occupancy", k);

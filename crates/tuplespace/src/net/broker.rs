@@ -44,6 +44,7 @@
 
 use super::frame::{encode_frame, FrameEvent, FrameReader};
 use super::proto::{Req, ReqBody, Resp, RespBody};
+use crate::backend::capacity;
 use crate::process::PlindaError;
 use crate::space::{write_atomically, TupleSpace};
 use crate::template::Template;
@@ -139,14 +140,9 @@ fn send(writer: &Arc<Mutex<UnixStream>>, resp: &Resp) {
     }
 }
 
-/// How many tuples a retrieval may return: `max` for a take (a `max` of 0
-/// counts as 1), one for a read.
-fn capacity(take: bool, max: u64) -> usize {
-    if take {
-        usize::try_from(max).unwrap_or(usize::MAX).max(1)
-    } else {
-        1
-    }
+/// A wire `max` as a retrieval capacity (see [`capacity`]).
+fn wire_capacity(take: bool, max: u64) -> usize {
+    capacity(take, usize::try_from(max).unwrap_or(usize::MAX))
 }
 
 /// Retrieve up to `max` matches of `tmpl` from the space without blocking,
@@ -159,11 +155,10 @@ fn grab(
     take: bool,
     max: usize,
 ) -> Vec<Tuple> {
-    if !take {
-        return space.rdp(tmpl).into_iter().collect();
+    let got = space.poll(tmpl, take, max);
+    if take {
+        record_tentative(sync, conn, &got);
     }
-    let got = space.inp_batch(tmpl, max);
-    record_tentative(sync, conn, &got);
     got
 }
 
@@ -231,7 +226,7 @@ fn deliver(sync: &mut SyncState, space: &TupleSpace, ts: Vec<Tuple>) {
         if got.len() < w.max {
             // Top the waiter up from the space: tuples that were already
             // resident still count toward its max.
-            got.extend(space.inp_batch(&w.tmpl, w.max - got.len()));
+            got.extend(space.poll(&w.tmpl, true, w.max - got.len()));
         }
         record_tentative(sync, w.conn, &got);
         answer(&w, got);
@@ -300,11 +295,16 @@ fn handle(shared: &Shared, conn: u64, writer: &Arc<Mutex<UnixStream>>, req: Req)
             RespBody::Ok
         }
         ReqBody::Flush => RespBody::Num(ack_deferred(sync, conn)),
-        ReqBody::Poll { tmpl, take, max } => {
-            RespBody::Tuples(grab(sync, space, conn, &tmpl, take, capacity(take, max)))
-        }
+        ReqBody::Poll { tmpl, take, max } => RespBody::Tuples(grab(
+            sync,
+            space,
+            conn,
+            &tmpl,
+            take,
+            wire_capacity(take, max),
+        )),
         ReqBody::Wait { tmpl, take, max } => {
-            let max = capacity(take, max);
+            let max = wire_capacity(take, max);
             let got = grab(sync, space, conn, &tmpl, take, max);
             if got.is_empty() {
                 sync.waiters.push(Waiter {

@@ -19,32 +19,33 @@
 //!
 //! ## Batching
 //!
-//! The singular and bulk methods of [`SpaceBackend`] travel as the same
-//! frames (see [`super::proto`]), so `inp_batch` and
-//! `in_batch_cancellable` withdraw up to `max` tuples in one round trip.
+//! Each of the three [`SpaceBackend`] retrieval shapes is one frame (see
+//! [`super::proto`]): `out` is `Out` or `OutDeferred`, `poll` is `Poll`
+//! and `wait` is `Wait`, so a take of up to `max` tuples costs one round
+//! trip whatever `max` is.
 //!
-//! Deferred outs (`out_deferred`/`out_all_deferred`) are encoded into a
-//! per-connection write-coalescing buffer and cost no round-trip and no
-//! syscall of their own: the buffered frames go to the kernel in the same
-//! `write` as the next request. Because every request frame is sent
-//! behind the buffered deferred frames, and the broker applies a
-//! connection's parked outs before answering anything else, program order
-//! is preserved structurally — a blocking wait can never overtake this
+//! Deferred outs are encoded into a per-connection write-coalescing
+//! buffer and cost no round-trip and no syscall of their own: the
+//! buffered frames go to the kernel in the same `write` as the next
+//! request. Because every request frame is sent behind the buffered
+//! deferred frames, and the broker applies a connection's parked outs
+//! before answering anything else, program order is preserved
+//! structurally — a blocking wait can never overtake this
 //! connection's own deferred outs. After `DEFER_WINDOW` unacked tuples the
 //! client forces a `Flush` round-trip, and `txn_commit` acknowledges them
 //! in the commit's own round trip.
 //!
 //! Instrumentation events are emitted *client-side*, the same events the
 //! local backend emits, so the `fpdm.metrics.v1` ledger and the `check`
-//! analyzers see the same shape either way. They follow the API call, not
-//! the frame: `in_cancellable` reports a single take although it travels
-//! as a `Wait` with `max: 1`. Partition occupancy is broker state, so
-//! these events carry none and the ledger keeps no occupancy gauges for a
+//! analyzers see the same shape either way. A `poll` or `wait` counts as
+//! a batched exchange (the ledger's `net.batch.*`) exactly when it is a
+//! take with `max > 1`. Partition occupancy is broker state, so these
+//! events carry none and the ledger keeps no occupancy gauges for a
 //! socket-backed space.
 
 use super::frame::{encode_frame, FrameEvent, FrameReader};
 use super::proto::{Req, ReqBody, ReqOp, Resp, RespBody};
-use crate::backend::SpaceBackend;
+use crate::backend::{capacity, SpaceBackend};
 use crate::check::trace::OpKind;
 use crate::probe::{Event, Probe};
 use crate::process::PlindaError;
@@ -178,111 +179,6 @@ impl SocketBackend {
         tuples(op, self.rpc(body)?, 0..=max)
     }
 
-    /// Non-blocking `inp`/`rdp`/`inp_batch` over one `Poll`, emitting
-    /// `Found`, or a `Miss` when nothing matched.
-    fn poll(
-        &self,
-        tmpl: &Template,
-        take: bool,
-        max: usize,
-        batch: bool,
-    ) -> Result<Vec<Tuple>, PlindaError> {
-        let got = self.rpc_tuples(
-            ReqBody::Poll {
-                tmpl: tmpl.clone(),
-                take,
-                max: max as u64,
-            },
-            max,
-        )?;
-        self.probe.emit(if got.is_empty() {
-            Event::Miss {
-                op: if take { OpKind::Inp } else { OpKind::Rdp },
-                template: tmpl,
-                batch,
-            }
-        } else {
-            Event::Found {
-                withdrawn: take,
-                tuples: &got,
-                occupancy: None,
-                batch,
-            }
-        });
-        Ok(got)
-    }
-
-    /// Blocking `in`/`rd`/`in_batch` with cancellation, over one `Wait`
-    /// polled for its answer. A successful return holds 1..=max tuples.
-    fn blocking_wait(
-        &self,
-        tmpl: &Template,
-        cancel: Option<&AtomicBool>,
-        take: bool,
-        max: usize,
-        batch: bool,
-    ) -> Result<Option<Vec<Tuple>>, PlindaError> {
-        let cancelled = |c: Option<&AtomicBool>| c.is_some_and(|c| c.load(Ordering::SeqCst));
-        if cancelled(cancel) {
-            self.probe.emit(Event::WaitCancelled);
-            return Ok(None);
-        }
-        let (mut blocked, mut block_start) = (false, None);
-        let got = self.with_conn(|conn| {
-            let wait_seq = send(
-                conn,
-                ReqBody::Wait {
-                    tmpl: tmpl.clone(),
-                    take,
-                    max: max as u64,
-                },
-            )?;
-            loop {
-                match next_resp(conn)? {
-                    Some(resp) if resp.seq == wait_seq => {
-                        return tuples(ReqOp::Wait, resp.body, 1..=max).map(Some)
-                    }
-                    Some(resp) => return Err(stray(&resp)),
-                    None => {
-                        if !blocked {
-                            blocked = true;
-                            let op = if take { OpKind::In } else { OpKind::Rd };
-                            block_start = self
-                                .probe
-                                .emit(Event::Block { op, template: tmpl })
-                                .then(Instant::now);
-                        }
-                        if cancelled(cancel) {
-                            cancel_wait(conn, wait_seq, take, max)?;
-                            return Ok(None);
-                        }
-                    }
-                }
-            }
-        })?;
-        match got {
-            Some(ts) => {
-                // A cancel may have raced the arrival; `cancel_wait` already
-                // returned the tuples to the space in that case and reported
-                // None, so reaching here means the wait truly succeeded.
-                if blocked {
-                    self.probe.emit(Event::Wake { since: block_start });
-                }
-                self.probe.emit(Event::Found {
-                    withdrawn: take,
-                    tuples: &ts,
-                    occupancy: None,
-                    batch,
-                });
-                Ok(Some(ts))
-            }
-            None => {
-                self.probe.emit(Event::WaitCancelled);
-                Ok(None)
-            }
-        }
-    }
-
     /// Emit the visibility of `tuples` before they are sent, mirroring the
     /// local backend's "emit at the visibility point" — the broker makes
     /// them visible on receipt, and this client observes no earlier point.
@@ -296,25 +192,6 @@ impl SocketBackend {
             occupancy: None,
             deferred,
         });
-    }
-
-    /// Deferred `out` of a non-empty batch: one coalesced `OutDeferred`
-    /// frame, with no response to await.
-    fn defer(&self, ts: Vec<Tuple>) -> Result<(), PlindaError> {
-        // Emitted at enqueue, like `out`: within this connection the tuples
-        // are observable by every later operation (the broker applies
-        // parked outs before answering anything), and no other process can
-        // distinguish "parked" from "in flight".
-        self.emit_out(&ts, true);
-        let n = ts.len() as u64;
-        self.with_conn(|conn| {
-            queue(conn, ReqBody::OutDeferred(ts));
-            conn.unacked_deferred += n;
-            if conn.unacked_deferred >= DEFER_WINDOW {
-                flush_conn(conn, &self.probe)?;
-            }
-            Ok(())
-        })
     }
 }
 
@@ -447,76 +324,134 @@ impl SpaceBackend for SocketBackend {
         "unix-socket"
     }
 
-    fn out(&self, t: Tuple) -> Result<(), PlindaError> {
-        self.emit_out(std::slice::from_ref(&t), false);
-        self.rpc_ok(ReqBody::Out(vec![t]))
-    }
-
-    fn out_all(&self, ts: Vec<Tuple>) -> Result<(), PlindaError> {
+    /// A deferred batch is one coalesced `OutDeferred` frame with no
+    /// response to await.
+    fn out(&self, ts: Vec<Tuple>, deferred: bool) -> Result<(), PlindaError> {
         if ts.is_empty() {
             return Ok(());
         }
-        self.emit_out(&ts, false);
-        self.rpc_ok(ReqBody::Out(ts))
-    }
-
-    fn inp(&self, tmpl: &Template) -> Result<Option<Tuple>, PlindaError> {
-        Ok(self.poll(tmpl, true, 1, false)?.pop())
-    }
-
-    fn rdp(&self, tmpl: &Template) -> Result<Option<Tuple>, PlindaError> {
-        Ok(self.poll(tmpl, false, 1, false)?.pop())
-    }
-
-    fn in_cancellable(
-        &self,
-        tmpl: &Template,
-        cancel: Option<&AtomicBool>,
-    ) -> Result<Option<Tuple>, PlindaError> {
-        Ok(self
-            .blocking_wait(tmpl, cancel, true, 1, false)?
-            .and_then(|mut got| got.pop()))
-    }
-
-    fn rd_cancellable(
-        &self,
-        tmpl: &Template,
-        cancel: Option<&AtomicBool>,
-    ) -> Result<Option<Tuple>, PlindaError> {
-        Ok(self
-            .blocking_wait(tmpl, cancel, false, 1, false)?
-            .and_then(|mut got| got.pop()))
-    }
-
-    fn out_deferred(&self, t: Tuple) -> Result<(), PlindaError> {
-        self.defer(vec![t])
-    }
-
-    fn out_all_deferred(&self, ts: Vec<Tuple>) -> Result<(), PlindaError> {
-        if ts.is_empty() {
-            return Ok(());
+        // A deferred batch is emitted at enqueue, like an immediate one:
+        // within this connection the tuples are observable by every later
+        // operation (the broker applies parked outs before answering
+        // anything), and no other process can distinguish "parked" from
+        // "in flight".
+        self.emit_out(&ts, deferred);
+        if !deferred {
+            return self.rpc_ok(ReqBody::Out(ts));
         }
-        self.defer(ts)
+        let n = ts.len() as u64;
+        self.with_conn(|conn| {
+            queue(conn, ReqBody::OutDeferred(ts));
+            conn.unacked_deferred += n;
+            if conn.unacked_deferred >= DEFER_WINDOW {
+                flush_conn(conn, &self.probe)?;
+            }
+            Ok(())
+        })
+    }
+
+    /// One `Poll` round trip, emitting `Found`, or a `Miss` when nothing
+    /// matched.
+    fn poll(&self, tmpl: &Template, take: bool, max: usize) -> Result<Vec<Tuple>, PlindaError> {
+        let max = capacity(take, max);
+        let got = self.rpc_tuples(
+            ReqBody::Poll {
+                tmpl: tmpl.clone(),
+                take,
+                max: max as u64,
+            },
+            max,
+        )?;
+        let batch = take && max > 1;
+        self.probe.emit(if got.is_empty() {
+            Event::Miss {
+                op: if take { OpKind::Inp } else { OpKind::Rdp },
+                template: tmpl,
+                batch,
+            }
+        } else {
+            Event::Found {
+                withdrawn: take,
+                tuples: &got,
+                occupancy: None,
+                batch,
+            }
+        });
+        Ok(got)
+    }
+
+    /// One `Wait`, polled for its answer.
+    fn wait(
+        &self,
+        tmpl: &Template,
+        take: bool,
+        max: usize,
+        cancel: Option<&AtomicBool>,
+    ) -> Result<Option<Vec<Tuple>>, PlindaError> {
+        let cancelled = |c: Option<&AtomicBool>| c.is_some_and(|c| c.load(Ordering::SeqCst));
+        if cancelled(cancel) {
+            self.probe.emit(Event::WaitCancelled);
+            return Ok(None);
+        }
+        let max = capacity(take, max);
+        let (mut blocked, mut block_start) = (false, None);
+        let got = self.with_conn(|conn| {
+            let wait_seq = send(
+                conn,
+                ReqBody::Wait {
+                    tmpl: tmpl.clone(),
+                    take,
+                    max: max as u64,
+                },
+            )?;
+            loop {
+                match next_resp(conn)? {
+                    Some(resp) if resp.seq == wait_seq => {
+                        return tuples(ReqOp::Wait, resp.body, 1..=max).map(Some)
+                    }
+                    Some(resp) => return Err(stray(&resp)),
+                    None => {
+                        if !blocked {
+                            blocked = true;
+                            let op = if take { OpKind::In } else { OpKind::Rd };
+                            block_start = self
+                                .probe
+                                .emit(Event::Block { op, template: tmpl })
+                                .then(Instant::now);
+                        }
+                        if cancelled(cancel) {
+                            cancel_wait(conn, wait_seq, take, max)?;
+                            return Ok(None);
+                        }
+                    }
+                }
+            }
+        })?;
+        match got {
+            Some(ts) => {
+                // A cancel may have raced the arrival; `cancel_wait` already
+                // returned the tuples to the space in that case and reported
+                // None, so reaching here means the wait truly succeeded.
+                if blocked {
+                    self.probe.emit(Event::Wake { since: block_start });
+                }
+                self.probe.emit(Event::Found {
+                    withdrawn: take,
+                    tuples: &ts,
+                    occupancy: None,
+                    batch: take && max > 1,
+                });
+                Ok(Some(ts))
+            }
+            None => {
+                self.probe.emit(Event::WaitCancelled);
+                Ok(None)
+            }
+        }
     }
 
     fn flush(&self) -> Result<u64, PlindaError> {
         self.with_conn(|conn| flush_conn(conn, &self.probe))
-    }
-
-    fn inp_batch(&self, tmpl: &Template, max: usize) -> Result<Vec<Tuple>, PlindaError> {
-        if max == 0 {
-            return Ok(Vec::new());
-        }
-        self.poll(tmpl, true, max, true)
-    }
-
-    fn in_batch_cancellable(
-        &self,
-        tmpl: &Template,
-        max: usize,
-        cancel: Option<&AtomicBool>,
-    ) -> Result<Option<Vec<Tuple>>, PlindaError> {
-        self.blocking_wait(tmpl, cancel, true, max.max(1), max > 1)
     }
 
     fn kick(&self) {

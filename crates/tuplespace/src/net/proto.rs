@@ -13,13 +13,14 @@
 //!
 //! One frame per Linda operation family: 15 request frames ([`ReqOp`])
 //! and 5 response frames ([`RespOp`]), each declared once with its wire
-//! code. A singular operation and its bulk form share a frame. `Out`
-//! carries one tuple or many. `Poll { tmpl, take, max }` is `inp`, `rdp`
-//! and `inp_batch`, and `Wait { tmpl, take, max }` is `in`, `rd` and
-//! `in_batch`. Every retrieval is answered with `Tuples`: possibly empty
-//! for a `Poll`, never empty for a `Wait`. A take returns at most `max`
-//! tuples (a `max` of 0 counts as 1), and a read (`take: false`) returns
-//! at most one, whatever its `max`.
+//! code. The frames carry the three shapes of
+//! [`crate::backend::SpaceBackend`]: `Out`/`OutDeferred` is its `out`
+//! (one tuple or many), `Poll { tmpl, take, max }` its `poll` (`inp`,
+//! `rdp`, `inp_batch`) and `Wait { tmpl, take, max }` its `wait` (`in`,
+//! `rd`, `in_batch`). Every retrieval is answered with `Tuples`: possibly
+//! empty for a `Poll`, never empty for a `Wait`. A take returns at most
+//! `max` tuples (a `max` of 0 counts as 1), and a read (`take: false`)
+//! returns at most one, whatever its `max`.
 //!
 //! Blocking waits are asymmetric: a `Wait` that cannot be satisfied
 //! immediately gets *no* response until a matching tuple arrives; the

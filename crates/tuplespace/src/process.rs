@@ -25,6 +25,7 @@
 //! [`PlindaError::Transport`] / [`PlindaError::Codec`] from the
 //! transactional operations instead of panics.
 
+use crate::backend::capacity;
 use crate::check::trace;
 use crate::probe::Event;
 use crate::space::TupleSpace;
@@ -314,26 +315,7 @@ impl Process {
     /// `in`: blocking withdrawal. Returns [`PlindaError::Killed`] if this
     /// process is killed while blocked or before the call.
     pub fn in_(&mut self, tmpl: Template) -> Result<Tuple, PlindaError> {
-        self.check_alive()?;
-        // A transaction's own buffered outs are visible to it (PLinda
-        // processes routinely `out` then `in` within one transaction).
-        if let Some(txn) = &mut self.txn {
-            if let Some(i) = txn.outbox.iter().position(|t| tmpl.matches(t)) {
-                let t = txn.outbox.remove(i);
-                self.self_in(std::slice::from_ref(&t));
-                return Ok(t);
-            }
-        }
-        self.state.set_status(ProcessStatus::Blocked);
-        let got = self.as_actor(|s| s.backend().in_cancellable(&tmpl, Some(&self.state.killed)));
-        self.state.set_status(ProcessStatus::Running);
-        match got? {
-            Some(t) => {
-                self.tentative_in(std::slice::from_ref(&t));
-                Ok(t)
-            }
-            None => Err(PlindaError::Killed),
-        }
+        Ok(self.retrieve(&tmpl, true, 1, true)?.swap_remove(0))
     }
 
     /// Bulk `in`: blocking withdrawal of up to `max` matching tuples in
@@ -343,88 +325,79 @@ impl Process {
     /// and `max` tuples. The transaction's own buffered outs are consumed
     /// first (self-in), then the space tops the batch up.
     pub fn in_batch(&mut self, tmpl: Template, max: usize) -> Result<Vec<Tuple>, PlindaError> {
-        self.check_alive()?;
-        if max <= 1 {
-            return Ok(vec![self.in_(tmpl)?]);
-        }
-        let mut got = Vec::new();
-        if let Some(txn) = &mut self.txn {
-            while got.len() < max {
-                match txn.outbox.iter().position(|t| tmpl.matches(t)) {
-                    Some(i) => got.push(txn.outbox.remove(i)),
-                    None => break,
-                }
-            }
-            self.self_in(&got);
-            if got.len() >= max {
-                return Ok(got);
-            }
-        }
-        let want = max - got.len();
-        let from_space = if got.is_empty() {
-            self.state.set_status(ProcessStatus::Blocked);
-            let more = self.as_actor(|s| {
-                s.backend()
-                    .in_batch_cancellable(&tmpl, want, Some(&self.state.killed))
-            });
-            self.state.set_status(ProcessStatus::Running);
-            match more? {
-                Some(ts) => ts,
-                None => return Err(PlindaError::Killed),
-            }
-        } else {
-            // The outbox already satisfied the blocking part; only top the
-            // batch up with whatever the space holds right now.
-            self.as_actor(|s| s.backend().inp_batch(&tmpl, want))?
-        };
-        self.tentative_in(&from_space);
-        got.extend(from_space);
-        Ok(got)
+        self.retrieve(&tmpl, true, max, true)
     }
 
     /// `inp`: non-blocking withdrawal.
     pub fn inp(&mut self, tmpl: &Template) -> Result<Option<Tuple>, PlindaError> {
-        self.check_alive()?;
-        if let Some(txn) = &mut self.txn {
-            if let Some(i) = txn.outbox.iter().position(|t| tmpl.matches(t)) {
-                let t = txn.outbox.remove(i);
-                self.self_in(std::slice::from_ref(&t));
-                return Ok(Some(t));
-            }
-        }
-        let got = self.as_actor(|s| s.backend().inp(tmpl))?;
-        if let Some(t) = &got {
-            self.tentative_in(std::slice::from_ref(t));
-        }
-        Ok(got)
+        Ok(self.retrieve(tmpl, true, 1, false)?.pop())
     }
 
     /// `rd`: blocking read (copy).
     pub fn rd(&mut self, tmpl: Template) -> Result<Tuple, PlindaError> {
-        self.check_alive()?;
-        if let Some(txn) = &self.txn {
-            if let Some(t) = txn.outbox.iter().find(|t| tmpl.matches(t)) {
-                return Ok(t.clone());
-            }
-        }
-        self.state.set_status(ProcessStatus::Blocked);
-        let got = self.as_actor(|s| s.backend().rd_cancellable(&tmpl, Some(&self.state.killed)));
-        self.state.set_status(ProcessStatus::Running);
-        match got? {
-            Some(t) => Ok(t),
-            None => Err(PlindaError::Killed),
-        }
+        Ok(self.retrieve(&tmpl, false, 1, true)?.swap_remove(0))
     }
 
     /// `rdp`: non-blocking read.
     pub fn rdp(&mut self, tmpl: &Template) -> Result<Option<Tuple>, PlindaError> {
+        Ok(self.retrieve(tmpl, false, 1, false)?.pop())
+    }
+
+    /// Every retrieval. A transaction's own buffered outs are visible to
+    /// it (PLinda processes routinely `out` then `in` within one
+    /// transaction), so the outbox serves first: a take withdraws from it
+    /// (self-in), a read copies. The space serves the rest — a `wait` if
+    /// the outbox found nothing and the call blocks, else a `poll` for
+    /// what remains — and its withdrawals become tentative. A blocking
+    /// call returns at least one tuple.
+    fn retrieve(
+        &mut self,
+        tmpl: &Template,
+        take: bool,
+        max: usize,
+        block: bool,
+    ) -> Result<Vec<Tuple>, PlindaError> {
         self.check_alive()?;
-        if let Some(txn) = &self.txn {
-            if let Some(t) = txn.outbox.iter().find(|t| tmpl.matches(t)) {
-                return Ok(Some(t.clone()));
+        let max = capacity(take, max);
+        let mut got = Vec::new();
+        if let Some(txn) = &mut self.txn {
+            while got.len() < max {
+                match txn.outbox.iter().position(|t| tmpl.matches(t)) {
+                    Some(i) if take => got.push(txn.outbox.remove(i)),
+                    Some(i) => got.push(txn.outbox[i].clone()),
+                    None => break,
+                }
             }
         }
-        self.as_actor(|s| s.backend().rdp(tmpl))
+        if take && !got.is_empty() {
+            self.space.emit(Event::SelfIn {
+                pid: self.pid,
+                txn: self.txn_seq,
+                tuples: &got,
+            });
+        }
+        if got.len() == max {
+            return Ok(got);
+        }
+        let from_space = if got.is_empty() && block {
+            self.state.set_status(ProcessStatus::Blocked);
+            let waited =
+                self.as_actor(|s| s.backend().wait(tmpl, take, max, Some(&self.state.killed)));
+            self.state.set_status(ProcessStatus::Running);
+            waited?.ok_or(PlindaError::Killed)?
+        } else {
+            self.as_actor(|s| s.backend().poll(tmpl, take, max - got.len()))?
+        };
+        if let Some(txn) = self.txn.as_mut().filter(|_| take && !from_space.is_empty()) {
+            self.space.emit(Event::TentativeIn {
+                pid: self.pid,
+                txn: self.txn_seq,
+                tuples: &from_space,
+            });
+            txn.consumed.extend_from_slice(&from_space);
+        }
+        got.extend(from_space);
+        Ok(got)
     }
 
     /// Commit the open transaction: atomically publish buffered `out`s and
@@ -498,29 +471,6 @@ impl Process {
         });
         let _ = self.as_actor(|s| s.backend().txn_abort(self.pid, txn.consumed));
     }
-
-    /// Withdrawals satisfied from the open transaction's own outbox.
-    fn self_in(&self, tuples: &[Tuple]) {
-        if !tuples.is_empty() {
-            self.space.emit(Event::SelfIn {
-                pid: self.pid,
-                txn: self.txn_seq,
-                tuples,
-            });
-        }
-    }
-
-    /// Space withdrawals that become tentative if a transaction is open.
-    fn tentative_in(&mut self, tuples: &[Tuple]) {
-        if let Some(txn) = &mut self.txn {
-            self.space.emit(Event::TentativeIn {
-                pid: self.pid,
-                txn: self.txn_seq,
-                tuples,
-            });
-            txn.consumed.extend_from_slice(tuples);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -575,6 +525,73 @@ mod tests {
         assert_eq!(space.len(), 1);
         let back = space.inp(&t_task()).unwrap();
         assert_eq!(back.int(1), 1, "original tuple restored, not the outbox");
+    }
+
+    /// Every retrieval against `k` outbox and `m` space matches: the
+    /// outbox serves first, the space tops up, an abort restores exactly
+    /// the space's withdrawals and drops the outbox, and a commit
+    /// publishes what was neither taken nor dropped.
+    #[test]
+    fn retrievals_serve_the_outbox_first_and_abort_or_commit_the_rest() {
+        for op in ["in_", "in_batch", "inp", "rd", "rdp"] {
+            for (k, m) in [(0, 0), (0, 2), (1, 0), (1, 2), (3, 0), (3, 2)] {
+                for commit in [false, true] {
+                    retrieve_case(op, k, m, commit);
+                }
+            }
+        }
+    }
+
+    fn retrieve_case(op: &str, k: i64, m: i64, commit: bool) {
+        const BATCH: usize = 4;
+        let (take, blocks) = (!op.starts_with("rd"), !op.ends_with('p'));
+        if blocks && k + m == 0 {
+            return; // would park forever
+        }
+        let (mut p, space, state) = mk();
+        let in_space: Vec<i64> = (100..100 + m).collect();
+        for &i in &in_space {
+            space.out(tup!["task", i]);
+        }
+        p.xstart().unwrap();
+        for i in 0..k {
+            p.out(tup!["task", i]);
+        }
+        let got: Vec<i64> = match op {
+            "in_" => vec![p.in_(t_task()).unwrap()],
+            "in_batch" => p.in_batch(t_task(), BATCH).unwrap(),
+            "inp" => p.inp(&t_task()).unwrap().into_iter().collect(),
+            "rd" => vec![p.rd(t_task()).unwrap()],
+            _ => p.rdp(&t_task()).unwrap().into_iter().collect(),
+        }
+        .iter()
+        .map(|t| t.int(1))
+        .collect();
+        let case = format!("{op} k={k} m={m} commit={commit}: got {got:?}");
+        let cap = if op == "in_batch" { BATCH } else { 1 };
+        let from_outbox = (k as usize).min(cap);
+        let from_space = (m as usize).min(cap - from_outbox);
+        assert_eq!(
+            got.iter().filter(|&&i| i < 100).count(),
+            from_outbox,
+            "{case}"
+        );
+        assert_eq!(got.len(), from_outbox + from_space, "{case}");
+        let want: Vec<i64> = if commit {
+            p.xcommit(None).unwrap();
+            let mut left: Vec<i64> = (0..k).chain(in_space).collect();
+            if take {
+                left.retain(|i| !got.contains(i));
+            }
+            left
+        } else {
+            state.kill();
+            p.abort();
+            in_space
+        };
+        let mut have: Vec<i64> = space.snapshot().iter().map(|t| t.int(1)).collect();
+        have.sort_unstable();
+        assert_eq!(have, want, "{case}");
     }
 
     #[test]

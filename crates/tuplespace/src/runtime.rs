@@ -15,7 +15,9 @@ use crate::probe::Event;
 use crate::process::{PlindaError, Process, ProcessState, ProcessStatus};
 use crate::space::TupleSpace;
 use parking_lot::Mutex;
+use std::any::Any;
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -42,6 +44,24 @@ pub struct Runtime {
     respawns: Arc<AtomicU64>,
     shutdown: Arc<AtomicBool>,
     ckpt_stop: Arc<AtomicBool>,
+    panicked: Arc<Panicked>,
+}
+
+/// The first worker panic of a runtime.
+#[derive(Default)]
+struct Panicked {
+    /// Raised after `message` is set.
+    flag: AtomicBool,
+    message: Mutex<Option<String>>,
+}
+
+/// The message a panic was raised with.
+pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| payload.downcast_ref::<&str>().copied())
+        .unwrap_or("<non-string payload>")
 }
 
 impl Default for Runtime {
@@ -73,6 +93,7 @@ impl Runtime {
             respawns: Arc::new(AtomicU64::new(0)),
             shutdown: Arc::new(AtomicBool::new(false)),
             ckpt_stop: Arc::new(AtomicBool::new(false)),
+            panicked: Arc::default(),
         }
     }
 
@@ -96,12 +117,30 @@ impl Runtime {
         Process::new(pid, self.space(), state)
     }
 
+    /// Raised once a worker of this runtime panicked: the cancel flag of a
+    /// master wait that the dead worker might otherwise leave parked
+    /// forever.
+    pub(crate) fn panicked(&self) -> &AtomicBool {
+        &self.panicked.flag
+    }
+
+    /// Panic on the calling thread with the message of the worker panic
+    /// that raised [`Runtime::panicked`].
+    pub(crate) fn raise_worker_panic(&self) -> ! {
+        let message = self.panicked.message.lock().clone();
+        panic!("{}", message.unwrap_or_default())
+    }
+
     /// `proc_eval`: spawn a worker process running `f` on its own thread.
     ///
     /// If the process is killed, its open transaction is aborted and it is
     /// re-spawned (same logical pid, so `xrecover` finds the predecessor's
     /// continuation) until it completes with `Ok(())` or the runtime shuts
-    /// down. Returns the logical pid.
+    /// down. Returns the logical pid. If `f` panics, its open transaction
+    /// is aborted and the worker retires without a respawn — a panic is a
+    /// bug, not a machine failure — and the runtime records the panic, so
+    /// a [`crate::TaskFarm`] master waiting on the worker panics with its
+    /// message instead of waiting forever.
     pub fn spawn<F>(&self, name: &str, f: F) -> u64
     where
         F: Fn(&mut Process) -> WorkerResult + Send + Sync + 'static,
@@ -112,6 +151,7 @@ impl Runtime {
         let thread_state = Arc::clone(&state);
         let respawns = Arc::clone(&self.respawns);
         let shutdown = Arc::clone(&self.shutdown);
+        let panicked = Arc::clone(&self.panicked);
         let name = name.to_owned();
         // On the explorer's scheduled space the thread takes its seat here,
         // in the spawning thread, so schedule choice never races its
@@ -126,13 +166,25 @@ impl Runtime {
                 let protocol_error = loop {
                     let mut proc = Process::new(pid, Arc::clone(&space), Arc::clone(&thread_state));
                     thread_state.set_status(ProcessStatus::Running);
-                    match f(&mut proc) {
-                        Ok(()) => {
+                    match catch_unwind(AssertUnwindSafe(|| f(&mut proc))) {
+                        Err(payload) => {
+                            proc.abort();
+                            thread_state.set_status(ProcessStatus::Done);
+                            let message = format!(
+                                "plinda worker {pid} panicked: {}",
+                                panic_message(&*payload)
+                            );
+                            panicked.message.lock().get_or_insert(message);
+                            panicked.flag.store(true, Ordering::SeqCst);
+                            space.backend().kick();
+                            break false;
+                        }
+                        Ok(Ok(())) => {
                             let _ = space.backend().cont_clear(pid);
                             thread_state.set_status(ProcessStatus::Done);
                             break false;
                         }
-                        Err(PlindaError::Killed) => {
+                        Ok(Err(PlindaError::Killed)) => {
                             proc.abort();
                             if shutdown.load(Ordering::SeqCst) {
                                 break false;
@@ -144,7 +196,7 @@ impl Runtime {
                             space.emit(Event::Respawn { pid });
                             space.backend().kick();
                         }
-                        Err(other) => {
+                        Ok(Err(other)) => {
                             // A protocol violation (nested xstart, commit
                             // outside a transaction) is not a machine failure:
                             // abort the open transaction so no partial effects

@@ -26,7 +26,7 @@
 //! `restore`) acquire partition locks in sorted-signature order, so the
 //! lock graph is acyclic.
 
-use crate::backend::SpaceBackend;
+use crate::backend::{capacity, SpaceBackend};
 use crate::check::explore::ScheduledBackend;
 use crate::check::trace::{OpKind, Recorder};
 use crate::codec;
@@ -55,7 +55,7 @@ pub(crate) struct LocalBackend {
     registry: Mutex<HashMap<Sig, Arc<Partition>>>,
     /// Total visible tuples (kept in sync under partition locks).
     len: AtomicUsize,
-    /// Threads currently parked in [`LocalBackend::wait_on_partition`].
+    /// Threads currently parked in a blocking [`SpaceBackend::wait`].
     waiting: AtomicUsize,
     /// Continuations of committed transactions, keyed by logical pid.
     conts: ContinuationStore,
@@ -154,10 +154,11 @@ impl LocalBackend {
         }
     }
 
-    /// Withdraw up to `max` tuples matching `tmpl` from a locked
-    /// partition — or, with `withdraw` false, copy the first one — keeping
-    /// `self.len` in step and emitting them as one `Found`. Bulk takes
-    /// thus acquire the partition lock once per batch, not once per tuple.
+    /// Withdraw up to `max` tuples matching `tmpl` from a locked partition
+    /// (a `max` of 0 counts as 1) — or, with `withdraw` false, copy the
+    /// first one — keeping `self.len` in step and emitting them as one
+    /// `Found`. Bulk takes thus acquire the partition lock once per batch,
+    /// not once per tuple.
     /// Order within a partition is not part of the Linda contract;
     /// swap_remove keeps withdrawal O(1).
     fn grab(
@@ -167,6 +168,7 @@ impl LocalBackend {
         withdraw: bool,
         max: usize,
     ) -> Vec<Tuple> {
+        let max = capacity(withdraw, max);
         let mut got = Vec::new();
         if withdraw {
             while got.len() < max {
@@ -189,31 +191,52 @@ impl LocalBackend {
         }
         got
     }
+}
 
-    /// Non-blocking `inp`/`rdp` (up to `max` tuples), emitting a `Miss`
-    /// when nothing matches.
-    fn poll(&self, tmpl: &Template, withdraw: bool, max: usize) -> Vec<Tuple> {
+impl SpaceBackend for LocalBackend {
+    fn kind(&self) -> &'static str {
+        "local"
+    }
+
+    fn waiting(&self) -> usize {
+        self.waiting.load(Ordering::SeqCst)
+    }
+
+    /// The local backend is its own flush barrier, so `deferred` changes
+    /// nothing. One tuple takes the single-partition path, without
+    /// grouping by signature.
+    fn out(&self, mut ts: Vec<Tuple>, _deferred: bool) -> Result<(), PlindaError> {
+        if ts.len() == 1 {
+            self.do_out(ts.pop().expect("one tuple"));
+        } else {
+            self.do_out_all(ts);
+        }
+        Ok(())
+    }
+
+    /// Emits a `Miss` when nothing matches.
+    fn poll(&self, tmpl: &Template, take: bool, max: usize) -> Result<Vec<Tuple>, PlindaError> {
         if let Some(part) = self.existing(&tmpl.sig()) {
-            let got = self.grab(&mut part.tuples.lock(), tmpl, withdraw, max);
+            let got = self.grab(&mut part.tuples.lock(), tmpl, take, max);
             if !got.is_empty() {
-                return got;
+                return Ok(got);
             }
         }
         self.probe.emit(Event::Miss {
-            op: if withdraw { OpKind::Inp } else { OpKind::Rdp },
+            op: if take { OpKind::Inp } else { OpKind::Rdp },
             template: tmpl,
             batch: false,
         });
-        Vec::new()
+        Ok(Vec::new())
     }
 
-    fn wait_on_partition(
+    fn wait(
         &self,
         tmpl: &Template,
-        cancel: Option<&AtomicBool>,
-        withdraw: bool,
+        take: bool,
         max: usize,
-    ) -> Option<Vec<Tuple>> {
+        cancel: Option<&AtomicBool>,
+    ) -> Result<Option<Vec<Tuple>>, PlindaError> {
         // Waiting on a signature nobody has produced yet creates its
         // (empty) partition, so the eventual `out` finds our condvar.
         let part = self.partition(tmpl.sig());
@@ -226,19 +249,19 @@ impl LocalBackend {
                 if parked {
                     self.waiting.fetch_sub(1, Ordering::SeqCst);
                 }
-                return None;
+                return Ok(None);
             }
             if tuples.iter().any(|t| tmpl.matches(t)) {
                 if parked {
                     self.waiting.fetch_sub(1, Ordering::SeqCst);
                     self.probe.emit(Event::Wake { since: block_start });
                 }
-                return Some(self.grab(&mut tuples, tmpl, withdraw, max));
+                return Ok(Some(self.grab(&mut tuples, tmpl, take, max)));
             }
             if !parked {
                 parked = true;
                 self.waiting.fetch_add(1, Ordering::SeqCst);
-                let op = if withdraw { OpKind::In } else { OpKind::Rd };
+                let op = if take { OpKind::In } else { OpKind::Rd };
                 block_start = self
                     .probe
                     .emit(Event::Block { op, template: tmpl })
@@ -249,71 +272,6 @@ impl LocalBackend {
             // the partition before notifying, so no wakeup can be lost.
             part.cond.wait(&mut tuples);
         }
-    }
-}
-
-impl SpaceBackend for LocalBackend {
-    fn kind(&self) -> &'static str {
-        "local"
-    }
-
-    fn waiting(&self) -> usize {
-        self.waiting.load(Ordering::SeqCst)
-    }
-
-    fn out(&self, t: Tuple) -> Result<(), PlindaError> {
-        self.do_out(t);
-        Ok(())
-    }
-
-    fn out_all(&self, ts: Vec<Tuple>) -> Result<(), PlindaError> {
-        self.do_out_all(ts);
-        Ok(())
-    }
-
-    fn inp(&self, tmpl: &Template) -> Result<Option<Tuple>, PlindaError> {
-        Ok(self.poll(tmpl, true, 1).pop())
-    }
-
-    fn rdp(&self, tmpl: &Template) -> Result<Option<Tuple>, PlindaError> {
-        Ok(self.poll(tmpl, false, 1).pop())
-    }
-
-    fn in_cancellable(
-        &self,
-        tmpl: &Template,
-        cancel: Option<&AtomicBool>,
-    ) -> Result<Option<Tuple>, PlindaError> {
-        Ok(self
-            .wait_on_partition(tmpl, cancel, true, 1)
-            .and_then(|mut got| got.pop()))
-    }
-
-    fn rd_cancellable(
-        &self,
-        tmpl: &Template,
-        cancel: Option<&AtomicBool>,
-    ) -> Result<Option<Tuple>, PlindaError> {
-        Ok(self
-            .wait_on_partition(tmpl, cancel, false, 1)
-            .and_then(|mut got| got.pop()))
-    }
-
-    fn inp_batch(&self, tmpl: &Template, max: usize) -> Result<Vec<Tuple>, PlindaError> {
-        Ok(if max == 0 {
-            Vec::new()
-        } else {
-            self.poll(tmpl, true, max)
-        })
-    }
-
-    fn in_batch_cancellable(
-        &self,
-        tmpl: &Template,
-        max: usize,
-        cancel: Option<&AtomicBool>,
-    ) -> Result<Option<Vec<Tuple>>, PlindaError> {
-        Ok(self.wait_on_partition(tmpl, cancel, true, max.max(1)))
     }
 
     fn kick(&self) {
@@ -423,10 +381,10 @@ impl SpaceBackend for LocalBackend {
 /// Operations on the local backend are linearizable per signature
 /// partition (each partition has a single lock); blocking operations park
 /// on their partition's condition variable and are woken only by tuples
-/// that land in that partition. Blocking calls take an optional *cancel
-/// flag* so the runtime can abort a process that is parked inside `in` —
-/// the PLinda server does exactly this when a workstation owner returns
-/// (§7.1.1).
+/// that land in that partition. A [`crate::Process`]'s blocking calls
+/// carry its *kill flag* as the wait's cancel flag, so the runtime can
+/// abort a process that is parked inside `in` — the PLinda server does
+/// exactly this when a workstation owner returns (§7.1.1).
 ///
 /// The infallible methods (`out`, `inp`, `in_blocking`, …) panic on a
 /// transport failure (broker death, malformed frame); they cannot fail on
@@ -560,18 +518,52 @@ impl TupleSpace {
         self.probe.emit(ev)
     }
 
+    /// [`SpaceBackend::out`], panicking on a transport failure.
+    fn put(&self, ts: Vec<Tuple>, deferred: bool) {
+        self.backend
+            .out(ts, deferred)
+            .unwrap_or_else(|e| Self::fail(e))
+    }
+
+    /// [`SpaceBackend::poll`], panicking on a transport failure.
+    pub(crate) fn poll(&self, tmpl: &Template, take: bool, max: usize) -> Vec<Tuple> {
+        self.backend
+            .poll(tmpl, take, max)
+            .unwrap_or_else(|e| Self::fail(e))
+    }
+
+    /// [`SpaceBackend::wait`], panicking on a transport failure; without
+    /// a `cancel` flag it always returns `Some`.
+    pub(crate) fn wait(
+        &self,
+        tmpl: &Template,
+        take: bool,
+        max: usize,
+        cancel: Option<&AtomicBool>,
+    ) -> Option<Vec<Tuple>> {
+        self.backend
+            .wait(tmpl, take, max, cancel)
+            .unwrap_or_else(|e| Self::fail(e))
+    }
+
+    /// An uncancellable [`TupleSpace::wait`].
+    fn wait_for(&self, tmpl: &Template, take: bool, max: usize) -> Vec<Tuple> {
+        self.wait(tmpl, take, max, None)
+            .expect("a wait without a cancel flag cannot be cancelled")
+    }
+
     /// `out`: make `t` visible to every process. Never blocks. On the
     /// local backend, wakes only waiters parked on `t`'s signature
     /// partition.
     pub fn out(&self, t: Tuple) {
-        self.backend.out(t).unwrap_or_else(|e| Self::fail(e))
+        self.put(vec![t], false)
     }
 
     /// Bulk `out`: all of `ts` become visible atomically (used by
     /// transaction commit so a committed transaction's tuples appear
     /// atomically, even when they span signatures).
     pub fn out_all(&self, ts: Vec<Tuple>) {
-        self.backend.out_all(ts).unwrap_or_else(|e| Self::fail(e))
+        self.put(ts, false)
     }
 
     /// Deferred `out`: on the socket backend the tuple is fire-and-forget
@@ -580,16 +572,12 @@ impl TupleSpace {
     /// within the connection is preserved. On the local backend this is
     /// exactly [`TupleSpace::out`]. See `DESIGN.md` ("Backends").
     pub fn out_deferred(&self, t: Tuple) {
-        self.backend
-            .out_deferred(t)
-            .unwrap_or_else(|e| Self::fail(e))
+        self.put(vec![t], true)
     }
 
     /// Bulk deferred `out`; see [`TupleSpace::out_deferred`].
     pub fn out_all_deferred(&self, ts: Vec<Tuple>) {
-        self.backend
-            .out_all_deferred(ts)
-            .unwrap_or_else(|e| Self::fail(e))
+        self.put(ts, true)
     }
 
     /// Force application of this connection's deferred outs, returning how
@@ -600,56 +588,38 @@ impl TupleSpace {
 
     /// `inp`: withdraw a matching tuple if one exists, without blocking.
     pub fn inp(&self, tmpl: &Template) -> Option<Tuple> {
-        self.backend.inp(tmpl).unwrap_or_else(|e| Self::fail(e))
+        self.poll(tmpl, true, 1).pop()
     }
 
     /// Bulk `inp`: withdraw up to `max` matching tuples without blocking —
     /// one partition-lock acquisition locally, one round trip remotely.
+    /// A `max` of 0 returns nothing and touches nothing.
     pub fn inp_batch(&self, tmpl: &Template, max: usize) -> Vec<Tuple> {
-        self.backend
-            .inp_batch(tmpl, max)
-            .unwrap_or_else(|e| Self::fail(e))
+        if max == 0 {
+            return Vec::new();
+        }
+        self.poll(tmpl, true, max)
     }
 
     /// Bulk `in`: block until at least one match is withdrawn, then drain
     /// up to `max - 1` more. Returns between 1 and `max` tuples.
     pub fn in_batch(&self, tmpl: &Template, max: usize) -> Vec<Tuple> {
-        self.backend
-            .in_batch_cancellable(tmpl, max, None)
-            .unwrap_or_else(|e| Self::fail(e))
-            .expect("in_batch without cancel flag cannot be cancelled")
+        self.wait_for(tmpl, true, max)
     }
 
     /// `rdp`: copy a matching tuple if one exists, without blocking.
     pub fn rdp(&self, tmpl: &Template) -> Option<Tuple> {
-        self.backend.rdp(tmpl).unwrap_or_else(|e| Self::fail(e))
+        self.poll(tmpl, false, 1).pop()
     }
 
     /// `in`: withdraw a matching tuple, blocking until one is available.
     pub fn in_blocking(&self, tmpl: Template) -> Tuple {
-        self.in_cancellable(&tmpl, None)
-            .expect("in_blocking without cancel flag cannot be cancelled")
+        self.wait_for(&tmpl, true, 1).swap_remove(0)
     }
 
     /// `rd`: copy a matching tuple, blocking until one is available.
     pub fn rd_blocking(&self, tmpl: Template) -> Tuple {
-        self.rd_cancellable(&tmpl, None)
-            .expect("rd_blocking without cancel flag cannot be cancelled")
-    }
-
-    /// `in` with cancellation: returns `None` if `cancel` becomes true
-    /// while waiting (the process was killed).
-    pub fn in_cancellable(&self, tmpl: &Template, cancel: Option<&AtomicBool>) -> Option<Tuple> {
-        self.backend
-            .in_cancellable(tmpl, cancel)
-            .unwrap_or_else(|e| Self::fail(e))
-    }
-
-    /// `rd` with cancellation; see [`TupleSpace::in_cancellable`].
-    pub fn rd_cancellable(&self, tmpl: &Template, cancel: Option<&AtomicBool>) -> Option<Tuple> {
-        self.backend
-            .rd_cancellable(tmpl, cancel)
-            .unwrap_or_else(|e| Self::fail(e))
+        self.wait_for(&tmpl, false, 1).swap_remove(0)
     }
 
     /// Number of visible tuples.
@@ -805,7 +775,7 @@ mod tests {
         let ts = Arc::new(TupleSpace::new());
         let cancel = Arc::new(AtomicBool::new(false));
         let (ts2, c2) = (Arc::clone(&ts), Arc::clone(&cancel));
-        let h = std::thread::spawn(move || ts2.in_cancellable(&task_tmpl(), Some(&c2)));
+        let h = std::thread::spawn(move || ts2.wait(&task_tmpl(), true, 1, Some(&c2)));
         std::thread::sleep(Duration::from_millis(30));
         cancel.store(true, Ordering::SeqCst);
         ts.backend().kick();
