@@ -1,5 +1,5 @@
 //! The Apriori algorithm with apriori-gen candidate generation and
-//! hash-tree candidate counting (§2.2.5).
+//! vertical candidate counting (§2.2.5).
 //!
 //! Phase I of association rule mining: find all frequent itemsets.
 //! `apriori-gen` joins pairs of frequent k-itemsets sharing their k-1
@@ -7,15 +7,15 @@
 //! k-subset — "so successful in reducing the number of candidates that it
 //! is used in every algorithm proposed since it was published".
 //!
-//! Candidate support counting uses the classic **hash tree**: interior
-//! nodes hash the next item into buckets; leaves hold candidate lists.
-//! For each transaction the tree is descended once per viable item path,
-//! touching only candidates that share a prefix-hash with the
-//! transaction. `CountingMethod::FlatMap` counts with a flat hashmap
-//! instead (the ablation called out in DESIGN.md); the last measured A/B
-//! of the two is in EXPERIMENTS.md ("Retired micro-benchmarks").
+//! The levels and the candidates are the paper's; only the count is
+//! vertical. A `TidsetIndex` (`db.rs`) holds one bitset over transaction
+//! ids per item, L1 is its column popcounts, and each level's candidates
+//! are counted by one AND + popcount apiece against their shared
+//! prefix, where the hash tree of the original
+//! algorithm descends once per transaction. The last measured A/B of
+//! the two is in EXPERIMENTS.md ("Retired micro-benchmarks").
 
-use crate::db::{is_subset, Item, Itemset, TransactionDb};
+use crate::db::{Itemset, TidsetIndex, TransactionDb};
 use std::collections::BTreeMap;
 
 /// Result of a frequent-itemset mining run: itemset → absolute support.
@@ -58,260 +58,21 @@ pub fn apriori_gen(frequent_k: &[Itemset]) -> Vec<Itemset> {
     out
 }
 
-// ---------------------------------------------------------------------
-// Hash tree.
-// ---------------------------------------------------------------------
-
-const FANOUT: usize = 8;
-const MAX_LEAF: usize = 16;
-
-enum HNode {
-    Interior(Box<[usize; FANOUT]>),
-    Leaf(Vec<(Itemset, u64, usize)>), // (candidate, last tid, count)
-}
-
-/// A hash tree over k-itemset candidates supporting one-pass transaction
-/// counting.
-pub struct HashTree {
-    nodes: Vec<HNode>,
-    k: usize,
-    len: usize,
-}
-
-const NO_NODE: usize = usize::MAX;
-
-impl HashTree {
-    /// Build over candidates of uniform size `k`.
-    pub fn new(candidates: Vec<Itemset>, k: usize) -> Self {
-        let mut t = HashTree {
-            nodes: vec![HNode::Leaf(Vec::new())],
-            k,
-            len: 0,
-        };
-        for c in candidates {
-            assert_eq!(c.len(), k, "uniform candidate size required");
-            t.insert(c);
-        }
-        t
-    }
-
-    fn hash(item: Item) -> usize {
-        (item as usize) % FANOUT
-    }
-
-    fn insert(&mut self, cand: Itemset) {
-        let mut node = 0usize;
-        let mut depth = 0usize;
-        loop {
-            let routed = match &self.nodes[node] {
-                HNode::Interior(children) => Some(children[Self::hash(cand[depth])]),
-                HNode::Leaf(_) => None,
-            };
-            match routed {
-                Some(child) => {
-                    let child = if child == NO_NODE {
-                        let id = self.nodes.len();
-                        self.nodes.push(HNode::Leaf(Vec::new()));
-                        if let HNode::Interior(children) = &mut self.nodes[node] {
-                            children[Self::hash(cand[depth])] = id;
-                        }
-                        id
-                    } else {
-                        child
-                    };
-                    node = child;
-                    depth += 1;
-                }
-                None => {
-                    if let HNode::Leaf(list) = &mut self.nodes[node] {
-                        list.push((cand, u64::MAX, 0));
-                    }
-                    self.len += 1;
-                    // Split an overfull leaf unless we've consumed all k
-                    // items of the prefix.
-                    let overfull = matches!(
-                        &self.nodes[node],
-                        HNode::Leaf(list) if list.len() > MAX_LEAF
-                    );
-                    if overfull && depth < self.k {
-                        self.split(node, depth);
-                    }
-                    return;
-                }
-            }
-        }
-    }
-
-    fn split(&mut self, node: usize, depth: usize) {
-        let list = match std::mem::replace(
-            &mut self.nodes[node],
-            HNode::Interior(Box::new([NO_NODE; FANOUT])),
-        ) {
-            HNode::Leaf(list) => list,
-            HNode::Interior(_) => unreachable!("split target is a leaf"),
-        };
-        for (cand, tid, count) in list {
-            let h = Self::hash(cand[depth]);
-            let child = {
-                let HNode::Interior(children) = &self.nodes[node] else {
-                    unreachable!()
-                };
-                children[h]
-            };
-            let child = if child == NO_NODE {
-                let id = self.nodes.len();
-                self.nodes.push(HNode::Leaf(Vec::new()));
-                if let HNode::Interior(children) = &mut self.nodes[node] {
-                    children[h] = id;
-                }
-                id
-            } else {
-                child
-            };
-            if let HNode::Leaf(l) = &mut self.nodes[child] {
-                l.push((cand, tid, count));
-            }
-        }
-    }
-
-    /// Count `txn` (with unique id `tid`) against all candidates.
-    pub fn count_transaction(&mut self, txn: &[Item], tid: u64) {
-        if txn.len() < self.k {
-            return;
-        }
-        self.descend(0, 0, txn, tid);
-    }
-
-    fn descend(&mut self, node: usize, start: usize, txn: &[Item], tid: u64) {
-        let children = match &mut self.nodes[node] {
-            HNode::Leaf(list) => {
-                for (cand, last, count) in list {
-                    if *last != tid && is_subset(cand, txn) {
-                        *last = tid;
-                        *count += 1;
-                    }
-                }
-                return;
-            }
-            HNode::Interior(children) => **children,
-        };
-        // Follow each distinct bucket reachable from the remaining
-        // transaction items (at most FANOUT child visits), descending past
-        // the first item that hashes there (prefix pruning).
-        for (h, &child) in children.iter().enumerate() {
-            if child == NO_NODE {
-                continue;
-            }
-            if let Some(pos) = txn[start..].iter().position(|&i| Self::hash(i) == h) {
-                self.descend(child, start + pos + 1, txn, tid);
-            }
-        }
-    }
-
-    /// Candidates with support ≥ `min_support`.
-    pub fn frequent(&self, min_support: usize) -> Vec<(Itemset, usize)> {
-        let mut out = Vec::new();
-        for n in &self.nodes {
-            if let HNode::Leaf(list) = n {
-                for (cand, _, count) in list {
-                    if *count >= min_support {
-                        out.push((cand.clone(), *count));
-                    }
-                }
-            }
-        }
-        out.sort();
-        out
-    }
-
-    /// Number of candidates stored.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Is the tree empty?
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
-
-// ---------------------------------------------------------------------
-// Apriori proper.
-// ---------------------------------------------------------------------
-
-/// How candidate supports are counted in [`apriori_with`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CountingMethod {
-    /// The classic hash tree.
-    HashTree,
-    /// A flat `HashMap<Itemset, count>` with per-transaction subset
-    /// enumeration avoided by scanning candidates (the naive baseline the
-    /// hash tree is benchmarked against).
-    FlatMap,
-}
-
 /// All frequent itemsets of `db` with absolute support ≥ `min_support`.
 pub fn apriori(db: &TransactionDb, min_support: usize) -> FrequentItemsets {
-    apriori_with(db, min_support, CountingMethod::HashTree)
-}
-
-/// [`apriori`] with an explicit counting method.
-pub fn apriori_with(
-    db: &TransactionDb,
-    min_support: usize,
-    method: CountingMethod,
-) -> FrequentItemsets {
+    let index = TidsetIndex::new(db);
     let mut result = FrequentItemsets::new();
-    // L1 from a direct item scan.
-    let mut item_counts: BTreeMap<Item, usize> = BTreeMap::new();
-    for t in db.transactions() {
-        for &i in t {
-            *item_counts.entry(i).or_default() += 1;
-        }
-    }
-    let mut frequent_k: Vec<Itemset> = Vec::new();
-    for (item, count) in item_counts {
-        if count >= min_support {
-            result.insert(vec![item], count);
-            frequent_k.push(vec![item]);
-        }
-    }
-
-    let mut k = 1;
-    while !frequent_k.is_empty() {
-        let candidates = apriori_gen(&frequent_k);
-        if candidates.is_empty() {
-            break;
-        }
-        let counted: Vec<(Itemset, usize)> = match method {
-            CountingMethod::HashTree => {
-                let mut tree = HashTree::new(candidates, k + 1);
-                for (tid, t) in db.transactions().iter().enumerate() {
-                    tree.count_transaction(t, tid as u64);
-                }
-                tree.frequent(min_support)
+    let mut candidates: Vec<Itemset> = index.items().iter().map(|&i| vec![i]).collect();
+    while !candidates.is_empty() {
+        let counts = index.count(&candidates);
+        let mut frequent_k = Vec::new();
+        for (c, n) in candidates.into_iter().zip(counts) {
+            if n >= min_support {
+                result.insert(c.clone(), n);
+                frequent_k.push(c);
             }
-            CountingMethod::FlatMap => {
-                let mut counts: BTreeMap<Itemset, usize> =
-                    candidates.into_iter().map(|c| (c, 0)).collect();
-                for t in db.transactions() {
-                    for (c, n) in counts.iter_mut() {
-                        if is_subset(c, t) {
-                            *n += 1;
-                        }
-                    }
-                }
-                counts
-                    .into_iter()
-                    .filter(|(_, n)| *n >= min_support)
-                    .collect()
-            }
-        };
-        frequent_k = counted.iter().map(|(c, _)| c.clone()).collect();
-        for (c, n) in counted {
-            result.insert(c, n);
         }
-        k += 1;
+        candidates = apriori_gen(&frequent_k);
     }
     result
 }
@@ -319,6 +80,7 @@ pub fn apriori_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::db::Item;
 
     fn kmart() -> TransactionDb {
         TransactionDb::new(vec![
@@ -370,17 +132,6 @@ mod tests {
     }
 
     #[test]
-    fn flatmap_and_hashtree_agree() {
-        let db = kmart();
-        for min_support in 1..=3 {
-            assert_eq!(
-                apriori_with(&db, min_support, CountingMethod::HashTree),
-                apriori_with(&db, min_support, CountingMethod::FlatMap),
-            );
-        }
-    }
-
-    #[test]
     fn random_databases_match_brute_force() {
         let mut state = 0xdead_beef_u64;
         let mut rnd = move || {
@@ -403,32 +154,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn hash_tree_splits_and_counts() {
-        // Enough candidates to force leaf splits.
-        let candidates: Vec<Itemset> = (0..40u32)
-            .map(|i| {
-                let mut v = vec![i % 7, 7 + i % 9, 20 + i % 11];
-                v.sort_unstable();
-                v.dedup();
-                v
-            })
-            .filter(|v| v.len() == 3)
-            .collect::<std::collections::BTreeSet<_>>()
-            .into_iter()
-            .collect();
-        let expected = candidates.len();
-        let mut tree = HashTree::new(candidates.clone(), 3);
-        assert_eq!(tree.len(), expected);
-        // A transaction containing everything counts every candidate once.
-        let all: Itemset = (0..31).collect();
-        tree.count_transaction(&all, 0);
-        tree.count_transaction(&all, 1);
-        let freq = tree.frequent(2);
-        assert_eq!(freq.len(), expected);
-        assert!(freq.iter().all(|(_, n)| *n == 2));
     }
 
     #[test]

@@ -65,7 +65,9 @@ impl TransactionDb {
         &self.items
     }
 
-    /// Absolute support count of `itemset` (one full scan).
+    /// Absolute support count of `itemset` (one full scan): the
+    /// horizontal definition, which the miners' tests check against;
+    /// the miners themselves count through a `TidsetIndex`.
     pub fn support(&self, itemset: &[Item]) -> usize {
         self.transactions
             .iter()
@@ -102,6 +104,114 @@ pub fn is_subset(a: &[Item], b: &[Item]) -> bool {
         j += 1;
     }
     true
+}
+
+/// A vertical view of a transaction database: one bitset over
+/// transaction ids per distinct item, so a support count is the
+/// popcount of an AND.
+///
+/// Transaction `t` is bit `t % 64` of word `t / 64` of its items'
+/// columns; the tail bits of each column's last word are zero. The
+/// columns live in one flat slab of `distinct items × ⌈n/64⌉` words,
+/// which is the index's whole memory: counting keeps no per-level
+/// tidsets, only one reused prefix buffer of `⌈n/64⌉` words.
+pub(crate) struct TidsetIndex {
+    n: usize,
+    words: usize,
+    items: Vec<Item>,
+    slab: Vec<u64>,
+}
+
+impl TidsetIndex {
+    /// Build over all of `db`'s transactions (for a horizontal part,
+    /// over [`TransactionDb::slice`] or [`TransactionDb::partitions`]).
+    pub(crate) fn new(db: &TransactionDb) -> Self {
+        let (n, items) = (db.len(), db.items().to_vec());
+        let words = n.div_ceil(64);
+        let mut slab = vec![0u64; items.len() * words];
+        for (tid, t) in db.transactions().iter().enumerate() {
+            let (word, bit) = (tid / 64, 1u64 << (tid % 64));
+            for item in t {
+                let col = items
+                    .binary_search(item)
+                    .expect("db.items() lists every item of its transactions");
+                slab[col * words + word] |= bit;
+            }
+        }
+        TidsetIndex {
+            n,
+            words,
+            items,
+            slab,
+        }
+    }
+
+    /// The distinct items, ascending.
+    pub(crate) fn items(&self) -> &[Item] {
+        &self.items
+    }
+
+    /// The tidset of `item`, or `None` if no transaction holds it.
+    fn column(&self, item: Item) -> Option<&[u64]> {
+        let col = self.items.binary_search(&item).ok()?;
+        Some(&self.slab[col * self.words..(col + 1) * self.words])
+    }
+
+    /// Absolute support of the sorted `itemset`: the popcount of the AND
+    /// of its items' columns. The empty itemset is in every transaction.
+    pub(crate) fn support(&self, itemset: &[Item]) -> usize {
+        self.count(&[itemset.to_vec()])[0]
+    }
+
+    /// Absolute supports of `candidates`, in order. Each candidate's
+    /// prefix (all but its last item) is ANDed into one reused buffer,
+    /// once per run of candidates sharing it, and the candidate costs one
+    /// AND + popcount against its last item's column. `apriori_gen`
+    /// emits the candidates of each prefix next to each other, so a
+    /// level costs one prefix AND per distinct prefix; any other order
+    /// gives the same counts, only more prefix ANDs.
+    pub(crate) fn count(&self, candidates: &[Itemset]) -> Vec<usize> {
+        let mut buffer = vec![0u64; self.words];
+        let mut prefix: Option<&[Item]> = None;
+        candidates
+            .iter()
+            .map(|cand| {
+                let Some((&last, head)) = cand.split_last() else {
+                    return self.n;
+                };
+                let Some(col) = self.column(last) else {
+                    return 0;
+                };
+                if prefix != Some(head) {
+                    prefix = Some(head);
+                    self.and_into(head, &mut buffer);
+                }
+                popcount_and(&buffer, col)
+            })
+            .collect()
+    }
+
+    /// Write the AND of `itemset`'s columns into `buffer`: all ones for
+    /// the empty itemset, all zeros if an item is absent.
+    fn and_into(&self, itemset: &[Item], buffer: &mut [u64]) {
+        buffer.fill(!0);
+        for &item in itemset {
+            let Some(col) = self.column(item) else {
+                return buffer.fill(0);
+            };
+            for (b, c) in buffer.iter_mut().zip(col) {
+                *b &= c;
+            }
+        }
+    }
+}
+
+/// Popcount of `a AND b`.
+fn popcount_and(a: &[u64], b: &[u64]) -> usize {
+    a.iter()
+        .zip(b)
+        .map(|(x, y)| (x & y).count_ones() as usize)
+        .sum()
 }
 
 #[cfg(test)]
@@ -154,6 +264,73 @@ mod tests {
         let parts = db.partitions(3);
         assert_eq!(parts.iter().map(TransactionDb::len).sum::<usize>(), 10);
         assert_eq!(parts.len(), 3);
+    }
+
+    /// `n` transactions over items 0..14 (item 0 in every one), each
+    /// sorted and deduplicated.
+    fn striped(n: u32) -> TransactionDb {
+        TransactionDb::new(
+            (0..n)
+                .map(|t| vec![0, 1 + t % 3, 4 + t % 5, 9 + (t * 7) % 6])
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn tidset_index_counts_across_word_boundaries() {
+        // No words, one word short of a bit, one full word, one word and
+        // a bit, three words.
+        for n in [0, 63, 64, 65, 129] {
+            let db = striped(n);
+            let index = TidsetIndex::new(&db);
+            assert_eq!(index.items(), db.items(), "n={n}");
+            // Every itemset of up to three items, plus an absent item.
+            let mut universe: Vec<Item> = (0..15).collect();
+            universe.push(99);
+            let mut sets: Vec<Itemset> = vec![vec![]];
+            for &a in &universe {
+                sets.push(vec![a]);
+                for &b in universe.iter().filter(|&&b| b > a) {
+                    sets.push(vec![a, b]);
+                    for &c in universe.iter().filter(|&&c| c > b) {
+                        sets.push(vec![a, b, c]);
+                    }
+                }
+            }
+            let counts = index.count(&sets);
+            for (set, &count) in sets.iter().zip(&counts) {
+                assert_eq!(index.support(set), db.support(set), "n={n} {set:?}");
+                assert_eq!(count, db.support(set), "n={n} {set:?} counted");
+            }
+            assert_eq!(
+                index.support(&[0]),
+                n as usize,
+                "n={n}: tail bits stay zero"
+            );
+        }
+    }
+
+    #[test]
+    fn tidset_index_absent_and_empty_itemsets() {
+        let db = kmart();
+        let index = TidsetIndex::new(&db);
+        assert_eq!(index.support(&[]), 4);
+        assert_eq!(index.support(&[7]), 0);
+        assert_eq!(index.support(&[1, 7]), 0);
+        // An absent prefix item zeroes its run; the next prefix recovers.
+        let sets = vec![
+            vec![],
+            vec![0, 1],
+            vec![0, 3],
+            vec![1, 3],
+            vec![1, 5],
+            vec![7],
+        ];
+        assert_eq!(index.count(&sets), vec![4, 0, 0, 2, 2, 0]);
+        let empty = TidsetIndex::new(&TransactionDb::new(vec![]));
+        assert_eq!(empty.support(&[]), 0);
+        assert_eq!(empty.support(&[1]), 0);
+        assert_eq!(empty.count(&[vec![], vec![1], vec![1, 2]]), vec![0, 0, 0]);
     }
 
     #[test]

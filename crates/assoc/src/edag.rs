@@ -3,22 +3,30 @@
 //! can run on any of the framework's sequential or parallel traversals.
 
 use crate::apriori::FrequentItemsets;
-use crate::db::{Item, Itemset, TransactionDb};
+use crate::db::{Item, Itemset, TidsetIndex, TransactionDb};
 use fpdm_core::{MiningOutcome, MiningProblem, PatternCodec};
 
 /// Frequent-itemset mining as a [`MiningProblem`]: patterns are sorted
 /// itemsets; children extend with larger items (unique-parent = the
 /// lexicographic prefix); immediate subpatterns are all `(k-1)`-subsets —
 /// so the E-dag traversal performs exactly apriori-gen's prune step.
+/// Goodness is the support read from a `TidsetIndex` built once in
+/// [`ItemsetMiningProblem::new`].
 pub struct ItemsetMiningProblem {
     db: TransactionDb,
+    index: TidsetIndex,
     min_support: usize,
 }
 
 impl ItemsetMiningProblem {
     /// Build over a database with an absolute support threshold.
     pub fn new(db: TransactionDb, min_support: usize) -> Self {
-        ItemsetMiningProblem { db, min_support }
+        let index = TidsetIndex::new(&db);
+        ItemsetMiningProblem {
+            db,
+            index,
+            min_support,
+        }
     }
 
     /// The database.
@@ -75,7 +83,7 @@ impl MiningProblem for ItemsetMiningProblem {
     }
 
     fn goodness(&self, p: &Itemset) -> f64 {
-        self.db.support(p) as f64
+        self.index.support(p) as f64
     }
 
     fn is_good(&self, _p: &Itemset, goodness: f64) -> bool {

@@ -5,11 +5,13 @@
 //! database (phase I) and construct all confident rules from them (phase
 //! II).
 //!
-//! Phase I is implemented three ways, all producing identical results
-//! (cross-checked by tests):
+//! Phase I is implemented four ways, all producing identical results
+//! (cross-checked by tests). All but Partition's local phase count
+//! support vertically, by AND + popcount over a tidset index (one
+//! bitset over transaction ids per item):
 //!
 //! * [`apriori::apriori`] — the classic level-wise algorithm with
-//!   apriori-gen candidate generation and **hash-tree** counting;
+//!   apriori-gen candidate generation;
 //! * [`partition::partition_mine`] — the two-scan Partition algorithm
 //!   with vertical tid-list local mining;
 //! * [`edag::ItemsetMiningProblem`] — the itemset lattice as a
@@ -41,7 +43,7 @@ pub mod parallel;
 pub mod partition;
 pub mod rules;
 
-pub use apriori::{apriori, apriori_gen, apriori_with, CountingMethod, FrequentItemsets, HashTree};
+pub use apriori::{apriori, apriori_gen, FrequentItemsets};
 pub use db::{is_subset, Item, Itemset, TransactionDb};
 pub use edag::ItemsetMiningProblem;
 pub use parallel::parallel_apriori;

@@ -11,10 +11,12 @@
 //! Runs on a per-worker [`plinda::TaskFarm`]: the candidate broadcast is
 //! one addressed task per worker (the task flag carries the level), and
 //! candidate/count arrays travel as typed channel payloads through
-//! `plinda::codec` instead of hand-rolled byte packing.
+//! `plinda::codec` instead of hand-rolled byte packing. The master builds
+//! each worker's partition as a `TidsetIndex` before the farm starts;
+//! a worker counts a broadcast with one `TidsetIndex::count` call.
 
 use crate::apriori::{apriori_gen, FrequentItemsets};
-use crate::db::{Item, Itemset, TransactionDb};
+use crate::db::{Item, Itemset, TidsetIndex, TransactionDb};
 use fpdm_core::ParallelConfig;
 use plinda::{Dispatch, TaskFarm};
 use std::collections::BTreeMap;
@@ -27,12 +29,17 @@ pub fn parallel_apriori(
     min_support: usize,
     config: &ParallelConfig,
 ) -> FrequentItemsets {
-    let (n, workers) = (db.len(), config.workers);
+    let workers = config.workers;
 
-    // Workers: count local supports for broadcast candidate sets. Each
-    // worker's horizontal partition is derived from its farm index, so
-    // every candidate broadcast is addressed to each worker.
-    let w_db = Arc::clone(&db);
+    // Workers: count local supports for broadcast candidate sets, each
+    // over the index of its horizontal partition, chosen by its farm
+    // index, so every candidate broadcast is addressed to each worker.
+    let indexes: Arc<Vec<TidsetIndex>> = Arc::new(
+        db.partitions(workers)
+            .iter()
+            .map(TidsetIndex::new)
+            .collect(),
+    );
     let mut cfg = config.farm_config();
     cfg.dispatch = Dispatch::PerWorker;
     let name = config.farm_name("pear");
@@ -41,15 +48,11 @@ pub fn parallel_apriori(
         cfg,
         move |scope, level, cands| {
             let w = scope.index();
-            let (from, to) = (w * n / workers, (w + 1) * n / workers);
-            let mut counts = vec![0u32; cands.len()];
-            for txn in &w_db.transactions()[from..to] {
-                for (ci, c) in cands.iter().enumerate() {
-                    if crate::db::is_subset(c, txn) {
-                        counts[ci] += 1;
-                    }
-                }
-            }
+            let counts: Vec<u32> = indexes[w]
+                .count(&cands)
+                .into_iter()
+                .map(|c| c as u32)
+                .collect();
             scope.result(&(w as i64, level, counts));
             Ok(())
         },

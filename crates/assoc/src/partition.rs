@@ -9,12 +9,12 @@
 //! 3. Merge local results into global candidates.
 //! 4. One more scan counts the candidates' global supports exactly.
 //!
-//! Local mining uses vertical tid-lists with intersection (the original
-//! paper's technique), which also makes the local phase a nice contrast
-//! to Apriori's horizontal counting.
+//! Local mining uses sorted tid-lists with intersection (the original
+//! paper's technique); the global recount reads the candidates' supports
+//! from a `TidsetIndex`, as Apriori counts.
 
 use crate::apriori::FrequentItemsets;
-use crate::db::{Item, Itemset, TransactionDb};
+use crate::db::{Item, Itemset, TidsetIndex, TransactionDb};
 use std::collections::BTreeMap;
 
 /// Locally frequent itemsets of one partition via tid-list intersection.
@@ -108,17 +108,15 @@ pub fn partition_mine(
         }
     }
 
-    // Step 4: global recount in one scan.
-    let mut counts: BTreeMap<Itemset, usize> = candidates.into_iter().map(|c| (c, 0)).collect();
-    for t in db.transactions() {
-        for (c, n) in counts.iter_mut() {
-            if crate::db::is_subset(c, t) {
-                *n += 1;
-            }
-        }
-    }
-    counts
+    // Step 4: global recount, by length so that candidates sharing a
+    // prefix sit next to each other (the set iterates in lexicographic
+    // order, and the sort is stable).
+    let mut candidates: Vec<Itemset> = candidates.into_iter().collect();
+    candidates.sort_by_key(Vec::len);
+    let counts = TidsetIndex::new(db).count(&candidates);
+    candidates
         .into_iter()
+        .zip(counts)
         .filter(|(_, n)| *n >= min_support)
         .collect()
 }

@@ -1,11 +1,11 @@
-//! Property tests of association-mining consistency: Apriori (both
-//! counting structures), Partition, and the E-dag traversal agree with a
-//! brute-force reference on arbitrary databases, and phase-II rules
-//! satisfy their definitions.
+//! Property tests of association-mining consistency: Apriori, Partition,
+//! and the E-dag traversal agree with a brute-force reference on
+//! arbitrary databases, both within one 64-transaction tidset word and
+//! across two to four, and phase-II rules satisfy their definitions.
 
 use fpdm::assoc::{
-    apriori, apriori_with, generate_rules, is_subset, partition_mine, CountingMethod,
-    FrequentItemsets, ItemsetMiningProblem, TransactionDb,
+    apriori, generate_rules, is_subset, partition_mine, FrequentItemsets, ItemsetMiningProblem,
+    TransactionDb,
 };
 use fpdm::core::sequential_edt;
 use proptest::prelude::*;
@@ -30,6 +30,22 @@ fn arb_db() -> impl Strategy<Value = TransactionDb> {
     prop::collection::vec(prop::collection::vec(0u32..9, 1..6), 1..30).prop_map(TransactionDb::new)
 }
 
+/// 60–200 transactions: tidsets of one, two, three or four words.
+fn arb_multiword_db() -> impl Strategy<Value = TransactionDb> {
+    prop::collection::vec(prop::collection::vec(0u32..9, 1..6), 60..200)
+        .prop_map(TransactionDb::new)
+}
+
+/// Every phase-I miner against the brute-force reference.
+fn check_miners(db: &TransactionDb, min_support: usize) -> Result<(), TestCaseError> {
+    let reference = brute(db, min_support);
+    prop_assert_eq!(&apriori(db, min_support), &reference);
+    prop_assert_eq!(&partition_mine(db, min_support, 3), &reference);
+    let problem = ItemsetMiningProblem::new(db.clone(), min_support);
+    prop_assert_eq!(&problem.report(&sequential_edt(&problem)), &reference);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -39,15 +55,15 @@ proptest! {
         min_support in 1usize..8,
     ) {
         prop_assume!(db.items().len() <= 12);
-        let reference = brute(&db, min_support);
-        prop_assert_eq!(&apriori(&db, min_support), &reference);
-        prop_assert_eq!(
-            &apriori_with(&db, min_support, CountingMethod::FlatMap),
-            &reference
-        );
-        prop_assert_eq!(&partition_mine(&db, min_support, 3), &reference);
-        let problem = ItemsetMiningProblem::new(db.clone(), min_support);
-        prop_assert_eq!(&problem.report(&sequential_edt(&problem)), &reference);
+        check_miners(&db, min_support)?;
+    }
+
+    #[test]
+    fn multiword_miners_agree_with_brute_force(
+        db in arb_multiword_db(),
+        min_support in 1usize..60,
+    ) {
+        check_miners(&db, min_support)?;
     }
 
     #[test]
