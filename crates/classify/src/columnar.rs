@@ -17,8 +17,19 @@
 //! * Numeric thresholds are found by a linear sweep that builds the
 //!   boundary baskets of §5.3 directly into flat (structure-of-arrays)
 //!   histograms — `O(n·k)` per node — and feeds them to the same interval
-//!   DP as the classic path. Categorical splits are one counting pass
-//!   over the code column.
+//!   DP as the classic path.
+//! * Categorical splits are scored from one flat node histogram
+//!   (`cardinality × n_classes` counts) that the engine owns and refills
+//!   with one counting pass over the code column for every (node,
+//!   attribute) evaluation, for every chooser. Where at most two values
+//!   occur at the node, the logical-value argument of §5.3.2 leaves
+//!   exactly one binary split, the two values apart, so NyuMiner and CART
+//!   take its cost in closed form (`split::two_basket_cut`, the
+//!   binary DP arm's own score) with the general search's group order and
+//!   tie rule, allocating nothing but the returned test; nodes where more
+//!   values occur take the general search. C4.5 scores each candidate's
+//!   information gain once, from the flat rows, and derives its gain
+//!   ratio from that gain.
 //!
 //! Equivalence with the classic per-node path
 //! ([`DecisionTree::grow_reference`]) is exact, not approximate: the
@@ -27,17 +38,19 @@
 //! floating-point expression is evaluated in the same order on the same
 //! values — so the same tests, thresholds, and leaf labels fall out. The
 //! golden suite in `tests/golden_columnar.rs` asserts this on the seven
-//! benchmark datasets and under a proptest.
+//! benchmark datasets and under a proptest; `tests/golden_trees.rs` pins
+//! the grown trees' bytes, which also catches a change to the search the
+//! engine shares with the reference path.
 //!
 //! Cross-validation folds, windowing trials, and the parallel drivers in
 //! `parmine` all share one immutable index per dataset (it is `Sync`; wrap
 //! it in an `Arc` and grow from any number of threads).
 
 use crate::data::{AttrValue, Dataset};
-use crate::impurity::{gain_ratio, information_gain, Entropy, Gini, Impurity};
+use crate::impurity::{Entropy, Gini, Impurity};
 use crate::split::{
-    interval_split_flat_in, midpoint, optimal_categorical_split_hist, DpScratch, SplitTest,
-    MAX_DP_BASKETS,
+    interval_split_flat_in, midpoint, optimal_categorical_split_hist, pure_class, two_basket_cut,
+    DpScratch, SplitTest, MAX_DP_BASKETS,
 };
 use crate::tree::{DecisionTree, GrowConfig, GrowRule, TreeNode};
 
@@ -297,10 +310,14 @@ struct Engine<'a> {
     /// [`Engine::best_split`]); `n_slots` is its image size.
     slot_of: Vec<u16>,
     n_slots: usize,
-    // C4.5 numeric-sweep scratch (all n_classes long).
-    left: Vec<usize>,
-    right: Vec<usize>,
+    /// The node's per-value class histogram of the categorical attribute
+    /// being evaluated, flat (`hist[v·n_classes + class]`), refilled for
+    /// every (node, attribute) evaluation.
+    hist: Vec<usize>,
+    // C4.5 numeric-sweep scratch: class totals, the two sides of the
+    // current threshold (left then right, 2·n_classes), the best left.
     all: Vec<usize>,
+    sides: Vec<usize>,
     best_left: Vec<usize>,
 }
 
@@ -322,9 +339,9 @@ impl<'a> Engine<'a> {
             ident: (0..k as u16).collect(),
             slot_of: (0..k as u16).collect(),
             n_slots: k,
-            left: vec![0; k],
-            right: vec![0; k],
+            hist: Vec::new(),
             all: vec![0; k],
+            sides: vec![0; 2 * k],
             best_left: vec![0; k],
         }
     }
@@ -395,18 +412,20 @@ impl<'a> Engine<'a> {
         Some((SplitTest::NumRanges { attr, cuts }, s.impurity))
     }
 
-    /// Per-value class histograms of a categorical attribute at this node:
-    /// one counting pass over the code column.
-    fn cat_hist(&self, node: &NodeRows, slot: usize) -> Vec<Vec<usize>> {
+    /// Refill [`Engine::hist`] with a categorical attribute's per-value
+    /// class histograms at this node: one counting pass over the code
+    /// column, no allocation once the buffer has grown.
+    fn fill_hist(&mut self, node: &NodeRows, slot: usize) {
+        let k = self.data.n_classes();
         let codes = &self.index.codes[slot];
-        let mut hist = vec![vec![0usize; self.data.n_classes()]; self.index.cardinality[slot]];
+        self.hist.clear();
+        self.hist.resize(self.index.cardinality[slot] * k, 0);
         for &r in &node.rows {
             let code = codes[r as usize];
             if code != NO_CODE {
-                hist[code as usize][self.data.class(r as usize) as usize] += 1;
+                self.hist[code as usize * k + self.data.class(r as usize) as usize] += 1;
             }
         }
-        hist
     }
 
     /// NyuMiner's chooser ([`crate::split::best_split`]) over the index.
@@ -451,13 +470,14 @@ impl<'a> Engine<'a> {
                 if self.index.cardinality[slot] < 2 {
                     None
                 } else {
-                    let hist = self.cat_hist(node, slot);
-                    optimal_categorical_split_hist(
+                    self.fill_hist(node, slot);
+                    categorical_split(
                         attr,
-                        &hist,
+                        &self.hist,
                         self.data.n_classes(),
                         max_branches,
                         imp,
+                        &mut self.dps,
                     )
                 }
             };
@@ -476,14 +496,16 @@ impl<'a> Engine<'a> {
         best
     }
 
-    /// C4.5's chooser ([`crate::split::c45_split`]) over the index.
+    /// C4.5's chooser ([`crate::split::c45_split`]) over the index. Each
+    /// candidate's information gain is computed once, against the node's
+    /// `parent_info`, and its gain ratio is derived from that gain.
     fn c45_split(&mut self, node: &NodeRows, parent: &[usize]) -> Option<(SplitTest, f64)> {
-        let n_classes = self.data.n_classes();
+        let k = self.data.n_classes();
         let parent_info = Entropy.of(parent);
         let mut best: Option<(SplitTest, f64)> = None;
         for attr in 0..self.data.n_attributes() {
-            let cand: Option<(SplitTest, Vec<Vec<usize>>)> = if let Some(slot) =
-                self.index.num_slot[attr]
+            // (test, gain, split info) of the attribute's candidate.
+            let cand: Option<(SplitTest, f64, f64)> = if let Some(slot) = self.index.num_slot[attr]
             {
                 // Best threshold by information gain, swept over the
                 // collapsed boundary baskets with incremental left/right
@@ -492,39 +514,38 @@ impl<'a> Engine<'a> {
                     &node.sorted[slot],
                     &self.index.values[slot],
                     self.data,
-                    n_classes,
+                    k,
                     &self.ident,
                 );
                 if self.fb.len() < 2 {
                     None
                 } else {
-                    for c in 0..n_classes {
-                        self.left[c] = 0;
+                    for c in 0..k {
+                        self.sides[c] = 0;
                         self.all[c] = (0..self.fb.len()).map(|i| self.fb.row(i)[c]).sum();
                     }
                     let mut best_t: Option<(f64, f64)> = None; // (gain, cut)
                     for i in 0..self.fb.len() - 1 {
-                        for c in 0..n_classes {
-                            self.left[c] += self.fb.row(i)[c];
-                            self.right[c] = self.all[c] - self.left[c];
+                        for c in 0..k {
+                            self.sides[c] += self.fb.row(i)[c];
+                            self.sides[k + c] = self.all[c] - self.sides[c];
                         }
-                        let g = info_gain_2way(parent_info, &self.left, &self.right);
+                        let g = info_gain_flat(parent_info, &self.sides, k);
                         if best_t.as_ref().is_none_or(|(bg, _)| g > *bg) {
-                            self.best_left.clone_from_slice(&self.left);
+                            self.best_left.copy_from_slice(&self.sides[..k]);
                             best_t = Some((g, midpoint(self.fb.uppers[i], self.fb.uppers[i + 1])));
                         }
                     }
-                    best_t.map(|(_, cut)| {
-                        let right: Vec<usize> = (0..n_classes)
-                            .map(|c| self.all[c] - self.best_left[c])
-                            .collect();
-                        (
-                            SplitTest::NumRanges {
-                                attr,
-                                cuts: vec![cut],
-                            },
-                            vec![self.best_left.clone(), right],
-                        )
+                    best_t.map(|(gain, cut)| {
+                        for c in 0..k {
+                            self.sides[c] = self.best_left[c];
+                            self.sides[k + c] = self.all[c] - self.best_left[c];
+                        }
+                        let test = SplitTest::NumRanges {
+                            attr,
+                            cuts: vec![cut],
+                        };
+                        (test, gain, split_info_flat(&self.sides, k))
                     })
                 }
             } else {
@@ -533,22 +554,27 @@ impl<'a> Engine<'a> {
                 if arity < 2 {
                     None
                 } else {
-                    let parts = self.cat_hist(node, slot);
+                    self.fill_hist(node, slot);
                     // At least two non-empty branches required.
-                    let non_empty = parts.iter().filter(|p| p.iter().sum::<usize>() > 0).count();
+                    let non_empty = self
+                        .hist
+                        .chunks_exact(k)
+                        .filter(|p| p.iter().any(|&n| n > 0))
+                        .count();
                     if non_empty < 2 {
                         None
                     } else {
-                        Some((SplitTest::CatEach { attr, arity }, parts))
+                        let gain = info_gain_flat(parent_info, &self.hist, k);
+                        let test = SplitTest::CatEach { attr, arity };
+                        Some((test, gain, split_info_flat(&self.hist, k)))
                     }
                 }
             };
-            if let Some((test, parts)) = cand {
-                let gain = information_gain(parent, &parts);
+            if let Some((test, gain, si)) = cand {
                 if gain <= 1e-12 {
                     continue;
                 }
-                let gr = gain_ratio(parent, &parts);
+                let gr = ratio_of_gain(gain, si);
                 if best.as_ref().is_none_or(|(_, b)| gr > *b) {
                     best = Some((test, gr));
                 }
@@ -673,24 +699,105 @@ fn plurality_class(counts: &[usize]) -> u16 {
     majority
 }
 
-/// Two-partition information gain, bit-identical to
-/// `information_gain(parent, &[left, right])` without materialising the
-/// partition `Vec`s.
-fn info_gain_2way(parent_info: f64, left: &[usize], right: &[usize]) -> f64 {
-    let nl: usize = left.iter().sum();
-    let nr: usize = right.iter().sum();
-    let total = nl + nr;
-    if total == 0 {
-        return parent_info;
+/// Optimal sub-K-ary split of a categorical attribute from its flat node
+/// histogram (`hist[v·n_classes + class]`): the answer of
+/// [`optimal_categorical_split_hist`], which it calls where more than two
+/// values occur.
+///
+/// Where at most two values occur, that search has one candidate — the
+/// two values apart (§5.3.2) — so its answer is computed in closed form,
+/// allocating nothing but the returned test: the same logical values,
+/// group order, cost and tie rule.
+fn categorical_split(
+    attr: usize,
+    hist: &[usize],
+    n_classes: usize,
+    max_branches: usize,
+    imp: &dyn Impurity,
+    scr: &mut DpScratch,
+) -> Option<(SplitTest, f64)> {
+    let mut present = [0usize; 2];
+    let mut n_present = 0;
+    for (v, row) in hist.chunks_exact(n_classes).enumerate() {
+        if row.iter().any(|&n| n > 0) {
+            if n_present == 2 || max_branches < 2 {
+                return optimal_categorical_split_hist(attr, hist, n_classes, max_branches, imp);
+            }
+            present[n_present] = v;
+            n_present += 1;
+        }
     }
-    // Same fold order as `Impurity::aggregate`'s iterator sum.
-    let agg: f64 = [
-        nl as f64 / total as f64 * Entropy.of(left),
-        nr as f64 / total as f64 * Entropy.of(right),
-    ]
-    .into_iter()
-    .sum();
+    if n_present < 2 {
+        return None; // one value or none: no split
+    }
+    let row = |v: usize| &hist[v * n_classes..(v + 1) * n_classes];
+    let [a, b] = present;
+    // Two values pure in one class form one logical value.
+    if let (Some(ca), Some(cb)) = (pure_class(row(a)), pure_class(row(b))) {
+        if ca == cb {
+            return None;
+        }
+    }
+    // Group order: for two classes the stable class-0 ratio ordering, for
+    // more the value order — the first ordering the general search tries,
+    // and the one it keeps, since both orders of two groups cost the same.
+    let ratio = |v: usize| row(v)[0] as f64 / row(v).iter().sum::<usize>() as f64;
+    let (l, r) = if n_classes <= 2 && ratio(b).total_cmp(&ratio(a)).is_lt() {
+        (b, a)
+    } else {
+        (a, b)
+    };
+    let cost = two_basket_cut(row(l), row(r), imp, scr)?;
+    let groups = vec![vec![l as u16], vec![r as u16]];
+    Some((SplitTest::CatGroups { attr, groups }, cost))
+}
+
+/// `information_gain(parent, parts)` for partitions given as flat class
+/// histograms (`parts[i·k + class]`), from `parent_info = Entropy.of(parent)`.
+/// Same fold order as `Impurity::aggregate`'s iterator sum, so the bits
+/// agree.
+fn info_gain_flat(parent_info: f64, parts: &[usize], k: usize) -> f64 {
+    let total: usize = parts.iter().sum();
+    let agg = if total == 0 {
+        0.0
+    } else {
+        parts
+            .chunks_exact(k)
+            .map(|p| {
+                let n: usize = p.iter().sum();
+                n as f64 / total as f64 * Entropy.of(p)
+            })
+            .sum()
+    };
     parent_info - agg
+}
+
+/// `gain_ratio` from the gain and split info already computed: 0 where
+/// the split info vanishes.
+fn ratio_of_gain(gain: f64, split_info: f64) -> f64 {
+    if split_info <= f64::EPSILON {
+        0.0
+    } else {
+        gain / split_info
+    }
+}
+
+/// `split_info(parts)` for partitions given as flat class histograms, in
+/// `split_info`'s fold order.
+fn split_info_flat(parts: &[usize], k: usize) -> f64 {
+    let total: usize = parts.iter().sum();
+    if total == 0 {
+        return 0.0;
+    }
+    -parts
+        .chunks_exact(k)
+        .map(|p| p.iter().sum::<usize>())
+        .filter(|&n| n > 0)
+        .map(|n| {
+            let f = n as f64 / total as f64;
+            f * f.log2()
+        })
+        .sum::<f64>()
 }
 
 /// Grow a tree over `rows` using a prebuilt [`ColumnarIndex`] — the
@@ -747,8 +854,124 @@ pub fn columnar_c45_split(
 mod tests {
     use super::*;
     use crate::data::fixtures::heart;
+    use crate::impurity::{gain_ratio, information_gain, split_info};
     use crate::split::{best_split, c45_split};
     use crate::tree::GrowConfig;
+
+    /// The closed form against the general search on one flat histogram
+    /// of `k` classes, under both stock impurities, cost bits included;
+    /// returns the Gini answer.
+    fn two_value(hist: &[usize], k: usize, max_branches: usize) -> Option<(SplitTest, f64)> {
+        let mut scr = DpScratch::default();
+        let [_, gini] = [&Entropy as &dyn Impurity, &Gini].map(|imp| {
+            let general = optimal_categorical_split_hist(7, hist, k, max_branches, imp);
+            let closed = categorical_split(7, hist, k, max_branches, imp, &mut scr);
+            assert_eq!(closed, general, "hist {hist:?}, K = {max_branches}");
+            let bits = |s: &Option<(SplitTest, f64)>| s.as_ref().map(|(_, c)| c.to_bits());
+            assert_eq!(bits(&closed), bits(&general), "hist {hist:?}");
+            closed
+        });
+        gini
+    }
+
+    fn groups(split: Option<(SplitTest, f64)>) -> Vec<Vec<u16>> {
+        match split {
+            Some((SplitTest::CatGroups { attr: 7, groups }, _)) => groups,
+            other => panic!("a two-group split expected, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn two_value_split_with_an_empty_value() {
+        assert_eq!(two_value(&[5, 3, 0, 0], 2, 2), None);
+        assert_eq!(two_value(&[0, 0, 0, 0], 2, 2), None);
+        // Values 0 and 2 occur; the class-0 ratio puts value 2 first.
+        assert_eq!(groups(two_value(&[2, 1, 0, 0, 1, 3], 2, 2)), [[2], [0]]);
+    }
+
+    #[test]
+    fn two_value_split_of_pure_values() {
+        // Pure in one class: one logical value, no split.
+        assert_eq!(two_value(&[4, 0, 2, 0], 2, 2), None);
+        assert_eq!(two_value(&[0, 0, 3, 0, 0, 5], 3, 3), None);
+        // Pure in different classes: the two values apart, at no cost.
+        let split = two_value(&[4, 0, 0, 3], 2, 2);
+        assert_eq!(split.as_ref().unwrap().1, 0.0);
+        assert_eq!(groups(split), [[1], [0]]);
+    }
+
+    #[test]
+    fn two_value_split_group_order() {
+        // Two classes: ascending class-0 ratio, so value 1 (1/4) first.
+        assert_eq!(groups(two_value(&[3, 1, 1, 3], 2, 3)), [[1], [0]]);
+        assert_eq!(groups(two_value(&[1, 3, 3, 1], 2, 2)), [[0], [1]]);
+        // Three classes: value order, though the ratio order would swap.
+        assert_eq!(groups(two_value(&[2, 0, 1, 0, 3, 1], 3, 2)), [[0], [1]]);
+        // Equal class-0 ratios: with three classes the values still
+        // differ, and value order holds; with two classes equal ratios
+        // mean equal distributions, which no cut improves.
+        assert_eq!(groups(two_value(&[1, 2, 0, 1, 0, 2], 3, 4)), [[0], [1]]);
+        assert_eq!(two_value(&[2, 1, 4, 2], 2, 2), None);
+    }
+
+    #[test]
+    fn two_value_split_needs_two_branches() {
+        for max_branches in [0, 1] {
+            assert_eq!(two_value(&[4, 0, 0, 3], 2, max_branches), None);
+            assert_eq!(two_value(&[3, 1, 1, 3], 2, max_branches), None);
+        }
+    }
+
+    #[test]
+    fn two_value_split_ties_go_to_whole() {
+        // Class-0 shares 0.5 and 0.500001: the cut beats the whole node by
+        // under 1e-12 (Gini and entropy alike), a tie, so no split.
+        let hist = [500_000, 500_000, 500_001, 499_999];
+        let left = [hist[0], hist[1]];
+        let right = [hist[2], hist[3]];
+        let whole = [hist[0] + hist[2], hist[1] + hist[3]];
+        let cut = Gini.aggregate(&[left.to_vec(), right.to_vec()]);
+        assert!(cut < Gini.of(&whole) && cut > Gini.of(&whole) - 1e-12);
+        assert_eq!(two_value(&hist, 2, 2), None);
+    }
+
+    #[test]
+    fn more_than_two_values_take_the_general_search() {
+        assert!(two_value(&[1, 0, 0, 1, 1, 1], 2, 2).is_some());
+        assert!(two_value(&[3, 0, 1, 0, 2, 0, 1, 1, 0, 0, 0, 4], 3, 3).is_some());
+    }
+
+    #[test]
+    fn flat_c45_scores_match_reference() {
+        // (flat parts, classes, rows missing the attribute per class)
+        let cases: [(&[usize], usize, &[usize]); 6] = [
+            (&[3, 1, 0, 0, 1, 4], 2, &[0, 0]), // an all-zero value row
+            (&[4, 0, 0, 4], 2, &[0, 0]),
+            (&[2, 2, 2, 2], 2, &[1, 0]),
+            (&[1, 2, 3, 0, 0, 0, 3, 2, 1, 5, 0, 0], 3, &[0, 2, 1]),
+            (&[0, 0, 0, 0], 2, &[3, 1]),
+            (&[7, 0, 0, 0, 0, 0], 2, &[0, 0]),
+        ];
+        for (flat, k, missing) in cases {
+            let parts: Vec<Vec<usize>> = flat.chunks(k).map(<[usize]>::to_vec).collect();
+            let parent: Vec<usize> = (0..k)
+                .map(|c| missing[c] + parts.iter().map(|p| p[c]).sum::<usize>())
+                .collect();
+            let gain = info_gain_flat(Entropy.of(&parent), flat, k);
+            assert_eq!(
+                gain.to_bits(),
+                information_gain(&parent, &parts).to_bits(),
+                "{flat:?}"
+            );
+            let si = split_info_flat(flat, k);
+            assert_eq!(si.to_bits(), split_info(&parts).to_bits(), "{flat:?}");
+            assert_eq!(
+                ratio_of_gain(gain, si).to_bits(),
+                gain_ratio(&parent, &parts).to_bits(),
+                "{flat:?}"
+            );
+        }
+    }
 
     fn rules() -> Vec<GrowRule<'static>> {
         vec![

@@ -290,6 +290,43 @@ fn range_cost(kind: CellKind, imp: &dyn Impurity, cnt: &[usize], n: usize, total
     }
 }
 
+/// Cost `range_cost(left) + range_cost(right)` of one binary cut of a
+/// range of `total` rows, `n_left` of them left of the cut — the score
+/// of the `k ≤ 2` arm of [`interval_split_flat_in`].
+#[inline]
+fn cut_cost(
+    kind: CellKind,
+    imp: &dyn Impurity,
+    left: &[usize],
+    n_left: usize,
+    right: &[usize],
+    total: usize,
+) -> f64 {
+    range_cost(kind, imp, left, n_left, total) + range_cost(kind, imp, right, total - n_left, total)
+}
+
+/// The `k ≤ 2` arm of [`interval_split_flat_in`] on exactly two baskets,
+/// `left` then `right`: the cost of the one cut between them, or `None`
+/// when that is no better than keeping them whole (ties go to fewer
+/// branches). Bit-identical to the DP on the two-basket list, with no
+/// basket list: `scr` lends the whole-range histogram.
+pub(crate) fn two_basket_cut(
+    left: &[usize],
+    right: &[usize],
+    imp: &dyn Impurity,
+    scr: &mut DpScratch,
+) -> Option<f64> {
+    let kind = CellKind::of(imp);
+    let whole = &mut scr.cnt2;
+    whole.clear();
+    whole.extend(left.iter().zip(right).map(|(&l, &r)| l + r));
+    let n_left: usize = left.iter().sum();
+    let total = n_left + right.iter().sum::<usize>();
+    let whole_cost = range_cost(kind, imp, whole, total, total);
+    let cut = cut_cost(kind, imp, left, n_left, right, total);
+    (cut < whole_cost - 1e-12).then_some(cut)
+}
+
 /// Reusable buffers for [`interval_split_flat_in`]. The columnar engine
 /// owns one per tree grow, so the DP — called once per (node, numeric
 /// attribute) — performs no allocation at all in steady state.
@@ -492,8 +529,7 @@ pub(crate) fn interval_split_flat_in(
                 right[c] -= v;
                 n_left += v;
             }
-            let c = range_cost(kind, imp, left, n_left, total)
-                + range_cost(kind, imp, right, total - n_left, total);
+            let c = cut_cost(kind, imp, left, n_left, right, total);
             if c < best2 - 1e-15 {
                 best2 = c;
                 back2 = split;
@@ -716,34 +752,33 @@ pub fn optimal_categorical_split(
     if cardinality < 2 {
         return None;
     }
-    // Per-value class histograms over the present values.
-    let mut hist: Vec<Vec<usize>> = vec![vec![0; data.n_classes()]; cardinality];
+    // Per-value class histograms over the present values, flat.
+    let k = data.n_classes();
+    let mut hist = vec![0; cardinality * k];
     for &r in rows {
         if let AttrValue::Cat(v) = data.value(r, attr) {
-            hist[v as usize][data.class(r) as usize] += 1;
+            hist[v as usize * k + data.class(r) as usize] += 1;
         }
     }
-    optimal_categorical_split_hist(attr, &hist, data.n_classes(), max_branches, imp)
+    optimal_categorical_split_hist(attr, &hist, k, max_branches, imp)
 }
 
 /// Histogram core of [`optimal_categorical_split`]: the search given the
-/// per-value class histograms (`hist[v][class]`). The columnar engine
-/// computes the histograms from its code columns and calls this directly.
+/// per-value class histograms, flat (`hist[v·n_classes + class]`). The
+/// columnar engine fills the histogram from its code columns and calls
+/// this for nodes where more than two values occur.
 pub(crate) fn optimal_categorical_split_hist(
     attr: usize,
-    hist: &[Vec<usize>],
+    hist: &[usize],
     n_classes: usize,
     max_branches: usize,
     imp: &dyn Impurity,
 ) -> Option<(SplitTest, f64)> {
-    let cardinality = hist.len();
     // Logical values: all pure values of one class merge (provably
     // together in an optimal split, §5.3.2).
     let mut logical: Vec<(Vec<u16>, Vec<usize>)> = Vec::new(); // (values, counts)
     let mut pure_slot: Vec<Option<usize>> = vec![None; n_classes];
-    #[allow(clippy::needless_range_loop)]
-    for v in 0..cardinality {
-        let counts = &hist[v];
+    for (v, counts) in hist.chunks_exact(n_classes).enumerate() {
         if counts.iter().sum::<usize>() == 0 {
             continue;
         }
@@ -757,10 +792,10 @@ pub(crate) fn optimal_categorical_split_hist(
                 }
                 None => {
                     pure_slot[c] = Some(logical.len());
-                    logical.push((vec![v as u16], counts.clone()));
+                    logical.push((vec![v as u16], counts.to_vec()));
                 }
             },
-            None => logical.push((vec![v as u16], counts.clone())),
+            None => logical.push((vec![v as u16], counts.to_vec())),
         }
     }
     if logical.len() < 2 {

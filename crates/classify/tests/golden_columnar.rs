@@ -97,7 +97,8 @@ fn columnar_trees_match_reference_under_entropy_and_wide_branching() {
 
 /// A random small dataset: 1–3 attributes (numeric values drawn from a
 /// small pool so duplicate values — shared baskets — are common,
-/// categorical from a 3-value domain), 2–3 classes, ~8% missing cells.
+/// categorical from a domain of 2–4 values, so two-valued attributes
+/// meet both 2 and 3 classes), 2–3 classes, ~8% missing cells.
 fn arb_dataset() -> impl Strategy<Value = Dataset> {
     // 0..8 ⇒ numeric from a 8-value pool, 8..11 ⇒ categorical,
     // 11 ⇒ missing (≈8% of cells).
@@ -107,17 +108,17 @@ fn arb_dataset() -> impl Strategy<Value = Dataset> {
         _ => AttrValue::Missing,
     });
     (
-        prop::collection::vec(prop::collection::vec(cell, 6..28), 1..4),
+        prop::collection::vec((prop::collection::vec(cell, 6..28), 2u16..=4), 1..4),
         2u16..4,
     )
         .prop_map(|(raw_cols, n_classes)| {
-            let n_rows = raw_cols.iter().map(|c| c.len()).min().unwrap();
+            let n_rows = raw_cols.iter().map(|(c, _)| c.len()).min().unwrap();
             // Each raw column becomes all-numeric or all-categorical,
             // decided by its first cell (missing ⇒ numeric); cells of the
             // other kind are folded into the column's kind.
             let mut attributes = Vec::new();
             let mut columns = Vec::new();
-            for (a, raw) in raw_cols.into_iter().enumerate() {
+            for (a, (raw, cardinality)) in raw_cols.into_iter().enumerate() {
                 let numeric = !matches!(raw[0], AttrValue::Cat(_));
                 let col: Vec<AttrValue> = raw
                     .into_iter()
@@ -125,7 +126,10 @@ fn arb_dataset() -> impl Strategy<Value = Dataset> {
                     .map(|v| match (numeric, v) {
                         (_, AttrValue::Missing) => AttrValue::Missing,
                         (true, AttrValue::Cat(c)) => AttrValue::Num(c as f64),
-                        (false, AttrValue::Num(x)) => AttrValue::Cat(x as u16 % 3),
+                        (false, AttrValue::Cat(c)) => AttrValue::Cat(c % cardinality),
+                        (false, AttrValue::Num(x)) => {
+                            AttrValue::Cat((x * 2.0) as u16 % cardinality)
+                        }
                         (_, v) => v,
                     })
                     .collect();
@@ -136,7 +140,7 @@ fn arb_dataset() -> impl Strategy<Value = Dataset> {
                 } else {
                     Attribute::Categorical {
                         name: format!("c{a}"),
-                        values: vec!["u".into(), "v".into(), "w".into()],
+                        values: (0..cardinality).map(|v| format!("v{v}")).collect(),
                     }
                 });
                 columns.push(col);
