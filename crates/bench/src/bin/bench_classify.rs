@@ -1,9 +1,9 @@
 //! End-to-end tree-induction benchmark with a machine-readable baseline.
 //!
-//! Measures, per Table 5.1 dataset: the one-time columnar ingest
+//! Measures, per Table 5.1 dataset: the one-time presort
 //! (`ColumnarIndex::build`) and a full tree growth per learner rule
 //! (C4.5 gain ratio, CART binary Gini, NyuMiner K=3 Gini) over the
-//! shared index. Two tiers:
+//! dataset's own presort, built before the clock starts. Two tiers:
 //!
 //! * **fast** — row-capped datasets, enough for a CI smoke gate;
 //! * **full** — all rows, plus the wall time of the whole
@@ -86,12 +86,10 @@ fn measure_tier(tier: &str, row_cap: Option<usize>, reps: usize, out: &mut Rows)
             std::hint::black_box(ColumnarIndex::build(&data));
         });
         out.insert(format!("{tier}.{name}.index_build_ms"), row(build_ms));
-        let index = ColumnarIndex::build(&data);
+        data.index();
         for (rule_name, rule) in rules() {
             let ms = median_ms(reps, || {
-                std::hint::black_box(DecisionTree::grow_indexed(
-                    &data, &index, &rows, &rule, &cfg,
-                ));
+                std::hint::black_box(DecisionTree::grow(&data, &rows, &rule, &cfg));
             });
             out.insert(format!("{tier}.{name}.{rule_name}_ms"), row(ms));
             eprintln!("  {tier:<5} {name:<10} {rule_name:<9} {ms:9.2} ms ({n} rows)");

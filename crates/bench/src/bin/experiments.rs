@@ -314,9 +314,9 @@ mod ch5 {
     use classify::c45::{C45Config, C45};
     use classify::forex::run_forex;
     use classify::nyuminer::{NyuConfig, NyuMinerCV, NyuMinerRS};
-    use classify::prune::grow_with_cv_pruning_indexed;
+    use classify::prune::grow_with_cv_pruning;
     use classify::tree::GrowRule;
-    use classify::{complementarity, Classifier, ColumnarIndex, Dataset};
+    use classify::{complementarity, Classifier, Dataset};
     use datagen::{all_specs, benchmark, fx_pairs};
 
     const DATA_SEED: u64 = 7;
@@ -397,26 +397,13 @@ mod ch5 {
         nyurs: Vec<u16>,
     }
 
-    fn fit_predict(
-        data: &Dataset,
-        index: &ColumnarIndex,
-        train: &[usize],
-        test: &[usize],
-        seed: u64,
-    ) -> FourWay {
-        let c45 = C45::fit_indexed(data, index, train, &C45Config::default());
-        let cart = grow_with_cv_pruning_indexed(
-            data,
-            index,
-            train,
-            &GrowRule::Cart,
-            &Default::default(),
-            10,
-            seed,
-        );
+    fn fit_predict(data: &Dataset, train: &[usize], test: &[usize], seed: u64) -> FourWay {
+        let c45 = C45::fit(data, train, &C45Config::default());
+        let cart =
+            grow_with_cv_pruning(data, train, &GrowRule::Cart, &Default::default(), 10, seed);
         let nyu = NyuConfig::default();
-        let nyucv = NyuMinerCV::fit_indexed(data, index, train, &nyu, 10, seed);
-        let nyurs = NyuMinerRS::fit_indexed(data, index, train, &nyu, 3, 0.0, 0.02, seed);
+        let nyucv = NyuMinerCV::fit(data, train, &nyu, 10, seed);
+        let nyurs = NyuMinerRS::fit(data, train, &nyu, 3, 0.0, 0.02, seed);
         FourWay {
             c45: test.iter().map(|&r| c45.predict(data, r)).collect(),
             cart: test.iter().map(|&r| cart.tree.predict(data, r)).collect(),
@@ -438,14 +425,13 @@ mod ch5 {
         println!("== Table 5.3: classification accuracies over {SPLITS} stratified half-splits ==");
         let mut rows = Vec::new();
         for name in TABLE_DATASETS {
+            // One presort per dataset, shared by all splits and all four
+            // learners.
             let data = benchmark(name, DATA_SEED);
-            // One columnar ingest per dataset, shared by all splits and
-            // all four learners.
-            let index = ColumnarIndex::build(&data);
             let mut sums = [0.0f64; 5];
             for split in 0..SPLITS {
                 let (train, test) = data.stratified_halves(split as u64);
-                let preds = fit_predict(&data, &index, &train, &test, split as u64);
+                let preds = fit_predict(&data, &train, &test, split as u64);
                 let (plur, _) = data.plurality(&train);
                 sums[0] += test.iter().filter(|&&r| data.class(r) == plur).count() as f64
                     / test.len() as f64;
@@ -485,9 +471,8 @@ mod ch5 {
         let mut rows = Vec::new();
         for name in TABLE_DATASETS {
             let data = benchmark(name, DATA_SEED);
-            let index = ColumnarIndex::build(&data);
             let (train, test) = data.stratified_halves(0);
-            let preds = fit_predict(&data, &index, &train, &test, 0);
+            let preds = fit_predict(&data, &train, &test, 0);
             let rep = complementarity(&data, &test, &[preds.c45, preds.cart, preds.nyurs]);
             rows.push(vec![
                 name.to_string(),
@@ -559,11 +544,10 @@ mod ch5 {
 /// Chapter 6: sequential baselines and parallel speedups.
 mod ch6 {
     use super::*;
-    use classify::c45::{grow_windowed_indexed, C45Config};
-    use classify::nyuminer::{grow_incremental_indexed, NyuConfig, NyuMinerCV};
+    use classify::c45::{grow_windowed, C45Config};
+    use classify::nyuminer::{grow_incremental, NyuConfig, NyuMinerCV};
     use classify::prune::ccp_sequence;
     use classify::tree::{DecisionTree, GrowRule};
-    use classify::ColumnarIndex;
     use datagen::benchmark;
     use nowsim::SimConfig;
     use parmine::{simulate_parallel_cv, simulate_parallel_trials};
@@ -582,13 +566,15 @@ mod ch6 {
         let mut rows = Vec::new();
         for name in ["yeast", "satimage"] {
             let data = benchmark(name, DATA_SEED);
-            let index = ColumnarIndex::build(&data);
+            // Presort before the clocks start, as the main tree and the
+            // folds share it.
+            data.index();
             let rows_all = data.all_rows();
             let cfg = NyuConfig::default();
             let mut cells = vec![name.to_string()];
             for v in [0usize, 4, 8, 12, 16, 20] {
                 let t0 = Instant::now();
-                let _ = NyuMinerCV::fit_indexed(&data, &index, &rows_all, &cfg, v, 1);
+                let _ = NyuMinerCV::fit(&data, &rows_all, &cfg, v, 1);
                 cells.push(secs(t0.elapsed().as_secs_f64()));
             }
             rows.push(cells);
@@ -606,14 +592,14 @@ mod ch6 {
     /// pruning sequence) and 20 auxiliary trees (19/20 learning sets).
     fn cv_costs(name: &str) -> (f64, Vec<f64>) {
         let data = benchmark(name, DATA_SEED);
-        // The parallel driver shares one index across master and workers,
-        // so the ingest stays outside the per-tree costs the simulator
-        // replays.
-        let index = ColumnarIndex::build(&data);
+        // The parallel driver shares the dataset's presort across master
+        // and workers, so it is built outside the per-tree costs the
+        // simulator replays.
+        data.index();
         let rows = data.all_rows();
         let cfg = NyuConfig::default();
         let t0 = Instant::now();
-        let main = DecisionTree::grow_indexed(&data, &index, &rows, &nyu_rule(&cfg), &cfg.grow);
+        let main = DecisionTree::grow(&data, &rows, &nyu_rule(&cfg), &cfg.grow);
         let _ = ccp_sequence(&main);
         let main_cost = t0.elapsed().as_secs_f64();
         let folds = data.folds(&rows, 20, 1);
@@ -626,8 +612,7 @@ mod ch6 {
                     .flat_map(|(_, f)| f.iter().copied())
                     .collect();
                 let t0 = Instant::now();
-                let aux =
-                    DecisionTree::grow_indexed(&data, &index, &train, &nyu_rule(&cfg), &cfg.grow);
+                let aux = DecisionTree::grow(&data, &train, &nyu_rule(&cfg), &cfg.grow);
                 let _ = ccp_sequence(&aux);
                 t0.elapsed().as_secs_f64()
             })
@@ -661,25 +646,19 @@ mod ch6 {
     /// Measured per-trial costs for the windowing/sampling figures.
     fn trial_costs(name: &str, flavor: &str, trials: usize) -> Vec<f64> {
         let data = benchmark(name, DATA_SEED);
-        let index = ColumnarIndex::build(&data);
+        // Presort before the clocks start: every trial shares it.
+        data.index();
         let rows = data.all_rows();
         (0..trials as u64)
             .map(|t| {
                 let t0 = Instant::now();
                 match flavor {
                     "c45" => {
-                        let _ = grow_windowed_indexed(
-                            &data,
-                            &index,
-                            &rows,
-                            &C45Config::default(),
-                            100 + t,
-                        );
+                        let _ = grow_windowed(&data, &rows, &C45Config::default(), 100 + t);
                     }
                     _ => {
-                        let _ = grow_incremental_indexed(
+                        let _ = grow_incremental(
                             &data,
-                            &index,
                             &rows,
                             &NyuConfig::default(),
                             100u64.wrapping_add(t * 7919),

@@ -15,7 +15,6 @@
 //!   across `trials` windows, keep the tree with the lowest error on the
 //!   full training set.
 
-use crate::columnar::ColumnarIndex;
 use crate::data::{Classifier, Dataset};
 use crate::tree::{DecisionTree, GrowConfig, GrowRule};
 use rand::rngs::StdRng;
@@ -161,18 +160,7 @@ pub struct C45 {
 impl C45 {
     /// Train on `rows` of `data` (single tree, no windowing).
     pub fn fit(data: &Dataset, rows: &[usize], config: &C45Config) -> Self {
-        let index = ColumnarIndex::build(data);
-        Self::fit_indexed(data, &index, rows, config)
-    }
-
-    /// [`C45::fit`] over a prebuilt [`ColumnarIndex`].
-    pub fn fit_indexed(
-        data: &Dataset,
-        index: &ColumnarIndex,
-        rows: &[usize],
-        config: &C45Config,
-    ) -> Self {
-        let mut tree = DecisionTree::grow_indexed(data, index, rows, &GrowRule::C45, &config.grow);
+        let mut tree = DecisionTree::grow(data, rows, &GrowRule::C45, &config.grow);
         pessimistic_prune(&mut tree, config.cf);
         C45 { tree }
     }
@@ -185,23 +173,10 @@ impl C45 {
 
     /// Train `trials` windowed trees and keep the most accurate on the
     /// full training rows — C4.5's `-t` trials mode, the unit of work of
-    /// the Parallel C4.5 experiments (§6.2.1).
+    /// the Parallel C4.5 experiments (§6.2.1). All windows of all trials
+    /// share the dataset's presort.
     pub fn fit_trials(
         data: &Dataset,
-        rows: &[usize],
-        config: &C45Config,
-        trials: usize,
-        seed: u64,
-    ) -> Self {
-        let index = ColumnarIndex::build(data);
-        Self::fit_trials_indexed(data, &index, rows, config, trials, seed)
-    }
-
-    /// [`C45::fit_trials`] over a prebuilt [`ColumnarIndex`]: all windows
-    /// of all trials share the dataset's presorted columns.
-    pub fn fit_trials_indexed(
-        data: &Dataset,
-        index: &ColumnarIndex,
         rows: &[usize],
         config: &C45Config,
         trials: usize,
@@ -210,8 +185,7 @@ impl C45 {
         assert!(trials >= 1);
         let mut best: Option<(f64, DecisionTree)> = None;
         for t in 0..trials {
-            let tree =
-                grow_windowed_indexed(data, index, rows, config, seed.wrapping_add(t as u64));
+            let tree = grow_windowed(data, rows, config, seed.wrapping_add(t as u64));
             let acc = tree.accuracy(data, rows);
             if best.as_ref().is_none_or(|(ba, _)| acc > *ba) {
                 best = Some((acc, tree));
@@ -223,22 +197,10 @@ impl C45 {
     }
 }
 
-/// One windowing run: returns the pruned tree of the final window.
+/// One windowing run: returns the pruned tree of the final window. Every
+/// window iteration grows from the dataset's presort.
 pub fn grow_windowed(
     data: &Dataset,
-    rows: &[usize],
-    config: &C45Config,
-    seed: u64,
-) -> DecisionTree {
-    let index = ColumnarIndex::build(data);
-    grow_windowed_indexed(data, &index, rows, config, seed)
-}
-
-/// [`grow_windowed`] over a prebuilt [`ColumnarIndex`]: every window
-/// iteration grows from the same presorted columns.
-pub fn grow_windowed_indexed(
-    data: &Dataset,
-    index: &ColumnarIndex,
     rows: &[usize],
     config: &C45Config,
     seed: u64,
@@ -255,8 +217,7 @@ pub fn grow_windowed_indexed(
     let mut outside: Vec<usize> = shuffled[init..].to_vec();
 
     loop {
-        let mut tree =
-            DecisionTree::grow_indexed(data, index, &window, &GrowRule::C45, &config.grow);
+        let mut tree = DecisionTree::grow(data, &window, &GrowRule::C45, &config.grow);
         pessimistic_prune(&mut tree, config.cf);
         let misclassified: Vec<usize> = outside
             .iter()

@@ -6,14 +6,17 @@
 //! module removes both costs in the SLIQ/SPRINT style while reproducing
 //! the existing choosers **bit for bit**:
 //!
-//! * [`ColumnarIndex`] ingests a [`Dataset`] once: each numeric attribute
-//!   gets a single rank permutation (its non-missing rows, stably sorted
-//!   ascending by value) and a dense per-row value column; each
-//!   categorical attribute gets a dense per-row code column.
+//! * The [`Dataset`] is the one column store: typed value and code
+//!   columns, read by the engine in place. Its [`ColumnarIndex`], built
+//!   once on first use ([`Dataset::index`]), adds only the presort: one
+//!   rank permutation per numeric attribute (its non-missing rows, stably
+//!   sorted ascending by value).
 //! * Trees grow over **row-index sets**. Each node keeps, per numeric
 //!   attribute, its rows in presorted value order; a split stably
 //!   partitions those lists into the children in one `O(n)` pass, so no
-//!   node below the root ever sorts anything.
+//!   node below the root ever sorts anything. Rows are routed to the
+//!   children by reading the tested column directly; a categorical split
+//!   first becomes a per-value branch table.
 //! * Numeric thresholds are found by a linear sweep that builds the
 //!   boundary baskets of §5.3 directly into flat (structure-of-arrays)
 //!   histograms — `O(n·k)` per node — and feeds them to the same interval
@@ -43,10 +46,10 @@
 //! engine shares with the reference path.
 //!
 //! Cross-validation folds, windowing trials, and the parallel drivers in
-//! `parmine` all share one immutable index per dataset (it is `Sync`; wrap
-//! it in an `Arc` and grow from any number of threads).
+//! `parmine` all share the dataset's one immutable index (it is `Sync`;
+//! grow from any number of threads).
 
-use crate::data::{AttrValue, Dataset};
+use crate::data::{Column, Dataset, MISSING_CODE};
 use crate::impurity::{Entropy, Gini, Impurity};
 use crate::split::{
     interval_split_flat_in, midpoint, optimal_categorical_split_hist, pure_class, two_basket_cut,
@@ -56,82 +59,39 @@ use crate::tree::{DecisionTree, GrowConfig, GrowRule, TreeNode};
 
 /// Sentinel branch id for rows whose tested value is missing.
 const NO_BRANCH: u16 = u16::MAX;
-/// Sentinel code for a missing categorical value.
-const NO_CODE: u16 = u16::MAX;
 
-/// A dataset ingested once for columnar split search: per-attribute sorted
-/// row permutations (numeric) and dense code columns (categorical).
-///
-/// Build one per dataset and share it (`&` or `Arc`) across every tree
-/// grown on any subset of that dataset's rows — cross-validation folds,
-/// windowing trials, and parallel workers all reuse the same sort.
+/// The presort of a dataset: one rank permutation per numeric attribute.
+/// Values, codes and cardinalities stay in the [`Dataset`], which builds
+/// its own index once ([`Dataset::index`]) and shares it across every
+/// tree grown on any subset of its rows.
 #[derive(Debug, Clone)]
 pub struct ColumnarIndex {
     n_rows: usize,
-    n_attributes: usize,
-    /// Numeric slot of each attribute (dense numbering), if numeric.
-    num_slot: Vec<Option<usize>>,
-    /// Per numeric slot: all non-missing rows, ascending by value (stable
-    /// `total_cmp` order — the same order the classic path sorts into).
+    /// Per attribute: its non-missing rows, ascending by value (stable
+    /// `total_cmp` order — the same order the classic path sorts into);
+    /// empty for a categorical attribute.
     sorted: Vec<Vec<u32>>,
-    /// Per numeric slot: value per row id (`NaN` where missing).
-    values: Vec<Vec<f64>>,
-    /// Categorical slot of each attribute, if categorical.
-    cat_slot: Vec<Option<usize>>,
-    /// Per categorical slot: value code per row id (`NO_CODE` = missing).
-    codes: Vec<Vec<u16>>,
-    /// Per categorical slot: domain cardinality.
-    cardinality: Vec<usize>,
 }
 
 impl ColumnarIndex {
-    /// Ingest `data`: one stable sort per numeric attribute, one scan per
-    /// categorical attribute. This is the only sort the engine ever does.
+    /// Presort `data`: one stable sort per numeric attribute. This is the
+    /// only sort the engine ever does.
     pub fn build(data: &Dataset) -> Self {
         let n = data.len();
         assert!(n < u32::MAX as usize, "row ids are u32");
-        let mut num_slot = vec![None; data.n_attributes()];
-        let mut cat_slot = vec![None; data.n_attributes()];
-        let mut sorted = Vec::new();
-        let mut values = Vec::new();
-        let mut codes = Vec::new();
-        let mut cardinality = Vec::new();
-        for (attr, schema) in data.attributes().iter().enumerate() {
-            if schema.is_numeric() {
-                let mut vals = vec![f64::NAN; n];
-                let mut rows: Vec<u32> = Vec::with_capacity(n);
-                for (r, slot) in vals.iter_mut().enumerate() {
-                    if let AttrValue::Num(v) = data.value(r, attr) {
-                        *slot = v;
-                        rows.push(r as u32);
-                    }
+        let sorted = (0..data.n_attributes())
+            .map(|attr| match data.column(attr) {
+                Column::Num(vals) => {
+                    let mut rows: Vec<u32> = (0..n as u32)
+                        .filter(|&r| !vals[r as usize].is_nan())
+                        .collect();
+                    rows.sort_by(|&a, &b| vals[a as usize].total_cmp(&vals[b as usize]));
+                    rows
                 }
-                rows.sort_by(|&a, &b| vals[a as usize].total_cmp(&vals[b as usize]));
-                num_slot[attr] = Some(sorted.len());
-                sorted.push(rows);
-                values.push(vals);
-            } else {
-                let mut col = vec![NO_CODE; n];
-                for (r, slot) in col.iter_mut().enumerate() {
-                    if let AttrValue::Cat(v) = data.value(r, attr) {
-                        *slot = v;
-                    }
-                }
-                cat_slot[attr] = Some(codes.len());
-                codes.push(col);
-                cardinality.push(schema.cardinality());
-            }
-        }
-        ColumnarIndex {
-            n_rows: n,
-            n_attributes: data.n_attributes(),
-            num_slot,
-            sorted,
-            values,
-            cat_slot,
-            codes,
-            cardinality,
-        }
+                Column::Cat(_) => Vec::new(),
+            })
+            .collect();
+        ColumnarIndex { n_rows: n, sorted }
     }
 
     /// Number of rows the index was built over.
@@ -287,7 +247,8 @@ impl FlatBaskets {
 }
 
 /// One node's worth of rows: the rows in tree-partition order plus, per
-/// numeric slot, the same rows in presorted value order.
+/// numeric attribute, the same rows in presorted value order (empty for
+/// categorical attributes).
 struct NodeRows {
     rows: Vec<u32>,
     sorted: Vec<Vec<u32>>,
@@ -301,6 +262,9 @@ struct Engine<'a> {
     /// Per-row branch assignment scratch (valid only for the node being
     /// partitioned).
     branch_of: Vec<u16>,
+    /// Branch of each categorical value under the split being applied
+    /// (`NO_BRANCH` for a value no branch takes), rebuilt per split.
+    branch_table: Vec<u16>,
     fb: FlatBaskets,
     /// Interval-DP buffers, reused across every (node, attribute) call.
     dps: DpScratch,
@@ -328,12 +292,13 @@ impl<'a> Engine<'a> {
             data.len(),
             "index built for a different dataset"
         );
-        assert_eq!(index.n_attributes, data.n_attributes());
+        assert_eq!(index.sorted.len(), data.n_attributes());
         let k = data.n_classes();
         Engine {
             data,
             index,
             branch_of: vec![NO_BRANCH; index.n_rows],
+            branch_table: Vec::new(),
             fb: FlatBaskets::new(k),
             dps: DpScratch::default(),
             ident: (0..k as u16).collect(),
@@ -383,14 +348,14 @@ impl<'a> Engine<'a> {
     fn numeric_optimal(
         &mut self,
         node: &NodeRows,
-        slot: usize,
         attr: usize,
+        vals: &[f64],
         max_branches: usize,
         imp: &dyn Impurity,
     ) -> Option<(SplitTest, f64)> {
         self.fb.fill(
-            &node.sorted[slot],
-            &self.index.values[slot],
+            &node.sorted[attr],
+            vals,
             self.data,
             self.n_slots,
             &self.slot_of,
@@ -415,14 +380,13 @@ impl<'a> Engine<'a> {
     /// Refill [`Engine::hist`] with a categorical attribute's per-value
     /// class histograms at this node: one counting pass over the code
     /// column, no allocation once the buffer has grown.
-    fn fill_hist(&mut self, node: &NodeRows, slot: usize) {
+    fn fill_hist(&mut self, node: &NodeRows, codes: &[u16], cardinality: usize) {
         let k = self.data.n_classes();
-        let codes = &self.index.codes[slot];
         self.hist.clear();
-        self.hist.resize(self.index.cardinality[slot] * k, 0);
+        self.hist.resize(cardinality * k, 0);
         for &r in &node.rows {
             let code = codes[r as usize];
-            if code != NO_CODE {
+            if code != MISSING_CODE {
                 self.hist[code as usize * k + self.data.class(r as usize) as usize] += 1;
             }
         }
@@ -461,24 +425,19 @@ impl<'a> Engine<'a> {
             self.n_slots = k;
         }
 
+        let data = self.data;
         let mut best: Option<(SplitTest, f64)> = None;
-        for attr in 0..self.data.n_attributes() {
-            let cand = if let Some(slot) = self.index.num_slot[attr] {
-                self.numeric_optimal(node, slot, attr, max_branches, imp)
-            } else {
-                let slot = self.index.cat_slot[attr].unwrap();
-                if self.index.cardinality[slot] < 2 {
-                    None
-                } else {
-                    self.fill_hist(node, slot);
-                    categorical_split(
-                        attr,
-                        &self.hist,
-                        self.data.n_classes(),
-                        max_branches,
-                        imp,
-                        &mut self.dps,
-                    )
+        for attr in 0..data.n_attributes() {
+            let cand = match data.column(attr) {
+                Column::Num(vals) => self.numeric_optimal(node, attr, vals, max_branches, imp),
+                Column::Cat(codes) => {
+                    let cardinality = data.attributes()[attr].cardinality();
+                    if cardinality < 2 {
+                        None
+                    } else {
+                        self.fill_hist(node, codes, cardinality);
+                        categorical_split(attr, &self.hist, k, max_branches, imp, &mut self.dps)
+                    }
                 }
             };
             if let Some((test, cost)) = cand {
@@ -500,73 +459,70 @@ impl<'a> Engine<'a> {
     /// candidate's information gain is computed once, against the node's
     /// `parent_info`, and its gain ratio is derived from that gain.
     fn c45_split(&mut self, node: &NodeRows, parent: &[usize]) -> Option<(SplitTest, f64)> {
-        let k = self.data.n_classes();
+        let data = self.data;
+        let k = data.n_classes();
         let parent_info = Entropy.of(parent);
         let mut best: Option<(SplitTest, f64)> = None;
-        for attr in 0..self.data.n_attributes() {
+        for attr in 0..data.n_attributes() {
             // (test, gain, split info) of the attribute's candidate.
-            let cand: Option<(SplitTest, f64, f64)> = if let Some(slot) = self.index.num_slot[attr]
-            {
-                // Best threshold by information gain, swept over the
-                // collapsed boundary baskets with incremental left/right
-                // histograms.
-                self.fb.fill(
-                    &node.sorted[slot],
-                    &self.index.values[slot],
-                    self.data,
-                    k,
-                    &self.ident,
-                );
-                if self.fb.len() < 2 {
-                    None
-                } else {
-                    for c in 0..k {
-                        self.sides[c] = 0;
-                        self.all[c] = (0..self.fb.len()).map(|i| self.fb.row(i)[c]).sum();
-                    }
-                    let mut best_t: Option<(f64, f64)> = None; // (gain, cut)
-                    for i in 0..self.fb.len() - 1 {
-                        for c in 0..k {
-                            self.sides[c] += self.fb.row(i)[c];
-                            self.sides[k + c] = self.all[c] - self.sides[c];
-                        }
-                        let g = info_gain_flat(parent_info, &self.sides, k);
-                        if best_t.as_ref().is_none_or(|(bg, _)| g > *bg) {
-                            self.best_left.copy_from_slice(&self.sides[..k]);
-                            best_t = Some((g, midpoint(self.fb.uppers[i], self.fb.uppers[i + 1])));
-                        }
-                    }
-                    best_t.map(|(gain, cut)| {
-                        for c in 0..k {
-                            self.sides[c] = self.best_left[c];
-                            self.sides[k + c] = self.all[c] - self.best_left[c];
-                        }
-                        let test = SplitTest::NumRanges {
-                            attr,
-                            cuts: vec![cut],
-                        };
-                        (test, gain, split_info_flat(&self.sides, k))
-                    })
-                }
-            } else {
-                let slot = self.index.cat_slot[attr].unwrap();
-                let arity = self.index.cardinality[slot];
-                if arity < 2 {
-                    None
-                } else {
-                    self.fill_hist(node, slot);
-                    // At least two non-empty branches required.
-                    let non_empty = self
-                        .hist
-                        .chunks_exact(k)
-                        .filter(|p| p.iter().any(|&n| n > 0))
-                        .count();
-                    if non_empty < 2 {
+            let cand: Option<(SplitTest, f64, f64)> = match data.column(attr) {
+                Column::Num(vals) => {
+                    // Best threshold by information gain, swept over the
+                    // collapsed boundary baskets with incremental left/right
+                    // histograms.
+                    self.fb.fill(&node.sorted[attr], vals, data, k, &self.ident);
+                    if self.fb.len() < 2 {
                         None
                     } else {
-                        let gain = info_gain_flat(parent_info, &self.hist, k);
-                        let test = SplitTest::CatEach { attr, arity };
-                        Some((test, gain, split_info_flat(&self.hist, k)))
+                        for c in 0..k {
+                            self.sides[c] = 0;
+                            self.all[c] = (0..self.fb.len()).map(|i| self.fb.row(i)[c]).sum();
+                        }
+                        let mut best_t: Option<(f64, f64)> = None; // (gain, cut)
+                        for i in 0..self.fb.len() - 1 {
+                            for c in 0..k {
+                                self.sides[c] += self.fb.row(i)[c];
+                                self.sides[k + c] = self.all[c] - self.sides[c];
+                            }
+                            let g = info_gain_flat(parent_info, &self.sides, k);
+                            if best_t.as_ref().is_none_or(|(bg, _)| g > *bg) {
+                                self.best_left.copy_from_slice(&self.sides[..k]);
+                                best_t =
+                                    Some((g, midpoint(self.fb.uppers[i], self.fb.uppers[i + 1])));
+                            }
+                        }
+                        best_t.map(|(gain, cut)| {
+                            for c in 0..k {
+                                self.sides[c] = self.best_left[c];
+                                self.sides[k + c] = self.all[c] - self.best_left[c];
+                            }
+                            let test = SplitTest::NumRanges {
+                                attr,
+                                cuts: vec![cut],
+                            };
+                            (test, gain, split_info_flat(&self.sides, k))
+                        })
+                    }
+                }
+                Column::Cat(codes) => {
+                    let arity = data.attributes()[attr].cardinality();
+                    if arity < 2 {
+                        None
+                    } else {
+                        self.fill_hist(node, codes, arity);
+                        // At least two non-empty branches required.
+                        let non_empty = self
+                            .hist
+                            .chunks_exact(k)
+                            .filter(|p| p.iter().any(|&n| n > 0))
+                            .count();
+                        if non_empty < 2 {
+                            None
+                        } else {
+                            let gain = info_gain_flat(parent_info, &self.hist, k);
+                            let test = SplitTest::CatEach { attr, arity };
+                            Some((test, gain, split_info_flat(&self.hist, k)))
+                        }
                     }
                 }
             };
@@ -581,6 +537,51 @@ impl<'a> Engine<'a> {
             }
         }
         best
+    }
+
+    /// Set `branch_of` for each of `rows` to the branch `test` sends it
+    /// down, `NO_BRANCH` where [`SplitTest::branch`] gives `None`, reading
+    /// the typed column directly. A categorical test is first turned into
+    /// a per-value branch table, so each row costs one lookup.
+    fn route(&mut self, rows: &[u32], test: &SplitTest) {
+        let column = self.data.column(test.attr());
+        let table = &mut self.branch_table;
+        let codes = match (test, column) {
+            (SplitTest::NumRanges { cuts, .. }, Column::Num(vals)) => {
+                for &r in rows {
+                    let v = vals[r as usize];
+                    self.branch_of[r as usize] = if v.is_nan() {
+                        NO_BRANCH
+                    } else {
+                        cuts.iter().position(|&c| v < c).unwrap_or(cuts.len()) as u16
+                    };
+                }
+                return;
+            }
+            (SplitTest::CatGroups { attr, groups }, Column::Cat(codes)) => {
+                table.clear();
+                table.resize(self.data.attributes()[*attr].cardinality(), NO_BRANCH);
+                // Reversed, so the first group holding a value takes it.
+                for (b, group) in groups.iter().enumerate().rev() {
+                    for &v in group {
+                        table[v as usize] = b as u16;
+                    }
+                }
+                codes
+            }
+            (SplitTest::CatEach { arity, .. }, Column::Cat(codes)) => {
+                table.clear();
+                table.extend(0..*arity as u16);
+                codes
+            }
+            _ => unreachable!("the engine tests each attribute by its column's type"),
+        };
+        // A value past the table's end, the missing code included, takes
+        // no branch.
+        for &r in rows {
+            let code = codes[r as usize] as usize;
+            self.branch_of[r as usize] = table.get(code).copied().unwrap_or(NO_BRANCH);
+        }
     }
 
     fn grow_node(
@@ -624,18 +625,13 @@ impl<'a> Engine<'a> {
         // one on ties, matching the classic path), appended after the
         // branch's own rows.
         let arity = test.arity();
+        self.route(&node.rows, &test);
         let mut parts: Vec<Vec<u32>> = vec![Vec::new(); arity];
         let mut missing: Vec<u32> = Vec::new();
         for &r in &node.rows {
-            match test.branch(self.data, r as usize) {
-                Some(b) => {
-                    self.branch_of[r as usize] = b as u16;
-                    parts[b].push(r);
-                }
-                None => {
-                    self.branch_of[r as usize] = NO_BRANCH;
-                    missing.push(r);
-                }
+            match self.branch_of[r as usize] {
+                NO_BRANCH => missing.push(r),
+                b => parts[b as usize].push(r),
             }
         }
         let mut default_branch = 0;
@@ -657,18 +653,18 @@ impl<'a> Engine<'a> {
 
         // Stably partition every presorted list into the children in one
         // pass — this is what replaces the classic path's per-node sort.
-        let n_slots = node.sorted.len();
+        let n_attrs = node.sorted.len();
         let mut children_rows: Vec<NodeRows> = parts
             .into_iter()
             .map(|p| NodeRows {
                 rows: p,
-                sorted: vec![Vec::new(); n_slots],
+                sorted: vec![Vec::new(); n_attrs],
             })
             .collect();
-        for (slot, perm) in node.sorted.iter().enumerate() {
+        for (attr, perm) in node.sorted.iter().enumerate() {
             for &r in perm {
                 let b = self.branch_of[r as usize] as usize;
-                children_rows[b].sorted[slot].push(r);
+                children_rows[b].sorted[attr].push(r);
             }
         }
         drop(node);
@@ -854,6 +850,7 @@ pub fn columnar_c45_split(
 mod tests {
     use super::*;
     use crate::data::fixtures::heart;
+    use crate::data::AttrValue;
     use crate::impurity::{gain_ratio, information_gain, split_info};
     use crate::split::{best_split, c45_split};
     use crate::tree::GrowConfig;

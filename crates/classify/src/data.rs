@@ -6,9 +6,11 @@
 //! variable). Attribute values may be missing, as in the `mushrooms` and
 //! `vote` benchmark datasets (Table 5.2).
 
+use crate::columnar::ColumnarIndex;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::sync::{Arc, OnceLock};
 
 /// One attribute value.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,20 +69,38 @@ impl Attribute {
     }
 }
 
-/// A column-major training table.
+/// Missing-value marker of a categorical column.
+pub(crate) const MISSING_CODE: u16 = u16::MAX;
+
+/// One stored column: numeric values (`NaN` where missing) or categorical
+/// codes ([`MISSING_CODE`] where missing).
+#[derive(Debug, Clone)]
+pub(crate) enum Column {
+    Num(Vec<f64>),
+    Cat(Vec<u16>),
+}
+
+/// A column-major training table: one typed column per attribute, plus
+/// the presort of its numeric columns ([`Dataset::index`]), built once on
+/// first use and shared by every tree grown on the table.
 #[derive(Debug, Clone)]
 pub struct Dataset {
     attributes: Vec<Attribute>,
-    /// `columns[a][row]` is row `row`'s value of attribute `a`.
-    columns: Vec<Vec<AttrValue>>,
+    columns: Vec<Column>,
     /// Class label per row.
     classes: Vec<u16>,
     class_names: Vec<String>,
+    index: OnceLock<Arc<ColumnarIndex>>,
 }
 
 impl Dataset {
     /// Build a dataset; all columns and the class vector must agree in
     /// length, and class labels must index `class_names`.
+    ///
+    /// Each column is stored typed, so a cell must fit its attribute:
+    /// panics on a `Cat` in a numeric column, a `Num` in a categorical
+    /// one, `Num(NaN)` or `Cat(u16::MAX)` (the stores' missing markers),
+    /// naming the column and the row.
     pub fn new(
         attributes: Vec<Attribute>,
         columns: Vec<Vec<AttrValue>>,
@@ -88,9 +108,32 @@ impl Dataset {
         class_names: Vec<String>,
     ) -> Self {
         assert_eq!(attributes.len(), columns.len(), "schema/column mismatch");
-        for (a, col) in columns.iter().enumerate() {
-            assert_eq!(col.len(), classes.len(), "column {a} length mismatch");
-        }
+        let columns = attributes
+            .iter()
+            .zip(columns)
+            .enumerate()
+            .map(|(a, (schema, cells))| {
+                assert_eq!(cells.len(), classes.len(), "column {a} length mismatch");
+                let (mut column, kind) = if schema.is_numeric() {
+                    (Column::Num(Vec::with_capacity(cells.len())), "numeric")
+                } else {
+                    (Column::Cat(Vec::with_capacity(cells.len())), "categorical")
+                };
+                for (r, v) in cells.into_iter().enumerate() {
+                    match (&mut column, v) {
+                        (Column::Num(c), AttrValue::Num(x)) if !x.is_nan() => c.push(x),
+                        (Column::Num(c), AttrValue::Missing) => c.push(f64::NAN),
+                        (Column::Cat(c), AttrValue::Cat(x)) if x != MISSING_CODE => c.push(x),
+                        (Column::Cat(c), AttrValue::Missing) => c.push(MISSING_CODE),
+                        _ => panic!(
+                            "column {a} ({}) row {r}: cannot store {v:?} in a {kind} column",
+                            schema.name()
+                        ),
+                    }
+                }
+                column
+            })
+            .collect();
         assert!(
             classes.iter().all(|&c| (c as usize) < class_names.len()),
             "class label out of range"
@@ -100,7 +143,16 @@ impl Dataset {
             columns,
             classes,
             class_names,
+            index: OnceLock::new(),
         }
+    }
+
+    /// The presort of the numeric columns, built on the first call and
+    /// shared by every later one, from any thread: cross-validation
+    /// folds, windowing trials and parallel workers all grow over it.
+    pub fn index(&self) -> &Arc<ColumnarIndex> {
+        self.index
+            .get_or_init(|| Arc::new(ColumnarIndex::build(self)))
     }
 
     /// Number of rows.
@@ -135,7 +187,16 @@ impl Dataset {
 
     /// Value of attribute `attr` in row `row`.
     pub fn value(&self, row: usize, attr: usize) -> AttrValue {
-        self.columns[attr][row]
+        match &self.columns[attr] {
+            Column::Num(v) if !v[row].is_nan() => AttrValue::Num(v[row]),
+            Column::Cat(c) if c[row] != MISSING_CODE => AttrValue::Cat(c[row]),
+            _ => AttrValue::Missing,
+        }
+    }
+
+    /// The stored column of attribute `attr`.
+    pub(crate) fn column(&self, attr: usize) -> &Column {
+        &self.columns[attr]
     }
 
     /// Class of row `row`.
@@ -179,7 +240,10 @@ impl Dataset {
         let missing: usize = self
             .columns
             .iter()
-            .map(|c| c.iter().filter(|v| v.is_missing()).count())
+            .map(|c| match c {
+                Column::Num(v) => v.iter().filter(|x| x.is_nan()).count(),
+                Column::Cat(c) => c.iter().filter(|&&x| x == MISSING_CODE).count(),
+            })
             .sum();
         missing as f64 / cells as f64
     }
@@ -261,7 +325,17 @@ pub(crate) mod fixtures {
 
     /// The imaginary heart-disease table of Table 2.1 (without Karp).
     pub fn heart() -> Dataset {
-        let attributes = vec![
+        Dataset::new(
+            heart_schema(),
+            heart_cells(),
+            // Jihai yes, Tom no, Hansoo no, Peter no, Bin yes, Dennis yes.
+            vec![1, 0, 0, 0, 1, 1],
+            vec!["no".into(), "yes".into()],
+        )
+    }
+
+    fn heart_schema() -> Vec<Attribute> {
+        vec![
             Attribute::Numeric {
                 name: "weight".into(),
             },
@@ -270,7 +344,11 @@ pub(crate) mod fixtures {
                 name: "bp".into(),
                 values: vec!["low".into(), "med".into(), "high".into()],
             },
-        ];
+        ]
+    }
+
+    /// The cells [`heart`] is built from.
+    pub fn heart_cells() -> Vec<Vec<AttrValue>> {
         let weight = [180.0, 140.0, 150.0, 150.0, 150.0, 150.0]
             .iter()
             .map(|&w| AttrValue::Num(w))
@@ -283,20 +361,30 @@ pub(crate) mod fixtures {
             .iter()
             .map(|&b| AttrValue::Cat(b))
             .collect();
-        // Jihai yes, Tom no, Hansoo no, Peter no, Bin yes, Dennis yes.
-        let classes = vec![1, 0, 0, 0, 1, 1];
-        Dataset::new(
-            attributes,
-            vec![weight, age, bp],
-            classes,
-            vec!["no".into(), "yes".into()],
-        )
+        vec![weight, age, bp]
+    }
+
+    /// Assert that `data.value` gives back every cell of `columns`, the
+    /// cells `data` was built from, exactly (numbers bit for bit).
+    pub fn assert_stores_exactly(data: &Dataset, columns: &[Vec<AttrValue>]) {
+        assert_eq!(data.n_attributes(), columns.len());
+        for (a, col) in columns.iter().enumerate() {
+            assert_eq!(data.len(), col.len());
+            for (r, &want) in col.iter().enumerate() {
+                let got = data.value(r, a);
+                let exact = match (got, want) {
+                    (AttrValue::Num(x), AttrValue::Num(y)) => x.to_bits() == y.to_bits(),
+                    _ => got == want,
+                };
+                assert!(exact, "column {a} row {r}: stored {want:?}, read {got:?}");
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::fixtures::heart;
+    use super::fixtures::{assert_stores_exactly, heart, heart_cells};
     use super::*;
 
     #[test]
@@ -347,6 +435,118 @@ mod tests {
         for f in &folds {
             assert_eq!(f.len(), 2);
         }
+    }
+
+    #[test]
+    fn value_reads_back_every_cell() {
+        assert_stores_exactly(&heart(), &heart_cells());
+        // Missing cells, negative zero and the extremes of both stores.
+        let cells = vec![
+            vec![
+                AttrValue::Num(-0.0),
+                AttrValue::Missing,
+                AttrValue::Num(f64::INFINITY),
+                AttrValue::Num(f64::MIN_POSITIVE),
+            ],
+            vec![
+                AttrValue::Missing,
+                AttrValue::Cat(0),
+                AttrValue::Cat(u16::MAX - 1),
+                AttrValue::Missing,
+            ],
+        ];
+        let d = Dataset::new(
+            vec![
+                Attribute::Numeric { name: "x".into() },
+                Attribute::Categorical {
+                    name: "c".into(),
+                    values: vec!["a".into(), "b".into()],
+                },
+            ],
+            cells.clone(),
+            vec![0; 4],
+            vec!["a".into()],
+        );
+        assert_stores_exactly(&d, &cells);
+        assert_eq!(d.missing_rate(), 3.0 / 8.0);
+        assert_eq!(d.rows_with_missing(), 3.0 / 4.0);
+    }
+
+    /// A one-column dataset of `cells` under `attribute`.
+    fn one_column(attribute: Attribute, cells: Vec<AttrValue>) -> Dataset {
+        let n = cells.len();
+        Dataset::new(vec![attribute], vec![cells], vec![0; n], vec!["a".into()])
+    }
+
+    fn numeric() -> Attribute {
+        Attribute::Numeric { name: "x".into() }
+    }
+
+    fn categorical() -> Attribute {
+        Attribute::Categorical {
+            name: "c".into(),
+            values: vec!["a".into(), "b".into()],
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "column 0 (x) row 1: cannot store Cat(1) in a numeric column")]
+    fn a_code_in_a_numeric_column_is_rejected() {
+        one_column(numeric(), vec![AttrValue::Num(1.0), AttrValue::Cat(1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "column 0 (c) row 2: cannot store Num(1.0) in a categorical column")]
+    fn a_number_in_a_categorical_column_is_rejected() {
+        let cells = vec![AttrValue::Cat(0), AttrValue::Missing, AttrValue::Num(1.0)];
+        one_column(categorical(), cells);
+    }
+
+    #[test]
+    #[should_panic(expected = "column 0 (x) row 0: cannot store Num(NaN) in a numeric column")]
+    fn nan_is_rejected() {
+        one_column(numeric(), vec![AttrValue::Num(f64::NAN)]);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "column 1 (c) row 1: cannot store Cat(65535) in a categorical column"
+    )]
+    fn the_missing_code_is_rejected() {
+        Dataset::new(
+            vec![numeric(), categorical()],
+            vec![
+                vec![AttrValue::Num(0.0); 2],
+                vec![AttrValue::Cat(1), AttrValue::Cat(u16::MAX)],
+            ],
+            vec![0, 0],
+            vec!["a".into()],
+        );
+    }
+
+    #[test]
+    fn the_index_is_built_once_and_shared() {
+        let data = Arc::new(heart());
+        let clone = Arc::clone(&data);
+        let start = std::sync::Barrier::new(4);
+        // Four threads race the first call.
+        let seen: Vec<Arc<ColumnarIndex>> = std::thread::scope(|s| {
+            let racers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        Arc::clone(data.index())
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for index in &seen {
+            assert!(Arc::ptr_eq(index, clone.index()));
+        }
+        // A copy of the dataset shares the built index.
+        assert!(Arc::ptr_eq((*data).clone().index(), data.index()));
+        assert_eq!(data.index().n_rows(), data.len());
     }
 
     #[test]

@@ -45,6 +45,27 @@ fn pct(now: f64, then: f64) -> f64 {
 /// Build the §5.6.1 dataset from a daily rate series (needs more than a
 /// year of history plus one day of look-ahead per row).
 pub fn build_features(rates: &[f64]) -> ForexData {
+    let (columns, classes, day_of_row) = feature_cells(rates);
+    let attributes = FEATURE_NAMES
+        .iter()
+        .map(|n| Attribute::Numeric {
+            name: (*n).to_string(),
+        })
+        .collect();
+    ForexData {
+        data: Dataset::new(
+            attributes,
+            columns,
+            classes,
+            vec!["down".into(), "up".into()],
+        ),
+        day_of_row,
+    }
+}
+
+/// The cells [`build_features`] stores: the feature columns, the class
+/// of each row and its day.
+fn feature_cells(rates: &[f64]) -> (Vec<Vec<AttrValue>>, Vec<u16>, Vec<usize>) {
     assert!(
         rates.len() > YEAR + 2,
         "need more than a year of rates, got {}",
@@ -81,21 +102,7 @@ pub fn build_features(rates: &[f64]) -> ForexData {
         classes.push(u16::from(rates[d + 1] > r));
         day_of_row.push(d);
     }
-    let attributes = FEATURE_NAMES
-        .iter()
-        .map(|n| Attribute::Numeric {
-            name: (*n).to_string(),
-        })
-        .collect();
-    ForexData {
-        data: Dataset::new(
-            attributes,
-            columns,
-            classes,
-            vec!["down".into(), "up".into()],
-        ),
-        day_of_row,
-    }
+    (columns, classes, day_of_row)
 }
 
 /// Outcome of the §5.6.3 trading simulation.
@@ -209,6 +216,7 @@ pub fn run_forex(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::data::fixtures::assert_stores_exactly;
 
     /// A deterministic synthetic rate series with a weak exploitable
     /// regime (mean reversion after 5 down days).
@@ -244,6 +252,16 @@ mod tests {
             panic!()
         };
         assert!((one - pct(rates[YEAR], rates[YEAR - 1])).abs() < 1e-9);
+    }
+
+    #[test]
+    fn features_are_stored_exactly() {
+        let mut series: Vec<Vec<f64>> = datagen::fx_pairs(7).into_iter().map(|(_, r)| r).collect();
+        series.push(synthetic_rates(400));
+        for rates in series {
+            let (columns, _, _) = feature_cells(&rates);
+            assert_stores_exactly(&build_features(&rates).data, &columns);
+        }
     }
 
     #[test]

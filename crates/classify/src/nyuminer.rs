@@ -12,10 +12,9 @@
 //!   alternative to pruning, and the mechanism behind the foreign-exchange
 //!   application of §5.6.
 
-use crate::columnar::ColumnarIndex;
 use crate::data::{Classifier, Dataset};
 use crate::impurity::{Entropy, Gini, Impurity};
-use crate::prune::{grow_with_cv_pruning_indexed, CvPruned};
+use crate::prune::{grow_with_cv_pruning, CvPruned};
 use crate::split::SplitTest;
 use crate::tree::{DecisionTree, GrowConfig, GrowRule};
 use rand::rngs::StdRng;
@@ -92,24 +91,11 @@ pub struct NyuMinerCV {
 
 impl NyuMinerCV {
     /// Train on `rows` with `v`-fold CV pruning (`v = 0` skips pruning —
-    /// the Table 6.1 baseline).
+    /// the Table 6.1 baseline). The main and fold trees share the
+    /// dataset's presort.
     pub fn fit(data: &Dataset, rows: &[usize], config: &NyuConfig, v: usize, seed: u64) -> Self {
-        let index = ColumnarIndex::build(data);
-        Self::fit_indexed(data, &index, rows, config, v, seed)
-    }
-
-    /// [`NyuMinerCV::fit`] over a prebuilt [`ColumnarIndex`]: the main
-    /// and fold trees share the dataset's presorted columns.
-    pub fn fit_indexed(
-        data: &Dataset,
-        index: &ColumnarIndex,
-        rows: &[usize],
-        config: &NyuConfig,
-        v: usize,
-        seed: u64,
-    ) -> Self {
         let CvPruned { tree, alpha, .. } =
-            grow_with_cv_pruning_indexed(data, index, rows, &config.rule(), &config.grow, v, seed);
+            grow_with_cv_pruning(data, rows, &config.rule(), &config.grow, v, seed);
         NyuMinerCV { tree, alpha }
     }
 }
@@ -279,22 +265,9 @@ pub struct NyuMinerRS {
 /// Grow one tree by multiple incremental sampling (§5.4.2): start from a
 /// random subset, repeatedly add a selection of misclassified remaining
 /// elements, rebuild, until the remainder is classified correctly or
-/// exhausted.
+/// exhausted. Every rebuild grows from the dataset's presort.
 pub fn grow_incremental(
     data: &Dataset,
-    rows: &[usize],
-    config: &NyuConfig,
-    seed: u64,
-) -> DecisionTree {
-    let index = ColumnarIndex::build(data);
-    grow_incremental_indexed(data, &index, rows, config, seed)
-}
-
-/// [`grow_incremental`] over a prebuilt [`ColumnarIndex`]: every rebuild
-/// grows from the same presorted columns.
-pub fn grow_incremental_indexed(
-    data: &Dataset,
-    index: &ColumnarIndex,
     rows: &[usize],
     config: &NyuConfig,
     seed: u64,
@@ -307,7 +280,7 @@ pub fn grow_incremental_indexed(
     let mut window: Vec<usize> = shuffled[..init].to_vec();
     let mut outside: Vec<usize> = shuffled[init..].to_vec();
     loop {
-        let tree = DecisionTree::grow_indexed(data, index, &window, &config.rule(), &config.grow);
+        let tree = DecisionTree::grow(data, &window, &config.rule(), &config.grow);
         let misclassified: Vec<usize> = outside
             .iter()
             .copied()
@@ -325,26 +298,9 @@ pub fn grow_incremental_indexed(
 
 impl NyuMinerRS {
     /// Train with `trials` incremental-sampling trees and rule thresholds
-    /// `(cmin, smin)`.
+    /// `(cmin, smin)`. All trials share the dataset's presort.
     pub fn fit(
         data: &Dataset,
-        rows: &[usize],
-        config: &NyuConfig,
-        trials: usize,
-        cmin: f64,
-        smin: f64,
-        seed: u64,
-    ) -> Self {
-        let index = ColumnarIndex::build(data);
-        Self::fit_indexed(data, &index, rows, config, trials, cmin, smin, seed)
-    }
-
-    /// [`NyuMinerRS::fit`] over a prebuilt [`ColumnarIndex`]: all trials
-    /// share the dataset's presorted columns.
-    #[allow(clippy::too_many_arguments)]
-    pub fn fit_indexed(
-        data: &Dataset,
-        index: &ColumnarIndex,
         rows: &[usize],
         config: &NyuConfig,
         trials: usize,
@@ -356,13 +312,7 @@ impl NyuMinerRS {
         let mut trees = Vec::with_capacity(trials);
         let mut candidates = Vec::new();
         for t in 0..trials {
-            let tree = grow_incremental_indexed(
-                data,
-                index,
-                rows,
-                config,
-                seed.wrapping_add(t as u64 * 7919),
-            );
+            let tree = grow_incremental(data, rows, config, seed.wrapping_add(t as u64 * 7919));
             candidates.extend(extract_rules(&tree, rows.len()));
             trees.push(tree);
         }

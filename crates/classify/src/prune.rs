@@ -9,7 +9,6 @@
 //! trees grown on the folds, evaluated at the geometric midpoints
 //! `α'_k = √(α_k·α_{k+1})`, and the best `T_k` is selected.
 
-use crate::columnar::ColumnarIndex;
 use crate::data::{Classifier, Dataset};
 use crate::tree::{DecisionTree, GrowConfig, GrowRule};
 use std::collections::HashSet;
@@ -153,7 +152,8 @@ pub struct CvPruned {
 
 /// Grow a tree and prune it by minimal cost complexity with `v`-fold
 /// cross validation (the full CART/NyuMiner-CV procedure). With `v == 0`
-/// no pruning is performed (the `V = 0` rows of Table 6.1).
+/// no pruning is performed (the `V = 0` rows of Table 6.1). The main tree
+/// and all `v` fold trees share the dataset's presort.
 pub fn grow_with_cv_pruning(
     data: &Dataset,
     rows: &[usize],
@@ -162,23 +162,7 @@ pub fn grow_with_cv_pruning(
     v: usize,
     seed: u64,
 ) -> CvPruned {
-    let index = ColumnarIndex::build(data);
-    grow_with_cv_pruning_indexed(data, &index, rows, rule, config, v, seed)
-}
-
-/// [`grow_with_cv_pruning`] over a prebuilt [`ColumnarIndex`]: the main
-/// tree and all `v` fold trees share the dataset's presorted columns, so
-/// the per-fold ingest cost disappears.
-pub fn grow_with_cv_pruning_indexed(
-    data: &Dataset,
-    index: &ColumnarIndex,
-    rows: &[usize],
-    rule: &GrowRule,
-    config: &GrowConfig,
-    v: usize,
-    seed: u64,
-) -> CvPruned {
-    let main = DecisionTree::grow_indexed(data, index, rows, rule, config);
+    let main = DecisionTree::grow(data, rows, rule, config);
     if v == 0 {
         return CvPruned {
             tree: main,
@@ -207,7 +191,7 @@ pub fn grow_with_cv_pruning_indexed(
             .filter(|(j, _)| *j != i)
             .flat_map(|(_, f)| f.iter().copied())
             .collect();
-        let t = DecisionTree::grow_indexed(data, index, &train, rule, config);
+        let t = DecisionTree::grow(data, &train, rule, config);
         aux.push((test_fold.clone(), ccp_sequence(&t)));
     }
 

@@ -21,7 +21,7 @@
 //! and the gain-ratio chooser gives C4.5's tests, so all three learners
 //! share one split vocabulary ([`SplitTest`]).
 
-use crate::data::{AttrValue, Dataset};
+use crate::data::{AttrValue, Column, Dataset, MISSING_CODE};
 use crate::impurity::{gain_ratio, Entropy, Gini, Impurity};
 
 /// A decision-node test. Branches are numbered `0..arity`.
@@ -75,19 +75,19 @@ impl SplitTest {
     /// categorical value unseen at training time) — the tree sends those
     /// to its majority branch.
     pub fn branch(&self, data: &Dataset, row: usize) -> Option<usize> {
-        match self {
-            SplitTest::NumRanges { attr, cuts } => match data.value(row, *attr) {
-                AttrValue::Num(v) => Some(cuts.iter().position(|&c| v < c).unwrap_or(cuts.len())),
-                _ => None,
+        match (self, data.column(self.attr())) {
+            (SplitTest::NumRanges { cuts, .. }, Column::Num(vals)) => {
+                let v = vals[row];
+                (!v.is_nan()).then(|| cuts.iter().position(|&c| v < c).unwrap_or(cuts.len()))
+            }
+            (SplitTest::CatGroups { groups, .. }, Column::Cat(codes)) => match codes[row] {
+                MISSING_CODE => None,
+                v => groups.iter().position(|g| g.contains(&v)),
             },
-            SplitTest::CatGroups { attr, groups } => match data.value(row, *attr) {
-                AttrValue::Cat(v) => groups.iter().position(|g| g.contains(&v)),
-                _ => None,
-            },
-            SplitTest::CatEach { attr, arity } => match data.value(row, *attr) {
-                AttrValue::Cat(v) if (v as usize) < *arity => Some(v as usize),
-                _ => None,
-            },
+            (SplitTest::CatEach { arity, .. }, Column::Cat(codes)) => {
+                Some(codes[row] as usize).filter(|v| v < arity)
+            }
+            _ => None,
         }
     }
 

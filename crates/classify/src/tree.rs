@@ -84,19 +84,15 @@ pub struct DecisionTree {
 }
 
 impl DecisionTree {
-    /// Grow a tree on `rows` of `data` with the given rule.
-    ///
-    /// Ingests `data` into a fresh [`ColumnarIndex`] first; when growing
-    /// many trees over one dataset (cross-validation, windowing trials),
-    /// build the index once and use [`DecisionTree::grow_indexed`].
+    /// Grow a tree on `rows` of `data` with the given rule, over the
+    /// dataset's own presort ([`Dataset::index`], built on first use) —
+    /// the presort-once columnar engine. Produces exactly the tree
+    /// [`DecisionTree::grow_reference`] would.
     pub fn grow(data: &Dataset, rows: &[usize], rule: &GrowRule, config: &GrowConfig) -> Self {
-        let index = ColumnarIndex::build(data);
-        columnar::grow(data, &index, rows, rule, config)
+        columnar::grow(data, data.index(), rows, rule, config)
     }
 
-    /// Grow a tree over a prebuilt [`ColumnarIndex`] of `data` — the
-    /// presort-once columnar engine. Produces exactly the tree
-    /// [`DecisionTree::grow_reference`] would.
+    /// [`DecisionTree::grow`] over a given [`ColumnarIndex`] of `data`.
     pub fn grow_indexed(
         data: &Dataset,
         index: &ColumnarIndex,

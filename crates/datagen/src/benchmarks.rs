@@ -290,6 +290,16 @@ fn build_latent(
 
 /// Generate a dataset from a spec.
 pub fn generate(spec: &BenchmarkSpec, seed: u64) -> Dataset {
+    let (attributes, columns, classes, class_names) = cells(spec, seed);
+    Dataset::new(attributes, columns, classes, class_names)
+}
+
+/// What [`generate`] builds its dataset from: schema, cells, classes and
+/// class names.
+fn cells(
+    spec: &BenchmarkSpec,
+    seed: u64,
+) -> (Vec<Attribute>, Vec<Vec<AttrValue>>, Vec<u16>, Vec<String>) {
     assert!(
         (spec.class_weights.iter().sum::<f64>() - 1.0).abs() < 1e-6,
         "class weights must sum to 1"
@@ -410,7 +420,7 @@ pub fn generate(spec: &BenchmarkSpec, seed: u64) -> Dataset {
     let class_names = (0..spec.class_weights.len())
         .map(|c| format!("class{c}"))
         .collect();
-    Dataset::new(attributes, columns, classes, class_names)
+    (attributes, columns, classes, class_names)
 }
 
 #[cfg(test)]
@@ -431,6 +441,28 @@ mod tests {
                 s.name
             );
             assert_eq!(d.n_classes(), s.class_weights.len(), "{}", s.name);
+        }
+    }
+
+    #[test]
+    fn every_cell_is_stored_exactly() {
+        for s in all_specs() {
+            let (attributes, columns, classes, class_names) = cells(&s, 1);
+            let d = Dataset::new(attributes, columns.clone(), classes, class_names);
+            for (a, col) in columns.iter().enumerate() {
+                for (r, &want) in col.iter().enumerate() {
+                    let got = d.value(r, a);
+                    let exact = match (got, want) {
+                        (AttrValue::Num(x), AttrValue::Num(y)) => x.to_bits() == y.to_bits(),
+                        _ => got == want,
+                    };
+                    assert!(
+                        exact,
+                        "{} column {a} row {r}: {want:?} read as {got:?}",
+                        s.name
+                    );
+                }
+            }
         }
     }
 

@@ -9,13 +9,13 @@
 //! as the original workers kept them in their own address spaces and
 //! published only summary tuples.
 
-use classify::c45::{grow_windowed_indexed, C45Config};
+use classify::c45::{grow_windowed, C45Config};
 use classify::data::Dataset;
 use classify::nyuminer::{
-    extract_rules, grow_incremental_indexed, reevaluate_rules, NyuConfig, NyuMinerRS, RuleList,
+    extract_rules, grow_incremental, reevaluate_rules, NyuConfig, NyuMinerRS, RuleList,
 };
 use classify::tree::DecisionTree;
-use classify::{Classifier, ColumnarIndex};
+use classify::Classifier;
 use fpdm_core::ParallelConfig;
 use parking_lot::Mutex;
 use plinda::TaskFarm;
@@ -23,7 +23,8 @@ use std::sync::Arc;
 
 /// Grow one tree per trial index `0..trials` on the farm program `name`
 /// and return them in trial order, each with the score `grow` gave it on
-/// the worker.
+/// the worker. Every trial grows over the dataset's one presort
+/// ([`Dataset::index`]).
 fn farm_trials<F>(
     name: &str,
     data: &Arc<Dataset>,
@@ -33,20 +34,18 @@ fn farm_trials<F>(
     grow: F,
 ) -> Vec<(DecisionTree, f64)>
 where
-    F: Fn(&Dataset, &ColumnarIndex, &[usize], u64) -> (DecisionTree, f64) + Send + Sync + 'static,
+    F: Fn(&Dataset, &[usize], u64) -> (DecisionTree, f64) + Send + Sync + 'static,
 {
     assert!(trials >= 1);
     let grown: Arc<Mutex<Vec<Option<DecisionTree>>>> =
         Arc::new(Mutex::new((0..trials).map(|_| None).collect()));
-    // One columnar ingest, shared by every trial on every worker.
-    let index = ColumnarIndex::build(data);
     let (w_data, w_rows, w_grown) = (Arc::clone(data), Arc::clone(rows), Arc::clone(&grown));
     let name = parallel.farm_name(name);
     let farm = TaskFarm::<i64, (i64, f64)>::start(
         &name,
         parallel.farm_config(),
         move |scope, _flag, i| {
-            let (tree, score) = grow(&w_data, &index, &w_rows, i as u64);
+            let (tree, score) = grow(&w_data, &w_rows, i as u64);
             w_grown.lock()[i as usize] = Some(tree);
             scope.result(&(i, score));
             Ok(())
@@ -87,8 +86,8 @@ pub fn parallel_c45_trials(
         &rows,
         trials,
         parallel,
-        move |data, index, rows, i| {
-            let tree = grow_windowed_indexed(data, index, rows, &config, seed.wrapping_add(i));
+        move |data, rows, i| {
+            let tree = grow_windowed(data, rows, &config, seed.wrapping_add(i));
             let acc = tree.accuracy(data, rows);
             (tree, acc)
         },
@@ -122,13 +121,10 @@ pub fn parallel_nyuminer_rs(
         &rows,
         trials,
         parallel,
-        move |data, index, rows, i| {
+        move |data, rows, i| {
             // Same per-trial seed schedule as the sequential fit.
             let seed = seed.wrapping_add(i * 7919);
-            (
-                grow_incremental_indexed(data, index, rows, &config, seed),
-                0.0,
-            )
+            (grow_incremental(data, rows, &config, seed), 0.0)
         },
     );
     let trees: Vec<DecisionTree> = grown.into_iter().map(|(tree, _)| tree).collect();

@@ -21,7 +21,7 @@
 use classify::data::Dataset;
 use classify::prune::{ccp_sequence, select_for_alpha};
 use classify::tree::DecisionTree;
-use classify::{Classifier, ColumnarIndex, NyuConfig};
+use classify::{Classifier, NyuConfig};
 use fpdm_core::ParallelConfig;
 use plinda::{Chan, TaskFarm};
 use std::sync::Arc;
@@ -50,17 +50,15 @@ pub fn parallel_nyuminer_cv(
 ) -> ParallelCv {
     assert!(v >= 2);
     let folds: Arc<Vec<Vec<usize>>> = Arc::new(data.folds(&rows, v, seed));
-    // One columnar ingest, shared by the main tree and every fold worker.
-    let index: Arc<ColumnarIndex> = Arc::new(ColumnarIndex::build(&data));
 
     let name = parallel.farm_name("pcv");
     let mids_chan = Chan::<Vec<f64>>::new(format!("{name}.mids"));
 
     // Worker (Fig. 6.2): grow the aux tree of one fold, read the broadcast
-    // midpoints, report the fold's per-α error vector.
+    // midpoints, report the fold's per-α error vector. The main tree and
+    // every fold tree grow over the dataset's one presort.
     let w_data = Arc::clone(&data);
     let w_folds = Arc::clone(&folds);
-    let w_index = Arc::clone(&index);
     let w_config = config.clone();
     let w_mids = mids_chan.clone();
     let farm = TaskFarm::<i64, (i64, Vec<u32>)>::start(
@@ -76,7 +74,7 @@ pub fn parallel_nyuminer_cv(
                 .flat_map(|(_, f)| f.iter().copied())
                 .collect();
             let rule = w_config.rule();
-            let aux = DecisionTree::grow_indexed(&w_data, &w_index, &train, &rule, &w_config.grow);
+            let aux = DecisionTree::grow(&w_data, &train, &rule, &w_config.grow);
             let seq = ccp_sequence(&aux);
             // Broadcast read: every worker reads the same midpoints.
             let mids = w_mids.read_txn(scope.proc())?;
@@ -99,7 +97,7 @@ pub fn parallel_nyuminer_cv(
     for i in 0..v {
         farm.send(0, &(i as i64));
     }
-    let main = DecisionTree::grow_indexed(&data, &index, &rows, &config.rule(), &config.grow);
+    let main = DecisionTree::grow(&data, &rows, &config.rule(), &config.grow);
     let seq = ccp_sequence(&main);
 
     // Midpoints α'_k of the main sequence (same formula as the sequential

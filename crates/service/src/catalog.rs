@@ -3,15 +3,16 @@
 //! The service's economic argument (ROADMAP: "mining as a service") is that
 //! dataset preparation dominates small interactive jobs. The catalog makes
 //! preparation a one-time cost: datasets are registered at startup, handed
-//! out by `Arc` so concurrent jobs share them without copying, and the
-//! classification path's presorted [`ColumnarIndex`] is built lazily on
-//! first use and shared by every subsequent request that names the table.
+//! out by `Arc` so concurrent jobs share them without copying, and a
+//! classification table's presort ([`Dataset::index`], behind the
+//! dataset's own `OnceLock`) is built lazily on first use and shared by
+//! every subsequent request that names the table.
 //! `service.index.built` / `service.index.hits` in the `fpdm.metrics.v1`
 //! ledger record exactly how often the warm path pays off.
 //!
 //! The catalog is immutable after construction (the service holds it behind
-//! an `Arc`), so lookups take no locks; only the per-table `OnceLock` index
-//! cell synchronises, and only on first build.
+//! an `Arc`), so lookups take no locks; only the dataset's index cell
+//! synchronises, and only on first build.
 
 use assoc::TransactionDb;
 use classify::{ColumnarIndex, Dataset};
@@ -19,13 +20,15 @@ use episodes::EventSequence;
 use plinda::metrics::MetricsRegistry;
 use seqmine::Sequence;
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use treemine::OrderedTree;
 
-/// A resident classification table plus its lazily built shared index.
+/// A resident classification table, whose presort builds lazily.
 pub struct TableEntry {
     data: Arc<Dataset>,
-    index: OnceLock<Arc<ColumnarIndex>>,
+    /// Has [`TableEntry::index`] been called yet?
+    asked: AtomicBool,
 }
 
 impl TableEntry {
@@ -34,20 +37,17 @@ impl TableEntry {
         &self.data
     }
 
-    /// The shared presorted index, building it on first use. `reg` takes
-    /// the build/hit accounting so the ledger shows index reuse.
+    /// The table's shared presort, building it on first use. `reg` takes
+    /// the build/hit accounting so the ledger shows index reuse: the first
+    /// call counts as the build, every later one as a hit.
     pub fn index(&self, reg: &MetricsRegistry) -> Arc<ColumnarIndex> {
-        let mut built = false;
-        let idx = self.index.get_or_init(|| {
-            built = true;
-            Arc::new(ColumnarIndex::build(&self.data))
-        });
-        if built {
-            reg.counter("service.index.built").inc();
+        let key = if self.asked.swap(true, Ordering::Relaxed) {
+            "service.index.hits"
         } else {
-            reg.counter("service.index.hits").inc();
-        }
-        Arc::clone(idx)
+            "service.index.built"
+        };
+        reg.counter(key).inc();
+        Arc::clone(self.data.index())
     }
 }
 
@@ -91,7 +91,7 @@ impl DatasetCatalog {
             name.into(),
             TableEntry {
                 data: Arc::new(data),
-                index: OnceLock::new(),
+                asked: AtomicBool::new(false),
             },
         );
         self
@@ -161,6 +161,30 @@ mod tests {
         let snap = reg.snapshot();
         assert_eq!(snap.counter("service.index.built"), 1);
         assert_eq!(snap.counter("service.index.hits"), 1);
+    }
+
+    #[test]
+    fn racing_first_calls_count_one_build() {
+        let mut cat = DatasetCatalog::new();
+        cat.add_table("t", datagen::benchmarks::benchmark("vote", 7));
+        let reg = MetricsRegistry::new();
+        let entry = cat.table("t").unwrap();
+        let start = std::sync::Barrier::new(4);
+        let seen: Vec<Arc<ColumnarIndex>> = std::thread::scope(|s| {
+            let racers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        entry.index(&reg)
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(seen.iter().all(|i| Arc::ptr_eq(i, entry.data().index())));
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("service.index.built"), 1);
+        assert_eq!(snap.counter("service.index.hits"), 3);
     }
 
     #[test]

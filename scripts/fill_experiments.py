@@ -1,17 +1,21 @@
 #!/usr/bin/env python3
-"""Splice the experiment harness output into EXPERIMENTS.md.
+"""Splice named sections of the experiment harness output into EXPERIMENTS.md.
 
-Usage: python3 scripts/fill_experiments.py [experiments_output.txt]
+Usage: python3 scripts/fill_experiments.py [--from FILE] [ID | chN ...]
 
-Replaces each `<!-- ID -->` marker (e.g. `<!-- T4.2 -->`, `<!-- F6.3 -->`)
-with the corresponding harness section, fenced as a code block. Idempotent:
-re-running replaces previously spliced blocks.
+Each `<!-- ID -->` marker in EXPERIMENTS.md (e.g. `<!-- T4.2 -->`,
+`<!-- F6.3 -->`) is followed by the harness section it reproduces, fenced
+as a code block. Name the blocks to refresh, by marker id (`T4.2 F4.8`) or
+by chapter (`ch4`, `ch5`, `ch6`); only those blocks are rewritten, from
+FILE (default `experiments_output.txt`). Re-running is idempotent.
+
+With no ids it changes nothing: it lists the blocks whose committed text
+differs from the harness output and exits 1, so that no refresh of one
+chapter silently rewrites another.
 """
 
 import re
 import sys
-
-OUT = sys.argv[1] if len(sys.argv) > 1 else "experiments_output.txt"
 
 # Map marker id -> section header prefix in the harness output.
 HEADERS = {
@@ -59,28 +63,66 @@ def sections(text):
     return out
 
 
+def marker_pattern(marker):
+    """The bare marker, or the marker and its spliced block."""
+    return re.compile(
+        rf"<!-- {re.escape(marker)} -->(\n```text\n.*?\n```)?", re.DOTALL
+    )
+
+
+def expand(names):
+    """Marker ids named directly or by chapter, in EXPERIMENTS.md order."""
+    wanted = set()
+    for name in names:
+        chapter = re.fullmatch(r"ch(\d+)", name)
+        ids = (
+            [m for m in HEADERS if m[1:].split(".")[0] == chapter.group(1)]
+            if chapter
+            else [name] if name in HEADERS else []
+        )
+        if not ids:
+            sys.exit(f"unknown marker id or chapter: {name} (ids: {' '.join(HEADERS)})")
+        wanted.update(ids)
+    return [m for m in HEADERS if m in wanted]
+
+
 def main():
-    harness = open(OUT).read()
-    secs = sections(harness)
+    args = sys.argv[1:]
+    out = "experiments_output.txt"
+    if args[:1] == ["--from"]:
+        if len(args) < 2:
+            sys.exit("--from needs a file")
+        out, args = args[1], args[2:]
+    secs = sections(open(out).read())
     md = open("EXPERIMENTS.md").read()
 
-    for marker, prefix in HEADERS.items():
-        match = next((k for k in secs if k.startswith(prefix)), None)
-        if match is None:
-            print(f"warning: no harness section for {marker}", file=sys.stderr)
-            continue
-        block = f"<!-- {marker} -->\n```text\n{secs[match]}\n```"
-        # Replace the bare marker, or a previously spliced marker+block.
-        pattern = re.compile(
-            rf"<!-- {re.escape(marker)} -->(\n```text\n.*?\n```)?",
-            re.DOTALL,
-        )
-        md, n = pattern.subn(block, md, count=1)
+    def block(marker):
+        match = next((k for k in secs if k.startswith(HEADERS[marker])), None)
+        return match and f"<!-- {marker} -->\n```text\n{secs[match]}\n```"
+
+    if not args:
+        stale = []
+        for marker in HEADERS:
+            committed = marker_pattern(marker).search(md)
+            fresh = block(marker)
+            if committed is None or fresh is None or committed.group(0) != fresh:
+                stale.append(marker)
+        print("blocks differing from", out + ":", " ".join(stale) or "none")
+        print("name the blocks to refresh, e.g. `ch4` or `T4.2 F4.8`", file=sys.stderr)
+        sys.exit(1)
+
+    markers = expand(args)
+    for marker in markers:
+        fresh = block(marker)
+        if fresh is None:
+            sys.exit(f"no harness section for {marker} in {out}; nothing written")
+        # A function replacement, so backslashes in the block stay literal.
+        md, n = marker_pattern(marker).subn(lambda _: fresh, md, count=1)
         if n == 0:
-            print(f"warning: marker {marker} not found in EXPERIMENTS.md", file=sys.stderr)
+            sys.exit(f"marker {marker} not found in EXPERIMENTS.md; nothing written")
 
     open("EXPERIMENTS.md", "w").write(md)
-    print("EXPERIMENTS.md updated")
+    print("EXPERIMENTS.md: refreshed", " ".join(markers))
 
 
 if __name__ == "__main__":
